@@ -291,12 +291,11 @@ def norm_invariant(p: int, ring: Ring, table: VariableTable = None, offset: int 
     """
     if table is None:
         table = VariableTable((2,))
-    x1, x2 = offset + 1, offset + 2
-    n = table.n
-    terms = {
-        _exps(n, *([x1] * (p - 1) + [x2])): ring.one(),
-        _exps(n, *([x2] * p)): ring.neg(ring.one()),
-    }
+    lead = [0] * table.n
+    lead[offset], lead[offset + 1] = p - 1, 1
+    pure = [0] * table.n
+    pure[offset + 1] = p
+    terms = {tuple(lead): ring.one(), tuple(pure): ring.neg(ring.one())}
     return Polynomial(ring, table, terms)
 
 

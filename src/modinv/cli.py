@@ -16,11 +16,11 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .action import BlockExceedsP, RepresentationSpec
+from .action import BlockExceedsP, RepresentationSpec, render_point
 from .builder import build_suite, suite_construction_steps
-from .oracle import (DEFAULT_BUDGET, BudgetExceeded, separation_report,
-                     verify_lifting, verify_orbit_constancy)
-from .rings import GF
+from .oracle import (DEFAULT_BUDGET, BudgetExceeded, resolve_workers,
+                     separation_report, verify_lifting, verify_orbit_constancy)
+from .rings import GF, BoundExceeded
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,11 @@ def _spec_for(config: RunConfig) -> RepresentationSpec:
 
 def _emit(text: str, out):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -77,23 +80,20 @@ def _cmd_construct(config: RunConfig) -> int:
     return 0
 
 
-def _point_text(ring, coords) -> str:
-    texts = [ring.render(c) for c in coords]
-    if any("," in t for t in texts):
-        texts = [f"({t})" for t in texts]
-    return "(" + ",".join(texts) + ")"
-
-
 def _cmd_verify(config: RunConfig) -> int:
     spec = _spec_for(config)
     if config.strict and len(spec.blocks) != 1:
         raise ConfigError("--strict requires a single block")
     if config.k < 1:
         raise ConfigError("k must be at least 1")
-    field = GF(spec.p, config.k)
+    try:
+        workers = resolve_workers()
+        field = GF(spec.p, config.k)
+    except (ValueError, BoundExceeded) as exc:
+        raise ConfigError(str(exc))
     suite = build_suite(spec, "fp")
     constancy = verify_orbit_constancy(suite, field, config.budget)
-    report = separation_report(suite, field, config.budget)
+    report = separation_report(suite, field, config.budget, workers)
     lift_sizes = sorted({s for s in spec.blocks if s >= 3})
     lifting = [(n, verify_lifting(n, field, config.budget)) for n in lift_sizes]
     failed = (constancy is not None or not report.separated
@@ -128,7 +128,7 @@ def _cmd_verify(config: RunConfig) -> int:
             lines.append("constancy   ok")
         else:
             lines.append(f"constancy   FAILED: {constancy[0]} at "
-                         f"{_point_text(field, constancy[1])}")
+                         f"({render_point(field, constancy[1])})")
         lines.append(f"separation  {report.fiber_count}/{report.orbit_count_in_b}"
                      " orbits separated")
         for n, w in lifting:
@@ -136,7 +136,8 @@ def _cmd_verify(config: RunConfig) -> int:
                 lines.append(f"lifting     n={n} ok")
             else:
                 lines.append(f"lifting     n={n} FAILED: "
-                             f"{_point_text(field, w[0])} ~ {_point_text(field, w[1])}")
+                             f"({render_point(field, w[0])}) ~ "
+                             f"({render_point(field, w[1])})")
         _emit("\n".join(lines) + "\n", config.out)
     if config.strict and failed:
         return 2

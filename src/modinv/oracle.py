@@ -8,23 +8,23 @@ every nontrivial block has a nonzero leading coordinate.
 
 Enumeration cost is q^n points; every entry point checks that against an
 explicit budget before starting.  Orbits are counted by rep ownership: a
-point is processed only when it is the lexicographically smallest element of
-its own orbit, which makes worker partitioning by first coordinate exact
-(the first coordinate is fixed by the action, so an orbit never crosses
-chunks) and the result independent of the worker count.
+point is processed only when it is the smallest element of its own orbit in
+the natural order of raw tuples, which action.is_orbit_rep_raw decides in
+closed form.  Worker partitioning by first coordinate is exact (the first
+coordinate is fixed by the action, so an orbit never crosses chunks) and
+the result independent of the worker count.
 """
 
 import itertools
 import multiprocessing
 import os
 import time
-from bisect import insort
 from dataclasses import dataclass
 
-from .action import RepresentationSpec, act_raw, in_b_raw, orbit_raw
+from .action import (RepresentationSpec, act_raw, in_b_raw, is_orbit_rep_raw,
+                     render_point)
 from .builder import InvariantSuite, _connecting_rational
-from .poly import Polynomial
-from .rings import Ring, coerce
+from .rings import Ring
 
 
 class BudgetExceeded(Exception):
@@ -54,30 +54,14 @@ def _check_field(spec: RepresentationSpec, ring: Ring):
         raise ValueError(f"field characteristic must be {spec.p}")
 
 
-def _compile(poly: Polynomial, ring: Ring):
-    """Flatten a polynomial into (coefficient-in-ring, exponents) pairs."""
-    return [(coerce(c, poly.ring, ring), e) for e, c in poly.terms()]
-
-
-def _eval_compiled(compiled, ring: Ring, coords):
-    acc = ring.zero()
-    for c, exps in compiled:
-        v = c
-        for i, e in enumerate(exps):
-            if e:
-                v = ring.mul(v, ring.pow(coords[i], e))
-        acc = ring.add(acc, v)
-    return acc
-
-
-def _point_key(ring: Ring, coords):
-    return tuple(ring.sort_key(c) for c in coords)
-
-
 def resolve_workers(workers=None) -> int:
     """Worker count: explicit argument, else MODINV_THREADS, else 1."""
     if workers is None:
-        workers = int(os.environ.get("MODINV_THREADS", "1"))
+        raw = os.environ.get("MODINV_THREADS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(f"MODINV_THREADS must be an integer, got {raw!r}")
     return max(1, workers)
 
 
@@ -95,13 +79,12 @@ def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
     spec = suite.spec
     _check_field(spec, ring)
     _check_budget(ring.order, spec.n, budget)
-    compiled = [_compile(e.polynomial, ring) for e in suite.entries]
+    polys = [e.polynomial.change_ring(ring) for e in suite.entries]
     blocks = spec.blocks
     for coords in itertools.product(ring.elements(), repeat=spec.n):
         moved = act_raw(blocks, ring, coords)
-        for entry, comp in zip(suite.entries, compiled):
-            if (_eval_compiled(comp, ring, coords)
-                    != _eval_compiled(comp, ring, moved)):
+        for entry, f in zip(suite.entries, polys):
+            if f.evaluate_raw(coords, ring) != f.evaluate_raw(moved, ring):
                 return entry.name, coords
     return None
 
@@ -111,8 +94,8 @@ def require_orbit_constancy(suite: InvariantSuite, ring: Ring,
     witness = verify_orbit_constancy(suite, ring, budget)
     if witness is not None:
         name, coords = witness
-        texts = ",".join(ring.render(c) for c in coords)
-        raise OrbitConstancyError(f"{name} varies on the orbit of ({texts})")
+        raise OrbitConstancyError(
+            f"{name} varies on the orbit of ({render_point(ring, coords)})")
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +104,15 @@ def require_orbit_constancy(suite: InvariantSuite, ring: Ring,
 
 def _scan_chunk(args):
     """Count B-points and collect invariant fibers for a set of first
-    coordinates; returns (pointsInB, {key: [orbitCount, smallestReps]})."""
+    coordinates; returns (pointsInB, {key: [orbitCount, smallestReps]}).
+
+    firsts ascend, so representatives arrive in ascending order and each
+    fiber keeps the first _KEEP_REPS it meets."""
     suite, ring, firsts = args
     spec = suite.spec
     blocks = spec.blocks
     n = spec.n
-    compiled = [_compile(e.polynomial, ring) for e in suite.entries]
+    polys = [e.polynomial.change_ring(ring) for e in suite.entries]
     points_in_b = 0
     fibers = {}
     for first in firsts:
@@ -135,17 +121,16 @@ def _scan_chunk(args):
             if not in_b_raw(blocks, ring, coords):
                 continue
             points_in_b += 1
-            orb = orbit_raw(blocks, ring, coords)
-            if min(orb, key=lambda c: _point_key(ring, c)) != coords:
+            if not is_orbit_rep_raw(blocks, coords):
                 continue  # another orbit point owns this orbit
-            key = tuple(_eval_compiled(comp, ring, coords) for comp in compiled)
+            key = tuple(f.evaluate_raw(coords, ring) for f in polys)
             slot = fibers.get(key)
             if slot is None:
                 fibers[key] = [1, [coords]]
             else:
                 slot[0] += 1
-                insort(slot[1], coords, key=lambda c: _point_key(ring, c))
-                del slot[1][_KEEP_REPS:]
+                if len(slot[1]) < _KEEP_REPS:
+                    slot[1].append(coords)
     return points_in_b, fibers
 
 
@@ -178,14 +163,8 @@ class SeparationReport:
     witness_pairs: tuple    # pairs of raw coordinate tuples, canonical order
     elapsed: float = None
 
-    def _point_texts(self, coords):
+    def _coord_texts(self, coords):
         return [self.ring.render(c) for c in coords]
-
-    def _point_display(self, coords) -> str:
-        texts = self._point_texts(coords)
-        if any("," in t for t in texts):
-            texts = [f"({t})" for t in texts]
-        return "(" + ",".join(texts) + ")"
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -197,7 +176,7 @@ class SeparationReport:
             "orbitCountInB": self.orbit_count_in_b,
             "fiberCount": self.fiber_count,
             "separated": self.separated,
-            "witnessPairs": [[self._point_texts(a), self._point_texts(b)]
+            "witnessPairs": [[self._coord_texts(a), self._coord_texts(b)]
                              for a, b in self.witness_pairs],
         }
         if include_timing and self.elapsed is not None:
@@ -218,7 +197,8 @@ class SeparationReport:
         if self.witness_pairs:
             lines.append("  witnessPairs")
             for a, b in self.witness_pairs:
-                lines.append(f"    {self._point_display(a)} ~ {self._point_display(b)}")
+                lines.append(f"    ({render_point(self.ring, a)}) ~ "
+                             f"({render_point(self.ring, b)})")
         return "\n".join(lines)
 
 
@@ -237,24 +217,23 @@ def separation_report(suite: InvariantSuite, ring: Ring,
     _check_budget(ring.order, spec.n, budget)
     start = time.monotonic()
     firsts = list(ring.elements())
-    workers = resolve_workers(workers)
+    # no more processes than chunks of first coordinates, or than CPUs
+    workers = min(resolve_workers(workers), ring.order, os.cpu_count() or 1)
     if workers > 1:
         chunks = [firsts[i::workers] for i in range(workers)]
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
             results = pool.map(
-                _scan_chunk,
-                [(suite, ring, chunk) for chunk in chunks if chunk])
+                _scan_chunk, [(suite, ring, chunk) for chunk in chunks])
     else:
         results = [_scan_chunk((suite, ring, firsts))]
     points_in_b, fibers = _merge_fibers(results)
     orbit_count = sum(count for count, _ in fibers.values())
     for slot in fibers.values():
-        slot[1].sort(key=lambda c: _point_key(ring, c))
+        slot[1].sort()
         del slot[1][_KEEP_REPS:]
     pairs = []
-    for count, reps in sorted(fibers.values(),
-                              key=lambda slot: _point_key(ring, slot[1][0])):
+    for count, reps in sorted(fibers.values(), key=lambda slot: slot[1][0]):
         if count < 2:
             continue
         for a, b in itertools.combinations(reps, 2):
@@ -293,7 +272,7 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
     if ring.order is None:
         raise ValueError("brute-force verification needs a finite field")
     _check_budget(ring.order, n, budget)
-    compiled = _compile(_connecting_rational(n).polynomial, ring)
+    f = _connecting_rational(n).polynomial.change_ring(ring)
     zero = ring.zero()
     lasts = list(ring.elements())
     for prefix in itertools.product(ring.elements(), repeat=n - 1):
@@ -301,7 +280,7 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
             continue
         seen = {}
         for last in lasts:
-            val = _eval_compiled(compiled, ring, prefix + (last,))
+            val = f.evaluate_raw(prefix + (last,), ring)
             if val in seen:
                 return prefix + (seen[val],), prefix + (last,)
             seen[val] = last

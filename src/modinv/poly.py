@@ -294,13 +294,16 @@ class Polynomial:
         """Value at a point given as raw values of `ring`; returns a raw value.
 
         Coefficients are embedded into `ring` via the canonical coercion,
-        so e.g. integer polynomials evaluate at prime-field points.
+        so e.g. integer polynomials evaluate at prime-field points; after
+        change_ring(ring) that embedding is skipped.
         """
         if len(coords) != self.table.n:
             raise DimensionMismatch(f"{len(coords)} coordinates for {self.table.n} variables")
+        src = self.ring
+        same = ring is src or ring == src
         acc = ring.zero()
         for exps, c in self._terms.items():
-            val = coerce(c, self.ring, ring)
+            val = c if same else coerce(c, src, ring)
             for i, e in enumerate(exps):
                 if e:
                     val = ring.mul(val, ring.pow(coords[i], e))

@@ -34,14 +34,23 @@ class BoundExceeded(Exception):
     """A brute-force search was asked to exceed its configured bound."""
 
 
+# Miller-Rabin on the first thirteen primes is exact below the smallest strong
+# pseudoprime to all of them (twelve bases fail at 318665857834031151167461).
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; refuses n it cannot decide exactly."""
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"{n} is too large for the primality test (limit 3.3e24)")
+    if n < 2 or n in _PRIME_BASES:
+        return n >= 2
+    s = ((n - 1) & (1 - n)).bit_length() - 1     # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for b in _PRIME_BASES:
+        if pow(b, d, n) != 1 and all(pow(b, d << r, n) != n - 1 for r in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -120,8 +129,9 @@ class Ring:
     """Interface shared by all coefficient rings.
 
     Subclasses implement arithmetic on raw values.  Raw values are always
-    immutable and hashable; ``sort_key`` gives the deterministic order used
-    for canonical orbit representatives and report sorting.
+    immutable and hashable and are compared in their natural Python order;
+    for finite fields that is the order of ``elements()``, which fixes orbit
+    representatives and the order of reports.
     """
 
     is_field = False
@@ -176,9 +186,6 @@ class Ring:
 
     def parse(self, text: str):
         raise NotImplementedError
-
-    def sort_key(self, a):
-        return a
 
     def elements(self):
         raise TypeError(f"{self!r} is not finite")
@@ -324,9 +331,6 @@ class PrimeField(Ring):
             raise DivisionByZero(f"1/0 over F_{self.p}")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         if e < 0:
             return pow(self.inv(a), -e, self.p)
@@ -357,7 +361,8 @@ class ExtensionField(Ring):
     Raw values are length-k tuples of residues, low degree first.  The
     modulus defaults to the canonical one from find_irreducible, so two
     fields with the same (p, k) are interchangeable.  Small fields get a
-    lazily built discrete-log table to keep exhaustive enumeration fast.
+    lazily built discrete-log table to keep exhaustive enumeration fast; it
+    travels with pickles, so pool workers do not rebuild it.
     """
 
     is_field = True
@@ -392,7 +397,7 @@ class ExtensionField(Ring):
 
     def add(self, a, b):
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def sub(self, a, b):
         p = self.p
@@ -450,13 +455,10 @@ class ExtensionField(Ring):
             return exp[(-log[a]) % (self.order - 1)]
         return self.pow(a, self.order - 2)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        if a == self.zero():
+        if not any(a):
             return self.one() if e == 0 else self.zero()
         if self.order <= _TABLE_MAX_ORDER:
             log, exp = self._tables()
@@ -483,17 +485,6 @@ class ExtensionField(Ring):
 
     def __hash__(self):
         return hash(("Fpk", self.p, self.k, self.modulus))
-
-    def __getstate__(self):
-        # Log tables are rebuilt on demand; keep pickles small for workers.
-        return (self.p, self.k, self.modulus)
-
-    def __setstate__(self, state):
-        self.p, self.k, self.modulus = state
-        self.characteristic = self.p
-        self.order = self.p ** self.k
-        self._log = None
-        self._exp = None
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"

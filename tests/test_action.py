@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import strategies as st
 
 from modinv.action import (BlockExceedsP, BlockTooSmall, NotSingleBlock,
                            PointVector, RepresentationSpec, act_point, act_raw,
-                           delta, delta_component, in_open_set_B, orbit,
-                           orbit_raw, project_phi, sigma)
+                           delta, delta_component, in_open_set_B,
+                           is_orbit_rep_raw, orbit, orbit_raw, orbit_rep_raw,
+                           project_phi, sigma)
 from modinv.builder import weight_basis
 from modinv.poly import Polynomial, VariableTable
 from modinv.rings import GF, QQ
@@ -84,6 +86,17 @@ def test_orbit_golden():
     assert orbit_raw((3,), F5, (0, 0, 2)) == [(0, 0, 2)]
     pts = orbit(PointVector(SPEC53, F5, (1, 0, 0)))
     assert len(pts) == 5 and pts[0].coords == (1, 0, 0)
+
+
+@pytest.mark.parametrize("p,k,blocks", [
+    (5, 1, (3,)), (3, 2, (2, 1)), (2, 2, (1, 2, 2)), (3, 1, (3, 1, 3)),
+    (5, 1, (1, 4)), (2, 1, (1, 1))])
+def test_is_orbit_rep_matches_orbit_minimum_everywhere(p, k, blocks):
+    # inside and outside B, fixed points included
+    field = GF(p, k)
+    for coords in itertools.product(field.elements(), repeat=sum(blocks)):
+        assert is_orbit_rep_raw(blocks, coords) == (
+            orbit_rep_raw(blocks, field, coords) == coords), coords
 
 
 def test_point_vector_validation():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -105,6 +106,39 @@ def test_bad_k_is_config_error(capsys):
                            "--k", "0")
     assert code == 1
     assert err == "error: k must be at least 1\n"
+
+
+@pytest.mark.parametrize("env,argv,code", [
+    ({}, "construct --p 5 --blocks 7", 1),
+    ({}, "construct --p 5 --blocks 2,x", 1),
+    ({}, "verify --p 6 --blocks 2", 1),
+    ({}, "construct --p 1000000000000000000000000000057 --blocks 2", 1),
+    ({}, "verify --p 5 --blocks 2,2 --strict", 1),
+    ({}, "verify --p 5 --blocks 2 --k 0", 1),
+    ({}, "verify --p 2 --blocks 2 --k 21", 1),
+    ({"MODINV_THREADS": "abc"}, "verify --p 3 --blocks 2", 1),
+    ({}, "construct --p 5 --blocks 3 --out {missing}/x.json", 1),
+    ({}, "export --p 5 --blocks 3 --out {missing}/x.json", 1),
+    ({}, "verify --p 7 --blocks 7 --budget 1000", 3),
+])
+def test_malformed_input_gives_one_error_line(capsys, monkeypatch, tmp_path,
+                                              env, argv, code):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    args = argv.format(missing=tmp_path / "missing").split()
+    got, out, err = run_cli(capsys, *args)
+    assert got == code and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_construct_large_prime_is_fast(capsys):
+    p = 1_000_000_000_000_000_003
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "construct", "--p", str(p), "--blocks", "2")
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[-1] == f"N(x2) = {p - 1}*x2^{p} + x1^{p - 1}*x2"
 
 
 # -- verify ------------------------------------------------------------------------

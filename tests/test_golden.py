@@ -1,0 +1,44 @@
+"""Byte-for-byte regression against outputs captured before the separation
+scan chose orbit representatives in closed form.
+
+golden_outputs.json holds, for each case, the command line, the value of
+MODINV_THREADS, the exit code and the exact stdout of `modinv`; and the
+separation report's text and JSON, as `verify` prints them, for the [2,2]
+spec over F_5 (one and two workers) and F_25 (two workers).  A full `verify`
+over F_25^4 would spend half a minute in the constancy sweep.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from modinv.action import RepresentationSpec
+from modinv.builder import build_suite
+from modinv.cli import main
+from modinv.oracle import separation_report
+from modinv.rings import GF
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["cli"],
+    ids=lambda c: f"{' '.join(c['argv'])} threads={c['threads']}")
+def test_cli_output_matches_golden(case, capsys, monkeypatch):
+    monkeypatch.setenv("MODINV_THREADS", str(case["threads"]))
+    code = main(list(case["argv"]))
+    assert code == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["separation"],
+    ids=lambda c: f"p={c['p']} blocks={c['blocks']} k={c['k']} workers={c['workers']}")
+def test_separation_report_matches_golden(case):
+    suite = build_suite(RepresentationSpec(case["p"], tuple(case["blocks"])), "fp")
+    report = separation_report(suite, GF(case["p"], case["k"]),
+                               workers=case["workers"])
+    assert report.render() + "\n" == case["text"]
+    assert (json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+            == case["json"])

@@ -162,6 +162,48 @@ def test_resolve_workers_env(monkeypatch):
     assert resolve_workers() == 3
     assert resolve_workers(2) == 2
     assert resolve_workers(0) == 1
+    monkeypatch.setenv("MODINV_THREADS", "abc")
+    with pytest.raises(ValueError, match="MODINV_THREADS must be an integer"):
+        resolve_workers()
+
+
+class _RecordingContext:
+    """Stands in for the fork context: records pool sizes, maps in-process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("requested,cpus,q,expected", [
+    (64, 4, 5, 4),      # capped by the CPUs
+    (64, 64, 5, 5),     # capped by the number of first coordinates
+    (3, 8, 5, 3),       # as requested
+    (8, 8, 2, 2),
+    (1, 8, 5, None),    # one worker scans in-process, no pool
+    (8, 1, 5, None),
+])
+def test_pool_size_is_clamped(monkeypatch, requested, cpus, q, expected):
+    ctx = _RecordingContext()
+    monkeypatch.setattr("modinv.oracle.multiprocessing.get_context", lambda method: ctx)
+    monkeypatch.setattr("modinv.oracle.os.cpu_count", lambda: cpus)
+    suite = fp_suite(q, (2, 2) if q > 2 else (2, 1))
+    report = separation_report(suite, GF(q), workers=requested)
+    assert ctx.sizes == ([] if expected is None else [expected])
+    assert (report.to_json_dict()
+            == separation_report(suite, GF(q), workers=1).to_json_dict())
 
 
 def test_fibers_invariant_under_scaling_and_order():

@@ -49,6 +49,20 @@ def test_prime_validation():
         PrimeField(6)
 
 
+@given(st.integers(0, 10 ** 5 - 1))
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1)))
+
+
+def test_is_prime_large():
+    assert is_prime(1_000_000_000_000_000_003)
+    # strong pseudoprimes to every prime base up to 23 and up to 37
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(3_317_044_064_679_887_385_961_981)
+
+
 def test_reduce_mod_p_examples():
     assert reduce_fraction(Fraction(-1, 2), 5) == 2
     assert reduce_fraction(Fraction(1, 3), 5) == 2
@@ -193,3 +207,7 @@ def test_extension_field_equality_and_pickle():
     clone = pickle.loads(pickle.dumps(f25))
     assert clone == f25
     assert clone.mul((0, 1), (0, 1)) == f25.mul((0, 1), (0, 1))
+    # built log/exp tables travel with the pickle, so workers skip rebuilding
+    warm = pickle.loads(pickle.dumps(f25))
+    assert warm._exp is not None
+    assert warm._exp == f25._exp and warm._log == f25._log
