@@ -4,11 +4,14 @@ The representation is a direct sum of unipotent Jordan blocks over a field of
 characteristic p.  On coordinates the generator fixes each block's first
 variable and sends every later one to itself plus its predecessor; the same
 substitution defines the action on polynomials.  delta = sigma - id is the
-difference operator whose kernel is the invariant ring.
+difference operator whose kernel is the invariant ring.  Both are computed
+in closed form, term by term: sigma of a monomial is a product of binomials
+(x_{i-1} + x_i)^a, expanded over Z and scaled by the term's coefficient.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 from .poly import Polynomial, VariableTable
 from .rings import Ring, is_prime
@@ -68,29 +71,51 @@ class RepresentationSpec:
 # Action on polynomials.
 
 
-def _sigma_images(f: Polynomial) -> dict:
-    table = f.table
-    images = {}
-    for i in range(table.n):
-        _, pos = table.positions[i]
-        xi = Polynomial.variable(f.ring, table, i)
-        if pos == 1:
-            images[i] = xi
-        else:
-            # the predecessor within the block is the previous flat variable
-            images[i] = Polynomial.variable(f.ring, table, i - 1) + xi
-    return images
+def _sigma_monomial(table: VariableTable, exps: tuple) -> dict:
+    """sigma(x^exps) over Z as {exponent tuple: int}.
+
+    Each block's first variable is fixed; every later x_i with exponent a
+    becomes (x_{i-1} + x_i)^a, expanded by binomial coefficients.  The image
+    contains x^exps itself with coefficient 1 and otherwise only terms of
+    lower weight.
+    """
+    out = {exps: 1}
+    for i, a in enumerate(exps):
+        if a and table.positions[i][1] > 1:
+            # x_i still has exponent a in every term: later variables only
+            # move weight onto it after this step
+            nxt = {}
+            for e, c in out.items():
+                for j in range(a + 1):
+                    key = e[:i - 1] + (e[i - 1] + j, a - j) + e[i + 1:]
+                    nxt[key] = nxt.get(key, 0) + c * comb(a, j)
+            out = nxt
+    return out
+
+
+def _act(f: Polynomial, minus_identity: bool) -> Polynomial:
+    """sigma(f), or delta(f) when each term's own monomial is left out."""
+    ring = f.ring
+    zero = ring.zero()
+    out = {}
+    for exps, c in f._terms.items():
+        for e, k in _sigma_monomial(f.table, exps).items():
+            if minus_identity and e == exps:
+                continue
+            v = c if k == 1 else ring.mul(c, ring.from_int(k))
+            out[e] = ring.add(out.get(e, zero), v)
+    return Polynomial(ring, f.table, out)
 
 
 def sigma(f: Polynomial) -> Polynomial:
     """Generator action: first variable of each block fixed, later ones sent
     to themselves plus their predecessor."""
-    return f.substitute(_sigma_images(f))
+    return _act(f, minus_identity=False)
 
 
 def delta(f: Polynomial) -> Polynomial:
     """sigma(f) - f; zero exactly on invariants."""
-    return sigma(f) - f
+    return _act(f, minus_identity=True)
 
 
 def delta_component(f: Polynomial, d: int) -> Polynomial:

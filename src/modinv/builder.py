@@ -8,6 +8,8 @@ deterministic elimination loop that repeatedly cancels the top weight
 component of delta(t) against a designated space of lower monomials; each
 step solves an integer linear system that is provably invertible, so the
 result is exact over the rationals and reduces to any F_p with p >= n.
+delta(t) is computed once; each pass subtracts only delta of its few-term
+correction from it.
 Direct sums are handled blockwise.
 """
 
@@ -16,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .action import BlockExceedsP, RepresentationSpec, delta
+from .action import BlockExceedsP, RepresentationSpec, _sigma_monomial, delta
 from .poly import Polynomial, VariableTable, embed, monomial_text, ring_code
 from .rings import GF, QQ, ZZ, RationalRing, Ring
 
@@ -132,9 +134,8 @@ def _delta_matrix(source_monomials, target_monomials, n):
     index = {e: i for i, e in enumerate(target_monomials)}
     rows = [[0] * len(source_monomials) for _ in target_monomials]
     for col, exps in enumerate(source_monomials):
-        image = delta(Polynomial.monomial(ZZ, table, exps))
         d = table.weight_of(exps)
-        for e, c in image._terms.items():
+        for e, c in _sigma_monomial(table, exps).items():
             if table.weight_of(e) != d - 1:
                 continue
             if e not in index:
@@ -221,10 +222,8 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
     target_family = "W" if degree == 2 else "S"
     steps = []
     prev_top = None
-    while True:
-        residual = delta(t)
-        if residual.is_zero:
-            break
+    residual = delta(t)
+    while not residual.is_zero:
         components = residual.weight_components()
         top = max(components)
         if prev_top is not None and top >= prev_top:
@@ -249,11 +248,9 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
             raise NoSolution(
                 f"no invariant {lead_text} + h with h free of x{n}: "
                 f"weight-{top} residual has no unique preimage in {family}_{d}") from exc
-        g = Polynomial.zero(ring, table)
-        for c, e in zip(solution, source):
-            if c != ring.zero():
-                g = g + Polynomial.monomial(ring, table, e, c)
+        g = Polynomial(ring, table, dict(zip(source, solution)))
         t = t - g
+        residual = residual - delta(g)
         det = linalg.det_int(matrix) if len(matrix) == len(source) else None
         steps.append(EliminationStep(
             weight=d,

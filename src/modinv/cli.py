@@ -176,8 +176,18 @@ def _cmd_export(config: RunConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors follow the exit-code contract: one
+    `error:` line on stderr and exit 1 (argparse's own default is 2, the
+    code reserved for separation witnesses under --strict)."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modinv",
         description="Construct and verify separating invariant suites for "
                     "unipotent Jordan-block actions in prime characteristic.")

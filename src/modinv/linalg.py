@@ -63,12 +63,21 @@ def solve_unique(ring: Ring, rows, rhs):
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        scale = ring.inv(aug[r][col])
-        aug[r] = [ring.mul(scale, v) for v in aug[r]]
+        # columns before col are zero in the pivot row, so only its nonzero
+        # entries from col on are scaled and then used to update other rows
+        row = aug[r]
+        scale = ring.inv(row[col])
+        nonzero = []
+        for j in range(col, ncols + 1):
+            if row[j] != zero:
+                row[j] = ring.mul(scale, row[j])
+                nonzero.append((j, row[j]))
         for i in range(m):
-            if i != r and aug[i][col] != zero:
-                factor = aug[i][col]
-                aug[i] = [ring.sub(v, ring.mul(factor, w)) for v, w in zip(aug[i], aug[r])]
+            other = aug[i]
+            factor = other[col]
+            if i != r and factor != zero:
+                for j, w in nonzero:
+                    other[j] = ring.sub(other[j], ring.mul(factor, w))
         pivots.append(col)
         r += 1
     for i in range(r, m):

@@ -383,11 +383,12 @@ class ExtensionField(Ring):
         self.modulus = modulus
         self.characteristic = p
         self.order = p ** k
+        self._zero = (0,) * k
         self._log = None
         self._exp = None
 
     def zero(self):
-        return (0,) * self.k
+        return self._zero
 
     def one(self):
         return (1,) + (0,) * (self.k - 1)
@@ -422,48 +423,57 @@ class ExtensionField(Ring):
             prod[i] = 0
         return tuple(c % p for c in prod[:k])
 
-    def _tables(self):
-        if self._exp is None:
-            one = self.one()
-            for g in self.elements():
-                if g == self.zero():
-                    continue
-                powers = [one]
-                x = g
-                while x != one:
-                    powers.append(x)
-                    x = self._mul_conv(x, g)
-                if len(powers) == self.order - 1:
-                    self._exp = powers
-                    self._log = {v: i for i, v in enumerate(powers)}
-                    break
-        return self._log, self._exp
+    def _pow_conv(self, a, e):
+        acc = self.one()
+        while e:
+            if e & 1:
+                acc = self._mul_conv(acc, a)
+            a = self._mul_conv(a, a)
+            e >>= 1
+        return acc
+
+    def _build_tables(self):
+        """Log/exp tables from the first generator of the multiplicative group
+        in elements() order: g generates exactly when g^((q-1)/r) != 1 for
+        every prime r dividing q - 1."""
+        cycle = self.order - 1
+        primes = [r for r in range(2, cycle + 1) if cycle % r == 0 and is_prime(r)]
+        one = self.one()
+        for g in self.elements():
+            if g != self._zero and all(self._pow_conv(g, cycle // r) != one
+                                       for r in primes):
+                break
+        powers = [one]
+        for _ in range(cycle - 1):
+            powers.append(self._mul_conv(powers[-1], g))
+        self._exp = powers
+        self._log = {v: i for i, v in enumerate(powers)}
 
     def mul(self, a, b):
-        if self.order <= _TABLE_MAX_ORDER:
-            log, exp = self._tables()
-            if a not in log or b not in log:  # either factor is zero
-                return self.zero()
-            return exp[(log[a] + log[b]) % (self.order - 1)]
-        return self._mul_conv(a, b)
+        if self._exp is None:
+            if self.order > _TABLE_MAX_ORDER:
+                return self._mul_conv(a, b)
+            self._build_tables()
+        log = self._log
+        if a not in log or b not in log:  # either factor is zero
+            return self._zero
+        return self._exp[(log[a] + log[b]) % (self.order - 1)]
 
     def inv(self, a):
-        if a == self.zero():
+        if a == self._zero:
             raise DivisionByZero(f"1/0 over {self!r}")
-        if self.order <= _TABLE_MAX_ORDER:
-            log, exp = self._tables()
-            return exp[(-log[a]) % (self.order - 1)]
         return self.pow(a, self.order - 2)
 
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
         if not any(a):
-            return self.one() if e == 0 else self.zero()
+            return self.one() if e == 0 else self._zero
         if self.order <= _TABLE_MAX_ORDER:
-            log, exp = self._tables()
-            return exp[(log[a] * e) % (self.order - 1)]
-        return super().pow(a, e)
+            if self._exp is None:
+                self._build_tables()
+            return self._exp[(self._log[a] * e) % (self.order - 1)]
+        return self._pow_conv(a, e)
 
     def render(self, a):
         return ",".join(str(c) for c in a)

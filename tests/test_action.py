@@ -10,9 +10,9 @@ from modinv.action import (BlockExceedsP, BlockTooSmall, NotSingleBlock,
                            delta, delta_component, in_open_set_B,
                            is_orbit_rep_raw, orbit, orbit_raw, orbit_rep_raw,
                            project_phi, sigma)
-from modinv.builder import weight_basis
+from modinv.builder import norm_invariant, weight_basis
 from modinv.poly import Polynomial, VariableTable
-from modinv.rings import GF, QQ
+from modinv.rings import GF, QQ, ZZ
 
 F5 = GF(5)
 SPEC53 = RepresentationSpec(5, (3,))
@@ -71,6 +71,69 @@ def test_delta_component_examples():
     t4 = VariableTable((4,))
     got = delta_component(Polynomial(QQ, t4, {(1, 0, 0, 1): F(1)}), 4)
     assert got == Polynomial(QQ, t4, {(1, 0, 1, 0): F(1)})
+
+
+def sigma_by_substitution(f):
+    """Reference: sigma as a generic substitution of the variable images,
+    x_i -> x_i for a block's first variable and x_{i-1} + x_i otherwise."""
+    table = f.table
+    images = {}
+    for i in range(table.n):
+        xi = Polynomial.variable(f.ring, table, i)
+        if table.positions[i][1] == 1:
+            images[i] = xi
+        else:
+            images[i] = Polynomial.variable(f.ring, table, i - 1) + xi
+    return f.substitute(images)
+
+
+# (ring, p, coefficient strategy): block sizes stay <= p and degrees <= p
+DIFFERENTIAL_RINGS = [
+    (QQ, 5, st.builds(F, st.integers(-9, 9), st.integers(1, 9))),
+    (ZZ, 5, st.integers(-9, 9)),
+    (GF(5), 5, st.integers(0, 4)),
+    (GF(3, 2), 3, st.tuples(st.integers(0, 2), st.integers(0, 2))),
+]
+DIFFERENTIAL_BLOCKS = {5: [(5,), (1,), (3, 2), (2, 1, 2)], 3: [(3,), (2, 1, 2), (1, 3)]}
+
+
+DIFFERENTIAL_IDS = [repr(ring) for ring, _, _ in DIFFERENTIAL_RINGS]
+
+
+@pytest.mark.parametrize("ring,p,coeffs", DIFFERENTIAL_RINGS, ids=DIFFERENTIAL_IDS)
+@given(data=st.data())
+def test_sigma_and_delta_match_substitution(ring, p, coeffs, data):
+    table = VariableTable(data.draw(st.sampled_from(DIFFERENTIAL_BLOCKS[p])))
+
+    def exps(powers):
+        # fold (variable, exponent) pairs into one monomial of degree <= p
+        out, budget = [0] * table.n, p
+        for i, a in powers:
+            a = min(a, budget)
+            out[i] += a
+            budget -= a
+        return tuple(out)
+
+    power = st.tuples(st.integers(0, table.n - 1), st.integers(0, p))
+    monomials = st.lists(power, max_size=3).map(exps)
+    terms = data.draw(st.dictionaries(monomials, coeffs, max_size=6))
+    f = Polynomial(ring, table, terms)
+    reference = sigma_by_substitution(f)
+    assert sigma(f) == reference
+    assert delta(f) == reference - f
+
+
+@pytest.mark.parametrize("ring,p,_", DIFFERENTIAL_RINGS, ids=DIFFERENTIAL_IDS)
+def test_delta_of_norms_matches_substitution(ring, p, _):
+    # degree-p orbit products: the highest binomial powers the suites use
+    for blocks in DIFFERENTIAL_BLOCKS[p]:
+        table = VariableTable(blocks)
+        for offset, size in zip(table.block_offsets, blocks):
+            if size >= 2:
+                f = norm_invariant(p, ring, table, offset)
+                reference = sigma_by_substitution(f)
+                assert sigma(f) == reference
+                assert delta(f) == reference - f
 
 
 def test_act_point_examples():

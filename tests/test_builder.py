@@ -159,6 +159,25 @@ def test_shat_determinants_are_unit(d):
     assert abs(det_int(m)) == 1
 
 
+def test_lemma_determinant_pattern_at_n31():
+    # the ladder of C4, swept at n = p = 31 instead of 13
+    n = p = 31
+    for d in range(3, n + 2):
+        family, expected = ("W", 1) if d % 2 else ("Wprime", 2)
+        m = restricted_delta_matrix(weight_basis(family, d, n), weight_basis("W", d - 1, n))
+        assert abs(det_int(m)) == expected, (family, d)
+    for d in range(4, n + 3):
+        if d == 4:
+            family, expected = "S", 1
+        else:
+            family, expected = ("Shat", 1) if d % 2 else ("Sprime", d - 3)
+        m = restricted_delta_matrix(weight_basis(family, d, n), weight_basis("S", d - 1, n))
+        assert abs(det_int(m)) == expected, (family, d)
+    for k in range(3, n + 1):
+        for step in construct_connecting(k, connecting_degree(k)).steps:
+            assert step.det is not None and step.det % p != 0, (k, step.weight)
+
+
 # -- connecting invariants ---------------------------------------------------
 
 

@@ -14,7 +14,10 @@ from modinv.rings import GF
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:       # argument-parser errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -120,6 +123,10 @@ def test_bad_k_is_config_error(capsys):
     ({}, "construct --p 5 --blocks 3 --out {missing}/x.json", 1),
     ({}, "export --p 5 --blocks 3 --out {missing}/x.json", 1),
     ({}, "verify --p 7 --blocks 7 --budget 1000", 3),
+    ({}, "construct --p abc --blocks 2", 1),
+    ({}, "verify --p 5 --blocks 2 --k x", 1),
+    ({}, "construct --p 5 --blocks 2 --bogus", 1),
+    ({}, "", 1),
 ])
 def test_malformed_input_gives_one_error_line(capsys, monkeypatch, tmp_path,
                                               env, argv, code):
@@ -283,4 +290,11 @@ def test_module_invocation_verify_smoke():
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--help"])
+    assert exc.value.code == 0
+    assert "--blocks" in capsys.readouterr().out

@@ -146,6 +146,27 @@ def test_nonzero_elements_have_full_order_divisor(p, k):
         assert field.pow(e, q - 1) == field.one()
 
 
+SMALL_EXTENSIONS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 8)
+                    if p ** k <= 3 ** 5]
+
+
+@given(st.sampled_from(SMALL_EXTENSIONS))
+def test_log_tables_use_first_full_order_element(pk):
+    field = ExtensionField(*pk)
+    one = field.one()
+    for g in field.elements():          # brute force: walk each power cycle
+        if g == field.zero():
+            continue
+        powers = [one]
+        while (x := field._mul_conv(powers[-1], g)) != one:
+            powers.append(x)
+        if len(powers) == field.order - 1:
+            break
+    field.mul(one, one)                 # builds the tables
+    assert field._exp == powers
+    assert field._log == {v: i for i, v in enumerate(powers)}
+
+
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
 def test_field_axioms_prime_field(a, b, c):
     a, b, c = F5.from_int(a), F5.from_int(b), F5.from_int(c)
