@@ -2,8 +2,7 @@
 of a cyclic group of prime order in characteristic p, with brute-force
 verification over small finite fields."""
 
-from .action import (BlockExceedsP, PointVector, RepresentationSpec, act_point,
-                     delta, in_open_set_B, orbit, project_phi, sigma)
+from .action import BlockExceedsP, RepresentationSpec, delta, sigma
 from .builder import (ConnectingInvariant, InvariantSuite, NoSolution,
                       SuiteEntry, WeightSpaceBasis, build_suite,
                       construct_connecting, integral_form, norm_invariant,
@@ -11,18 +10,16 @@ from .builder import (ConnectingInvariant, InvariantSuite, NoSolution,
 from .oracle import (BudgetExceeded, SeparationReport, fixed_point_census,
                      separation_report, verify_lifting, verify_orbit_constancy)
 from .poly import Polynomial, VariableTable
-from .rings import GF, QQ, ZZ, ExtensionField, PrimeField, Scalar, find_irreducible
+from .rings import GF, QQ, ZZ, ExtensionField, PrimeField, find_irreducible
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlockExceedsP", "BudgetExceeded", "ConnectingInvariant", "ExtensionField",
-    "GF", "InvariantSuite", "NoSolution", "PointVector", "Polynomial",
-    "PrimeField", "QQ", "RepresentationSpec", "Scalar", "SeparationReport",
-    "SuiteEntry", "VariableTable", "WeightSpaceBasis", "ZZ", "act_point",
-    "build_suite", "construct_connecting", "delta", "find_irreducible",
-    "fixed_point_census", "in_open_set_B", "integral_form", "norm_invariant",
-    "orbit", "project_phi", "restricted_delta_matrix", "separation_report",
-    "sigma", "suite_from_json", "verify_lifting", "verify_orbit_constancy",
-    "weight_basis", "__version__",
+    "GF", "InvariantSuite", "NoSolution", "Polynomial", "PrimeField", "QQ",
+    "RepresentationSpec", "SeparationReport", "SuiteEntry", "VariableTable",
+    "WeightSpaceBasis", "ZZ", "build_suite", "construct_connecting", "delta",
+    "find_irreducible", "fixed_point_census", "integral_form", "norm_invariant",
+    "restricted_delta_matrix", "separation_report", "sigma", "suite_from_json",
+    "verify_lifting", "verify_orbit_constancy", "weight_basis", "__version__",
 ]

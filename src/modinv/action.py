@@ -7,6 +7,12 @@ substitution defines the action on polynomials.  delta = sigma - id is the
 difference operator whose kernel is the invariant ring.  Both are computed
 in closed form, term by term: sigma of a monomial is a product of binomials
 (x_{i-1} + x_i)^a, expanded over Z and scaled by the term's coefficient.
+
+Points are plain tuples of raw field values, one per variable, and the
+functions on them take the block sizes and the field alongside the tuple:
+act_raw, orbit_raw, in_b_raw (membership of the open set B where every
+nontrivial block has a nonzero leading coordinate), the orbit
+representative and render_point.
 """
 
 from dataclasses import dataclass
@@ -19,14 +25,6 @@ from .rings import Ring, is_prime
 
 class BlockExceedsP(Exception):
     """A Jordan block larger than p is not unipotent of order p."""
-
-
-class NotSingleBlock(Exception):
-    """Operation defined only for single-block representations."""
-
-
-class BlockTooSmall(Exception):
-    """Operation needs a block of size at least 2."""
 
 
 @dataclass(frozen=True)
@@ -118,31 +116,8 @@ def delta(f: Polynomial) -> Polynomial:
     return _act(f, minus_identity=True)
 
 
-def delta_component(f: Polynomial, d: int) -> Polynomial:
-    """Weight-d homogeneous part of delta(f)."""
-    return delta(f).weight_components().get(d, Polynomial.zero(f.ring, f.table))
-
-
 # ---------------------------------------------------------------------------
 # Action on points.
-
-
-@dataclass(frozen=True)
-class PointVector:
-    """A point of the representation over a finite field (raw coordinates)."""
-
-    spec: RepresentationSpec
-    ring: Ring
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != self.spec.n:
-            raise ValueError(f"{len(self.coords)} coordinates for n={self.spec.n}")
-        if getattr(self.ring, "p", None) != self.spec.p:
-            raise ValueError(f"field characteristic must be {self.spec.p}")
-
-    def render(self) -> str:
-        return render_point(self.ring, self.coords)
 
 
 def render_point(ring: Ring, coords) -> str:
@@ -185,14 +160,6 @@ def in_b_raw(blocks, ring: Ring, coords: tuple) -> bool:
     return True
 
 
-def act_point(v: PointVector) -> PointVector:
-    return PointVector(v.spec, v.ring, act_raw(v.spec.blocks, v.ring, v.coords))
-
-
-def orbit(v: PointVector) -> list:
-    return [PointVector(v.spec, v.ring, c) for c in orbit_raw(v.spec.blocks, v.ring, v.coords)]
-
-
 def orbit_rep_raw(blocks, ring: Ring, coords: tuple) -> tuple:
     """Canonical representative: the lexicographically smallest orbit point."""
     return min(orbit_raw(blocks, ring, coords))
@@ -221,16 +188,3 @@ def is_orbit_rep_raw(blocks, coords: tuple) -> bool:
         offset += size
     return True
 
-
-def in_open_set_B(v: PointVector) -> bool:
-    return in_b_raw(v.spec.blocks, v.ring, v.coords)
-
-
-def project_phi(v: PointVector) -> PointVector:
-    """Drop the last coordinate of a single-block point (n >= 2)."""
-    if len(v.spec.blocks) != 1:
-        raise NotSingleBlock("projection is defined for a single block")
-    n = v.spec.n
-    if n < 2:
-        raise BlockTooSmall("projection needs a block of size at least 2")
-    return PointVector(RepresentationSpec(v.spec.p, (n - 1,)), v.ring, v.coords[:-1])

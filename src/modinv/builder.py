@@ -296,22 +296,16 @@ def norm_invariant(p: int, ring: Ring, table: VariableTable = None, offset: int 
     return Polynomial(ring, table, terms)
 
 
-def integral_form(f, primitive: bool = False) -> Polynomial:
+def integral_form(f) -> Polynomial:
     """Clear denominators of a rational polynomial by the lcm of its
-    coefficient denominators; with primitive=True also divide out the
-    coefficient gcd."""
+    coefficient denominators."""
     if isinstance(f, ConnectingInvariant):
         f = f.polynomial
     if not isinstance(f.ring, RationalRing):
         raise ValueError("integral_form expects a rational polynomial")
     scaled = f.scale(Fraction(f.denominator_lcm()))
-    out = Polynomial(ZZ, f.table,
-                     {e: c.numerator for e, c in scaled._terms.items()})
-    if primitive:
-        c = out.content()
-        if c > 1:
-            out = Polynomial(ZZ, out.table, {e: v // c for e, v in out._terms.items()})
-    return out
+    return Polynomial(ZZ, f.table,
+                      {e: c.numerator for e, c in scaled._terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +364,7 @@ def _entry_name(spec: RepresentationSpec, block: int, kind: str, j: int = 0) -> 
     return f"f{block}_{j}"
 
 
-def build_suite(spec: RepresentationSpec, ring: str = "fp",
-                primitive: bool = False) -> InvariantSuite:
+def build_suite(spec: RepresentationSpec, ring: str = "fp") -> InvariantSuite:
     """Blockwise invariant suite for a representation.
 
     Per block of size s: the fixed leading variable; for s >= 2 the norm of
@@ -398,7 +391,7 @@ def build_suite(spec: RepresentationSpec, ring: str = "fp",
             if ring == "q":
                 poly = f
             elif ring == "z":
-                poly = integral_form(f, primitive=primitive)
+                poly = integral_form(f)
             else:
                 poly = f.change_ring(target)
             entries.append(SuiteEntry(

@@ -14,25 +14,12 @@ deterministic for a fixed command line.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .action import BlockExceedsP, RepresentationSpec, render_point
 from .builder import build_suite, suite_construction_steps
 from .oracle import (DEFAULT_BUDGET, BudgetExceeded, resolve_workers,
                      separation_report, verify_lifting, verify_orbit_constancy)
 from .rings import GF, BoundExceeded
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    p: int
-    blocks: tuple
-    ring: str = "fp"
-    k: int = 1
-    fmt: str = "text"
-    strict: bool = False
-    budget: int = DEFAULT_BUDGET
-    out: str = None
 
 
 class ConfigError(Exception):
@@ -47,9 +34,10 @@ def _parse_blocks(text: str) -> tuple:
     return blocks
 
 
-def _spec_for(config: RunConfig) -> RepresentationSpec:
+def _spec_for(ns) -> RepresentationSpec:
+    blocks = _parse_blocks(ns.blocks)
     try:
-        return RepresentationSpec(config.p, config.blocks)
+        return RepresentationSpec(ns.p, blocks)
     except (BlockExceedsP, ValueError) as exc:
         raise ConfigError(str(exc))
 
@@ -69,36 +57,36 @@ def _json_text(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_construct(config: RunConfig) -> int:
-    spec = _spec_for(config)
-    suite = build_suite(spec, config.ring)
-    if config.fmt == "json":
-        _emit(_json_text(suite.to_json_dict()), config.out)
+def _cmd_construct(ns) -> int:
+    spec = _spec_for(ns)
+    suite = build_suite(spec, ns.ring)
+    if ns.fmt == "json":
+        _emit(_json_text(suite.to_json_dict()), ns.out)
     else:
         lines = [f"{e.name} = {e.polynomial.render_text()}" for e in suite.entries]
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", ns.out)
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    spec = _spec_for(config)
-    if config.strict and len(spec.blocks) != 1:
+def _cmd_verify(ns) -> int:
+    spec = _spec_for(ns)
+    if ns.strict and len(spec.blocks) != 1:
         raise ConfigError("--strict requires a single block")
-    if config.k < 1:
+    if ns.k < 1:
         raise ConfigError("k must be at least 1")
     try:
         workers = resolve_workers()
-        field = GF(spec.p, config.k)
+        field = GF(spec.p, ns.k)
     except (ValueError, BoundExceeded) as exc:
         raise ConfigError(str(exc))
     suite = build_suite(spec, "fp")
-    constancy = verify_orbit_constancy(suite, field, config.budget)
-    report = separation_report(suite, field, config.budget, workers)
+    constancy = verify_orbit_constancy(suite, field, ns.budget)
+    report = separation_report(suite, field, ns.budget, workers)
     lift_sizes = sorted({s for s in spec.blocks if s >= 3})
-    lifting = [(n, verify_lifting(n, field, config.budget)) for n in lift_sizes]
+    lifting = [(n, verify_lifting(n, field, ns.budget)) for n in lift_sizes]
     failed = (constancy is not None or not report.separated
               or any(w is not None for _, w in lifting))
-    if config.fmt == "json":
+    if ns.fmt == "json":
         data = {
             "constancy": {
                 "ok": constancy is None,
@@ -119,9 +107,9 @@ def _cmd_verify(config: RunConfig) -> int:
                 }
                 for n, w in lifting
             ],
-            "strict": config.strict,
+            "strict": ns.strict,
         }
-        _emit(_json_text(data), config.out)
+        _emit(_json_text(data), ns.out)
     else:
         lines = [report.render()]
         if constancy is None:
@@ -138,15 +126,15 @@ def _cmd_verify(config: RunConfig) -> int:
                 lines.append(f"lifting     n={n} FAILED: "
                              f"({render_point(field, w[0])}) ~ "
                              f"({render_point(field, w[1])})")
-        _emit("\n".join(lines) + "\n", config.out)
-    if config.strict and failed:
+        _emit("\n".join(lines) + "\n", ns.out)
+    if ns.strict and failed:
         return 2
     return 0
 
 
-def _cmd_export(config: RunConfig) -> int:
-    spec = _spec_for(config)
-    suite = build_suite(spec, config.ring)
+def _cmd_export(ns) -> int:
+    spec = _spec_for(ns)
+    suite = build_suite(spec, ns.ring)
     construction = []
     for item in suite_construction_steps(spec):
         construction.append({
@@ -168,11 +156,11 @@ def _cmd_export(config: RunConfig) -> int:
             ],
         })
     bundle = {
-        "config": {"p": spec.p, "blocks": list(spec.blocks), "ring": config.ring},
+        "config": {"p": spec.p, "blocks": list(spec.blocks), "ring": ns.ring},
         "suite": suite.to_json_dict(),
         "construction": construction,
     }
-    _emit(_json_text(bundle), config.out)
+    _emit(_json_text(bundle), ns.out)
     return 0
 
 
@@ -201,12 +189,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write output to this file instead of stdout")
 
     c = sub.add_parser("construct", help="build the invariant suite")
+    c.set_defaults(handler=_cmd_construct)
     common(c)
     c.add_argument("--ring", choices=("q", "z", "fp"), default="fp",
                    help="coefficient ring of the output")
     c.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
     v = sub.add_parser("verify", help="brute-force check over F_{p^k}")
+    v.set_defaults(handler=_cmd_verify)
     common(v)
     v.add_argument("--k", type=int, default=1, help="field extension degree")
     v.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
@@ -216,6 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
     e = sub.add_parser("export", help="dump suite and construction data as JSON")
+    e.set_defaults(handler=_cmd_export)
     common(e)
     e.add_argument("--ring", choices=("q", "z", "fp"), default="fp",
                    help="coefficient ring of the exported suite")
@@ -223,22 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    handler = {"construct": _cmd_construct, "verify": _cmd_verify,
-               "export": _cmd_export}[ns.command]
+    ns = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            p=ns.p,
-            blocks=_parse_blocks(ns.blocks),
-            ring=getattr(ns, "ring", "fp"),
-            k=getattr(ns, "k", 1),
-            fmt=getattr(ns, "fmt", "text"),
-            strict=getattr(ns, "strict", False),
-            budget=getattr(ns, "budget", DEFAULT_BUDGET),
-            out=ns.out,
-        )
-        return handler(config)
+        return ns.handler(ns)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

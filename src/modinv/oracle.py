@@ -18,7 +18,6 @@ the result independent of the worker count.
 import itertools
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass
 
 from .action import (RepresentationSpec, act_raw, in_b_raw, is_orbit_rep_raw,
@@ -161,13 +160,12 @@ class SeparationReport:
     fiber_count: int
     separated: bool
     witness_pairs: tuple    # pairs of raw coordinate tuples, canonical order
-    elapsed: float = None
 
     def _coord_texts(self, coords):
         return [self.ring.render(c) for c in coords]
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "spec": {"p": self.spec.p, "blocks": list(self.spec.blocks)},
             "field": {"p": self.ring.p, "k": getattr(self.ring, "k", 1),
                       "order": self.ring.order},
@@ -179,9 +177,6 @@ class SeparationReport:
             "witnessPairs": [[self._coord_texts(a), self._coord_texts(b)]
                              for a, b in self.witness_pairs],
         }
-        if include_timing and self.elapsed is not None:
-            out["elapsedSeconds"] = self.elapsed
-        return out
 
     def render(self) -> str:
         k = getattr(self.ring, "k", 1)
@@ -215,7 +210,6 @@ def separation_report(suite: InvariantSuite, ring: Ring,
     spec = suite.spec
     _check_field(spec, ring)
     _check_budget(ring.order, spec.n, budget)
-    start = time.monotonic()
     firsts = list(ring.elements())
     # no more processes than chunks of first coordinates, or than CPUs
     workers = min(resolve_workers(workers), ring.order, os.cpu_count() or 1)
@@ -251,7 +245,6 @@ def separation_report(suite: InvariantSuite, ring: Ring,
         fiber_count=len(fibers),
         separated=len(fibers) == orbit_count,
         witness_pairs=tuple(pairs),
-        elapsed=time.monotonic() - start,
     )
 
 

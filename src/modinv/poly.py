@@ -9,12 +9,11 @@ also the order used for text and JSON serialization.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from .rings import (GF, QQ, ZZ, ExtensionField, IntegerRing, PrimeField,
-                    RationalRing, Ring, Scalar, coerce)
+                    RationalRing, Ring, coerce)
 
 
 class TableMismatch(Exception):
@@ -224,11 +223,7 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, value):
-        """Multiply every coefficient by a raw ring value (or a Scalar)."""
-        if isinstance(value, Scalar):
-            if value.ring != self.ring:
-                raise _ring_mismatch(self.ring, value.ring)
-            value = value.value
+        """Multiply every coefficient by a raw ring value."""
         ring = self.ring
         return Polynomial(ring, self.table,
                           {e: ring.mul(c, value) for e, c in self._terms.items()})
@@ -310,29 +305,10 @@ class Polynomial:
             acc = ring.add(acc, val)
         return acc
 
-    def evaluate(self, point) -> Scalar:
-        """Value at a sequence of Scalars sharing one ring."""
-        if not point:
-            raise DimensionMismatch("empty point")
-        ring = point[0].ring
-        for s in point:
-            if s.ring != ring:
-                raise _ring_mismatch(ring, s.ring)
-        return Scalar(ring, self.evaluate_raw([s.value for s in point], ring))
-
     def change_ring(self, ring: Ring) -> "Polynomial":
         """Map coefficients along the canonical embedding (zeros are pruned)."""
         return Polynomial(ring, self.table,
                           {e: coerce(c, self.ring, ring) for e, c in self._terms.items()})
-
-    def content(self) -> int:
-        """gcd of the coefficients of an integer polynomial."""
-        if not isinstance(self.ring, IntegerRing):
-            raise ValueError("content is defined for integer polynomials")
-        g = 0
-        for c in self._terms.values():
-            g = gcd(g, c)
-        return g
 
     def denominator_lcm(self) -> int:
         """lcm of coefficient denominators of a rational polynomial."""

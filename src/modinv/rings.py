@@ -2,16 +2,14 @@
 
 Four scalar domains are supported: arbitrary-precision rationals, integers,
 prime fields F_p, and small extension fields F_{p^k} with a deterministically
-chosen irreducible modulus.  Each ring operates on plain immutable "raw"
-values (Fraction, int, or tuples of residues); the Scalar wrapper pairs a raw
-value with its ring and adds operator syntax plus the textual encodings used
-in reports and JSON.  Nothing here ever rounds.
+chosen irreducible modulus.  Values are plain immutable "raw" values
+(Fraction, int, or tuples of residues) that carry no ring; a Ring object does
+the arithmetic on them and renders and parses the textual encodings used in
+reports and JSON.  Nothing here ever rounds.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 
 class RingMismatch(Exception):
@@ -359,28 +357,18 @@ class ExtensionField(Ring):
     """F_{p^k} as F_p[x] modulo a monic irreducible.
 
     Raw values are length-k tuples of residues, low degree first.  The
-    modulus defaults to the canonical one from find_irreducible, so two
-    fields with the same (p, k) are interchangeable.  Small fields get a
-    lazily built discrete-log table to keep exhaustive enumeration fast; it
-    travels with pickles, so pool workers do not rebuild it.
+    modulus is the canonical one from find_irreducible, so two fields with
+    the same (p, k) are interchangeable.  Small fields get a lazily built
+    discrete-log table to keep exhaustive enumeration fast; it travels with
+    pickles, so pool workers do not rebuild it.
     """
 
     is_field = True
 
-    def __init__(self, p: int, k: int, modulus: tuple = None,
-                 search_bound: int = IRREDUCIBLE_SEARCH_BOUND):
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        if k < 1:
-            raise ValueError("extension degree must be at least 1")
-        if modulus is None:
-            modulus = find_irreducible(p, k, search_bound)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree k, low degree first")
+    def __init__(self, p: int, k: int):
         self.p = p
         self.k = k
-        self.modulus = modulus
+        self.modulus = find_irreducible(p, k)
         self.characteristic = p
         self.order = p ** k
         self._zero = (0,) * k
@@ -500,13 +488,11 @@ class ExtensionField(Ring):
         return f"GF({self.p}^{self.k})"
 
 
-def GF(p: int, k: int = 1, modulus: tuple = None) -> Ring:
+def GF(p: int, k: int = 1) -> Ring:
     """Finite field with p^k elements (PrimeField when k == 1)."""
     if k == 1:
-        if modulus is not None:
-            raise ValueError("modulus only applies to proper extensions")
         return PrimeField(p)
-    return ExtensionField(p, k, modulus)
+    return ExtensionField(p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -540,82 +526,3 @@ def coerce(value, src: Ring, dst: Ring):
     if isinstance(src, PrimeField) and isinstance(dst, ExtensionField) and dst.p == src.p:
         return dst.from_int(value)
     raise RingMismatch(f"no embedding {src!r} -> {dst!r}")
-
-
-# ---------------------------------------------------------------------------
-# Scalars.
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """A raw value tagged with its ring; arithmetic refuses mixed rings."""
-
-    ring: Ring
-    value: object
-
-    def _peer(self, other):
-        if isinstance(other, int):
-            return Scalar(self.ring, self.ring.from_int(other))
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        if other.ring != self.ring:
-            raise RingMismatch(f"{self.ring!r} vs {other.ring!r}")
-        return other
-
-    def __add__(self, other):
-        other = self._peer(other)
-        if other is NotImplemented:
-            return other
-        return Scalar(self.ring, self.ring.add(self.value, other.value))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._peer(other)
-        if other is NotImplemented:
-            return other
-        return Scalar(self.ring, self.ring.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        other = self._peer(other)
-        if other is NotImplemented:
-            return other
-        return Scalar(self.ring, self.ring.mul(self.value, other.value))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Scalar(self.ring, self.ring.neg(self.value))
-
-    def __truediv__(self, other):
-        other = self._peer(other)
-        if other is NotImplemented:
-            return other
-        return Scalar(self.ring, self.ring.div(self.value, other.value))
-
-    def __pow__(self, e: int):
-        return Scalar(self.ring, self.ring.pow(self.value, e))
-
-    def inv(self):
-        return Scalar(self.ring, self.ring.inv(self.value))
-
-    @property
-    def is_zero(self):
-        return self.value == self.ring.zero()
-
-    def __str__(self):
-        return self.ring.render(self.value)
-
-    @classmethod
-    def parse(cls, ring: Ring, text: str) -> "Scalar":
-        return cls(ring, ring.parse(text))
-
-
-def reduce_mod_p(a: Scalar, p: int) -> Scalar:
-    """Reduce a rational or integer Scalar into F_p."""
-    field = PrimeField(p)
-    if isinstance(a.ring, RationalRing):
-        return Scalar(field, reduce_fraction(a.value, p))
-    if isinstance(a.ring, IntegerRing):
-        return Scalar(field, a.value % p)
-    raise RingMismatch(f"reduce_mod_p expects a rational or integer scalar, got {a.ring!r}")

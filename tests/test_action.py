@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modinv.action import (BlockExceedsP, BlockTooSmall, NotSingleBlock,
-                           PointVector, RepresentationSpec, act_point, act_raw,
-                           delta, delta_component, in_open_set_B,
-                           is_orbit_rep_raw, orbit, orbit_raw, orbit_rep_raw,
-                           project_phi, sigma)
+from modinv.action import (BlockExceedsP, RepresentationSpec, act_raw, delta,
+                           in_b_raw, is_orbit_rep_raw, orbit_raw, orbit_rep_raw,
+                           render_point, sigma)
 from modinv.builder import norm_invariant, weight_basis
 from modinv.poly import Polynomial, VariableTable
 from modinv.rings import GF, QQ, ZZ
@@ -64,12 +62,15 @@ def test_delta_small_examples():
 
 
 def test_delta_component_examples():
-    assert delta_component(qpoly(T3, {(0, 2, 0): 1}), 3) == qpoly(T3, {(1, 1, 0): 2})
-    got = delta_component(qpoly(T3, {(1, 1, 1): 1}), 5)
+    def component(f, d):
+        return delta(f).weight_components()[d]
+
+    assert component(qpoly(T3, {(0, 2, 0): 1}), 3) == qpoly(T3, {(1, 1, 0): 2})
+    got = component(qpoly(T3, {(1, 1, 1): 1}), 5)
     assert got == qpoly(T3, {(2, 0, 1): 1, (1, 2, 0): 1})
     # delta_{d-1}(x1 x_{d-1}) = x1 x_{d-2} at d = 5
     t4 = VariableTable((4,))
-    got = delta_component(Polynomial(QQ, t4, {(1, 0, 0, 1): F(1)}), 4)
+    got = component(Polynomial(QQ, t4, {(1, 0, 0, 1): F(1)}), 4)
     assert got == Polynomial(QQ, t4, {(1, 0, 1, 0): F(1)})
 
 
@@ -136,19 +137,16 @@ def test_delta_of_norms_matches_substitution(ring, p, _):
                 assert delta(f) == reference - f
 
 
-def test_act_point_examples():
-    v = PointVector(SPEC53, F5, (1, 0, 0))
-    assert act_point(v).coords == (1, 1, 0)
-    assert act_point(PointVector(SPEC53, F5, (0, 0, 0))).coords == (0, 0, 0)
-    assert act_point(PointVector(SPEC53, F5, (1, 4, 1))).coords == (1, 0, 0)
+def test_act_raw_examples():
+    assert act_raw((3,), F5, (1, 0, 0)) == (1, 1, 0)
+    assert act_raw((3,), F5, (0, 0, 0)) == (0, 0, 0)
+    assert act_raw((3,), F5, (1, 4, 1)) == (1, 0, 0)
 
 
 def test_orbit_golden():
     got = orbit_raw((3,), F5, (1, 0, 0))
     assert got == [(1, 0, 0), (1, 1, 0), (1, 2, 1), (1, 3, 3), (1, 4, 1)]
     assert orbit_raw((3,), F5, (0, 0, 2)) == [(0, 0, 2)]
-    pts = orbit(PointVector(SPEC53, F5, (1, 0, 0)))
-    assert len(pts) == 5 and pts[0].coords == (1, 0, 0)
 
 
 @pytest.mark.parametrize("p,k,blocks", [
@@ -162,15 +160,9 @@ def test_is_orbit_rep_matches_orbit_minimum_everywhere(p, k, blocks):
             orbit_rep_raw(blocks, field, coords) == coords), coords
 
 
-def test_point_vector_validation():
-    with pytest.raises(ValueError):
-        PointVector(SPEC53, F5, (1, 0))
-    with pytest.raises(ValueError):
-        PointVector(SPEC53, GF(7), (1, 0, 0))
-    assert PointVector(SPEC53, F5, (1, 2, 3)).render() == "1,2,3"
-    f25 = GF(5, 2)
-    v = PointVector(RepresentationSpec(5, (2,)), f25, ((1, 0), (2, 3)))
-    assert v.render() == "(1,0),(2,3)"
+def test_render_point():
+    assert render_point(F5, (1, 2, 3)) == "1,2,3"
+    assert render_point(GF(5, 2), ((1, 0), (2, 3))) == "(1,0),(2,3)"
 
 
 @given(st.integers(0, 5 ** 4 - 1))
@@ -197,47 +189,35 @@ def test_orbit_size_divides_p(idx):
         assert size == 5
 
 
-def test_project_phi_examples():
-    v = PointVector(SPEC53, F5, (1, 2, 3))
-    assert project_phi(v).coords == (1, 2)
-    assert project_phi(v).spec.blocks == (2,)
-    lhs = project_phi(act_point(PointVector(SPEC53, F5, (1, 0, 0))))
-    rhs = act_point(project_phi(PointVector(SPEC53, F5, (1, 0, 0))))
-    assert lhs.coords == rhs.coords == (1, 1)
+# phi: dropping the last coordinate of one block of size n lands in the
+# block of size n - 1 and commutes with the action
+
+
+def test_phi_examples():
+    assert act_raw((3,), F5, (1, 0, 0))[:-1] == act_raw((2,), F5, (1, 0)) == (1, 1)
 
 
 @given(st.integers(0, 124))
-def test_project_phi_equivariant(idx):
+def test_phi_equivariant(idx):
     coords = (idx % 5, idx // 5 % 5, idx // 25)
-    v = PointVector(SPEC53, F5, coords)
-    assert project_phi(act_point(v)).coords == act_point(project_phi(v)).coords
+    assert act_raw((2,), F5, coords[:-1]) == act_raw((3,), F5, coords)[:-1]
 
 
-def test_project_phi_errors():
-    with pytest.raises(NotSingleBlock):
-        project_phi(PointVector(RepresentationSpec(5, (2, 2)), F5, (1, 0, 1, 0)))
-    with pytest.raises(BlockTooSmall):
-        project_phi(PointVector(RepresentationSpec(5, (1,)), F5, (1,)))
-
-
-def test_in_open_set_B():
-    assert in_open_set_B(PointVector(SPEC53, F5, (1, 0, 0)))
-    assert not in_open_set_B(PointVector(SPEC53, F5, (0, 1, 1)))
-    spec22 = RepresentationSpec(5, (2, 2))
-    assert not in_open_set_B(PointVector(spec22, F5, (1, 0, 0, 1)))
-    assert in_open_set_B(PointVector(spec22, F5, (1, 0, 2, 1)))
+def test_in_b_raw():
+    assert in_b_raw((3,), F5, (1, 0, 0))
+    assert not in_b_raw((3,), F5, (0, 1, 1))
+    assert not in_b_raw((2, 2), F5, (1, 0, 0, 1))
+    assert in_b_raw((2, 2), F5, (1, 0, 2, 1))
     # trivial blocks impose no condition
-    spec12 = RepresentationSpec(5, (1, 2))
-    assert in_open_set_B(PointVector(spec12, F5, (0, 1, 1)))
-    assert not in_open_set_B(PointVector(spec12, F5, (1, 0, 1)))
+    assert in_b_raw((1, 2), F5, (0, 1, 1))
+    assert not in_b_raw((1, 2), F5, (1, 0, 1))
 
 
 @given(st.integers(0, 5 ** 4 - 1))
 def test_B_is_action_stable(idx):
-    spec = RepresentationSpec(5, (2, 2))
+    blocks = (2, 2)
     coords = tuple(idx // 5 ** i % 5 for i in range(4))
-    v = PointVector(spec, F5, coords)
-    assert in_open_set_B(act_point(v)) == in_open_set_B(v)
+    assert in_b_raw(blocks, F5, act_raw(blocks, F5, coords)) == in_b_raw(blocks, F5, coords)
 
 
 @given(st.integers(3, 9), st.data())

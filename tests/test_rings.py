@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from modinv.rings import (GF, QQ, ZZ, BoundExceeded, DenominatorDivisibleByP,
                           DivisionByZero, ExtensionField, NotAField,
-                          PrimeField, RingMismatch, Scalar, coerce,
-                          find_irreducible, is_prime, reduce_fraction,
-                          reduce_mod_p)
+                          PrimeField, RingMismatch, coerce, find_irreducible,
+                          is_prime, reduce_fraction)
 
 F5 = GF(5)
 
@@ -68,8 +67,6 @@ def test_reduce_mod_p_examples():
     assert reduce_fraction(Fraction(1, 3), 5) == 2
     with pytest.raises(DenominatorDivisibleByP):
         reduce_fraction(Fraction(1, 5), 5)
-    s = reduce_mod_p(Scalar(QQ, Fraction(-1, 2)), 5)
-    assert s.ring == F5 and s.value == 2
 
 
 # denominators coprime to 5 so the reduction is defined
@@ -185,30 +182,15 @@ def test_field_axioms_extension(i, j, k):
     assert f25.mul(f25.mul(a, b), c) == f25.mul(a, f25.mul(b, c))
 
 
-def test_scalar_operators_and_mismatch():
-    a = Scalar(F5, 3)
-    b = Scalar(F5, 4)
-    assert (a + b).value == 2
-    assert (a * b).value == 2
-    assert (a - b).value == 4
-    assert (-a).value == 2
-    assert (a / b).value == F5.mul(3, F5.inv(4))
-    assert (a + 7).value == 0
-    assert (a ** 2).value == 4
-    assert not a.is_zero and Scalar(F5, 0).is_zero
-    with pytest.raises(RingMismatch):
-        a + Scalar(GF(7), 3)
-
-
-def test_scalar_text_round_trip():
-    assert str(Scalar(QQ, Fraction(-1, 2))) == "-1/2"
-    assert str(Scalar(QQ, Fraction(3))) == "3"
-    assert Scalar.parse(QQ, "-1/2").value == Fraction(-1, 2)
-    assert str(Scalar(F5, 3)) == "3"
-    assert Scalar.parse(F5, "8").value == 3
+def test_text_round_trip():
+    assert QQ.render(Fraction(-1, 2)) == "-1/2"
+    assert QQ.render(Fraction(3)) == "3"
+    assert QQ.parse("-1/2") == Fraction(-1, 2)
+    assert F5.render(3) == "3"
+    assert F5.parse("8") == 3
     f25 = GF(5, 2)
-    assert str(Scalar(f25, (3, 1))) == "3,1"
-    assert Scalar.parse(f25, "3,1").value == (3, 1)
+    assert f25.render((3, 1)) == "3,1"
+    assert f25.parse("3,1") == (3, 1)
 
 
 def test_coerce_paths():
