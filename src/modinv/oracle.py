@@ -10,9 +10,10 @@ Enumeration cost is q^n points; every entry point checks that against an
 explicit budget before starting.  Orbits are counted by rep ownership: a
 point is processed only when it is the smallest element of its own orbit in
 the natural order of raw tuples, which action.is_orbit_rep_raw decides in
-closed form.  Worker partitioning by first coordinate is exact (the first
-coordinate is fixed by the action, so an orbit never crosses chunks) and
-the result independent of the worker count.
+closed form.  The constancy check walks each orbit from that point, so
+every point is evaluated once.  Worker partitioning by first coordinate is
+exact (the first coordinate is fixed by the action, so an orbit never
+crosses chunks) and the result independent of the worker count.
 """
 
 import itertools
@@ -21,7 +22,7 @@ import os
 from dataclasses import dataclass
 
 from .action import (RepresentationSpec, act_raw, in_b_raw, is_orbit_rep_raw,
-                     render_point)
+                     orbit_raw, render_point)
 from .builder import InvariantSuite, _connecting_rational
 from .rings import Ring
 
@@ -72,20 +73,33 @@ def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
                            budget: int = DEFAULT_BUDGET):
     """Check f(g.v) == f(v) for every point and entry; None when all hold.
 
-    On failure returns (entry name, coordinates of the first violating point
-    in row-major enumeration order).
+    Each orbit is walked once from its representative, comparing the values
+    at consecutive points; around the closed cycle that is the check at
+    every point, for one evaluation per point.  On failure returns (entry
+    name, coordinates of the first violating point in row-major enumeration
+    order), naming the first entry that differs there.
     """
     spec = suite.spec
     _check_field(spec, ring)
     _check_budget(ring.order, spec.n, budget)
     polys = [e.polynomial.change_ring(ring) for e in suite.entries]
     blocks = spec.blocks
-    for coords in itertools.product(ring.elements(), repeat=spec.n):
-        moved = act_raw(blocks, ring, coords)
-        for entry, f in zip(suite.entries, polys):
-            if f.evaluate_raw(coords, ring) != f.evaluate_raw(moved, ring):
-                return entry.name, coords
-    return None
+    witness = None      # (entry name, point), smallest point so far
+    for rep in itertools.product(ring.elements(), repeat=spec.n):
+        if witness is not None and rep > witness[1]:
+            break       # later orbits lie above their representatives
+        if not is_orbit_rep_raw(blocks, rep):
+            continue
+        orbit = orbit_raw(blocks, ring, rep)
+        if len(orbit) == 1:
+            continue    # fixed point
+        values = [tuple(f.evaluate_raw(x, ring) for f in polys) for x in orbit]
+        for point, here, after in zip(orbit, values, values[1:] + values[:1]):
+            if here != after and (witness is None or point < witness[1]):
+                entry = next(e for e, a, b in zip(suite.entries, here, after)
+                             if a != b)
+                witness = (entry.name, point)
+    return witness
 
 
 def require_orbit_constancy(suite: InvariantSuite, ring: Ring,
@@ -264,6 +278,8 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
         raise ValueError("connecting invariants start at block size 3")
     if ring.order is None:
         raise ValueError("brute-force verification needs a finite field")
+    if n > ring.characteristic:
+        raise ValueError("block size exceeds p")
     _check_budget(ring.order, n, budget)
     f = _connecting_rational(n).polynomial.change_ring(ring)
     zero = ring.zero()

@@ -175,6 +175,19 @@ class Ring:
             e >>= 1
         return acc
 
+    def evaluate(self, factors, coords):
+        """Value of a polynomial at a point of raw values.
+
+        factors lists the terms as (coeff, ((i, e), ...)): a raw coefficient
+        of this ring and the 0-based variables with their positive exponents.
+        """
+        acc = self.zero()
+        for c, powers in factors:
+            for i, e in powers:
+                c = self.mul(c, self.pow(coords[i], e))
+            acc = self.add(acc, c)
+        return acc
+
     def is_negative(self, a) -> bool:
         """Whether the rendered form carries a leading minus sign."""
         return False
@@ -334,6 +347,15 @@ class PrimeField(Ring):
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
+    def evaluate(self, factors, coords):
+        # exact integer products, reduced once
+        acc = 0
+        for c, powers in factors:
+            for i, e in powers:
+                c *= coords[i] ** e
+            acc += c
+        return acc % self.p
+
     def render(self, a):
         return str(a % self.p)
 
@@ -359,8 +381,8 @@ class ExtensionField(Ring):
     Raw values are length-k tuples of residues, low degree first.  The
     modulus is the canonical one from find_irreducible, so two fields with
     the same (p, k) are interchangeable.  Small fields get a lazily built
-    discrete-log table to keep exhaustive enumeration fast; it travels with
-    pickles, so pool workers do not rebuild it.
+    discrete-log table to keep exhaustive enumeration fast; pickling builds
+    it first, so pool workers receive it instead of each building their own.
     """
 
     is_field = True
@@ -374,6 +396,11 @@ class ExtensionField(Ring):
         self._zero = (0,) * k
         self._log = None
         self._exp = None
+
+    def __getstate__(self):
+        if self._exp is None and self.order <= _TABLE_MAX_ORDER:
+            self._build_tables()
+        return self.__dict__
 
     def zero(self):
         return self._zero
@@ -462,6 +489,30 @@ class ExtensionField(Ring):
                 self._build_tables()
             return self._exp[(self._log[a] * e) % (self.order - 1)]
         return self._pow_conv(a, e)
+
+    def evaluate(self, factors, coords):
+        if self._exp is None:
+            if self.order > _TABLE_MAX_ORDER:
+                return Ring.evaluate(self, factors, coords)
+            self._build_tables()
+        # a term is exp[log c + sum e*log x]; zero has no log
+        log, exp, cycle = self._log, self._exp, self.order - 1
+        terms = []
+        for c, powers in factors:
+            s = log.get(c)
+            if s is None:
+                continue
+            for i, e in powers:
+                x = log.get(coords[i])
+                if x is None:
+                    break
+                s += x * e
+            else:
+                terms.append(exp[s % cycle])
+        if len(terms) < 2:
+            return terms[0] if terms else self._zero
+        p = self.p
+        return tuple([sum(column) % p for column in zip(*terms)])
 
     def render(self, a):
         return ",".join(str(c) for c in a)

@@ -3,8 +3,10 @@
 perfbench/tracer.py replaces module attributes of modinv (act_raw,
 Polynomial.substitute, builder._delta_matrix, the oracle functions the CLI
 calls, ...) with recording wrappers and then runs the CLI, so renaming or
-deleting one of them breaks traced benchmark runs.  These tests run the
-tracer on two small commands and check that every exported name resolves.
+deleting one of them breaks traced benchmark runs, and fusing or renaming
+an oracle stage would silently empty its per-layer metric.  These tests run
+the tracer on two small commands, check that each records its stages' spans,
+and check that every exported name resolves.
 """
 
 import json
@@ -22,7 +24,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("argv,expected", [
-    (("verify", "--p", "3", "--blocks", "3"), {"oracle.separation", "builder.connecting"}),
+    (("verify", "--p", "3", "--blocks", "3"),
+     {"oracle.constancy", "oracle.separation", "oracle.lifting", "builder.connecting"}),
     (("export", "--p", "5", "--blocks", "5"), {"builder.connecting"}),
 ], ids=["verify", "export"])
 def test_tracer_runs_cli(tmp_path, argv, expected):

@@ -1,11 +1,13 @@
 """Byte-for-byte regression against outputs captured before the separation
-scan chose orbit representatives in closed form.
+scan chose orbit representatives in closed form, and before the constancy
+check walked each orbit once.
 
 golden_outputs.json holds, for each case, the command line, the value of
 MODINV_THREADS, the exit code and the exact stdout of `modinv`; and the
 separation report's text and JSON, as `verify` prints them, for the [2,2]
-spec over F_5 (one and two workers) and F_25 (two workers).  A full `verify`
-over F_25^4 would spend half a minute in the constancy sweep.  For the large
+spec over F_5 (one and two workers) and F_25 (two workers); a full
+`verify` over F_25^4 (390625 points) still takes about 8 s.  The CLI cases
+include the benchmark's `verify` commands over F_7 and F_9.  For the large
 builder runs (`construct` at p = 29 and 41, `export` at p = 19), captured
 before delta was computed in closed form, it holds the sha256 and byte
 length of stdout instead of the 0.1-1.7 MB text.

@@ -238,6 +238,9 @@ def test_lifting_argument_errors():
         verify_lifting(3, QQ)
     with pytest.raises(BudgetExceeded):
         verify_lifting(3, GF(5), budget=10)
+    for n, field in ((4, GF(3)), (5, GF(3)), (4, GF(3, 2))):
+        with pytest.raises(ValueError, match="block size exceeds p"):
+            verify_lifting(n, field)
 
 
 # -- orbit census ---------------------------------------------------------------

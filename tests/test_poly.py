@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from modinv.poly import (DimensionMismatch, MissingImage, Polynomial,
                          TableMismatch, VariableTable, embed, grlex_key,
                          monomial_text)
-from modinv.rings import GF, QQ, ZZ, RingMismatch
+from modinv.rings import GF, QQ, ZZ, Ring, RingMismatch, coerce
 
 F5 = GF(5)
 T3 = VariableTable((3,))
@@ -103,6 +104,84 @@ def test_evaluate_dimension_mismatch():
 def test_evaluate_integer_poly_at_prime_field_point():
     f = Polynomial(ZZ, T3, {(1, 0, 1): 2, (0, 2, 0): -1})
     assert f.evaluate_raw((1, 3, 2), F5) == (2 * 2 - 9) % 5
+
+
+def reference_evaluate(f, coords, ring):
+    """Term by term through ring.mul and ring.pow, every coefficient embedded."""
+    acc = ring.zero()
+    for exps, c in f._terms.items():
+        val = coerce(c, f.ring, ring)
+        for i, e in enumerate(exps):
+            if e:
+                val = ring.mul(val, ring.pow(coords[i], e))
+        acc = ring.add(acc, val)
+    return acc
+
+
+def field_values(field):
+    residues = st.integers(0, field.p - 1)
+    k = getattr(field, "k", 1)
+    return residues if k == 1 else st.tuples(*[residues] * k)
+
+
+def source_coefficients(ring, field):
+    """Coefficients of a polynomial over ring that embed into field."""
+    if ring == ZZ:
+        return st.integers(-30, 30)
+    if ring == QQ:
+        units = st.integers(1, 30).filter(lambda d: d % field.p)
+        return st.builds(F, st.integers(-30, 30), units)
+    return field_values(ring)
+
+
+EVAL_FIELDS = [GF(5), GF(7), GF(2, 3), GF(3, 2)]
+
+
+@pytest.mark.parametrize("field", EVAL_FIELDS, ids=repr)
+@given(data=st.data())
+def test_field_evaluate_matches_generic(field, data):
+    # the PrimeField/ExtensionField overrides against Ring.evaluate, on
+    # exponents past p, zero coordinates, constants, the zero polynomial
+    # and coefficients coerced from Z, Q and F_p
+    sources = [field, ZZ, QQ] + ([GF(field.p)] if field.order != field.p else [])
+    src = data.draw(st.sampled_from(sources))
+    table = VariableTable(data.draw(st.sampled_from([(1,), (3,), (2, 2)])))
+    monomials = st.tuples(*[st.integers(0, 2 * field.p + 1)] * table.n)
+    terms = data.draw(st.dictionaries(
+        monomials, source_coefficients(src, field), max_size=6))
+    f = Polynomial(src, table, terms)
+    zero = field.zero()
+    coords = tuple(data.draw(st.lists(
+        st.one_of(st.just(zero), field_values(field)),
+        min_size=table.n, max_size=table.n)))
+    factors = f._factors_in(field)
+    expected = Ring.evaluate(field, factors, coords)
+    assert field.evaluate(factors, coords) == expected
+    assert f.evaluate_raw(coords, field) == expected
+    assert f.change_ring(field).evaluate_raw(coords, field) == expected
+    assert reference_evaluate(f, coords, field) == expected
+
+
+@pytest.mark.parametrize("field", EVAL_FIELDS, ids=repr)
+def test_field_evaluate_constant_and_zero(field):
+    table = VariableTable((2,))
+    seven = field.from_int(7)
+    points = [(field.zero(), field.zero()), (field.one(), field.from_int(3))]
+    for point in points:
+        assert Polynomial.zero(field, table).evaluate_raw(point, field) == field.zero()
+        assert Polynomial.constant(field, table, seven).evaluate_raw(point, field) == seven
+        # a Z coefficient that vanishes in the field is dropped
+        assert Polynomial.constant(ZZ, table, field.p).evaluate_raw(point, field) == field.zero()
+
+
+def test_large_extension_field_evaluates_without_tables():
+    field = GF(2, 17)
+    table = VariableTable((3,))
+    f = Polynomial(ZZ, table, {(0, 0, 0): 1, (2, 0, 1): 1, (0, 5, 0): 3, (1, 1, 19): 1})
+    values = list(itertools.islice(field.elements(), 1, 200, 37))
+    for coords in itertools.product([field.zero()] + values, repeat=3):
+        assert f.evaluate_raw(coords, field) == reference_evaluate(f, coords, field)
+    assert field._exp is None       # the generic path ran: no tables built
 
 
 def test_weight_components_examples():

@@ -214,3 +214,10 @@ def test_extension_field_equality_and_pickle():
     warm = pickle.loads(pickle.dumps(f25))
     assert warm._exp is not None
     assert warm._exp == f25._exp and warm._log == f25._log
+    # a field not used yet builds them when pickled; fields above the table
+    # limit never do
+    fresh, used = GF(3, 2), GF(3, 2)
+    used.mul(used.one(), used.one())
+    assert fresh._exp is None
+    assert pickle.loads(pickle.dumps(fresh))._exp == used._exp
+    assert pickle.loads(pickle.dumps(GF(2, 17)))._exp is None
