@@ -348,13 +348,14 @@ class PrimeField(Ring):
         return pow(a, e, self.p)
 
     def evaluate(self, factors, coords):
-        # exact integer products, reduced once
+        # each power reduced, each sum reduced once
+        p = self.p
         acc = 0
         for c, powers in factors:
             for i, e in powers:
-                c *= coords[i] ** e
+                c *= pow(coords[i], e, p)
             acc += c
-        return acc % self.p
+        return acc % p
 
     def render(self, a):
         return str(a % self.p)
@@ -398,8 +399,7 @@ class ExtensionField(Ring):
         self._exp = None
 
     def __getstate__(self):
-        if self._exp is None and self.order <= _TABLE_MAX_ORDER:
-            self._build_tables()
+        self._tables_ready()
         return self.__dict__
 
     def zero(self):
@@ -464,11 +464,18 @@ class ExtensionField(Ring):
         self._exp = powers
         self._log = {v: i for i, v in enumerate(powers)}
 
-    def mul(self, a, b):
+    def _tables_ready(self) -> bool:
+        """Whether log/exp tables serve this field, building them on first use;
+        False above _TABLE_MAX_ORDER, where arithmetic stays on convolution."""
         if self._exp is None:
             if self.order > _TABLE_MAX_ORDER:
-                return self._mul_conv(a, b)
+                return False
             self._build_tables()
+        return True
+
+    def mul(self, a, b):
+        if not self._tables_ready():
+            return self._mul_conv(a, b)
         log = self._log
         if a not in log or b not in log:  # either factor is zero
             return self._zero
@@ -484,17 +491,13 @@ class ExtensionField(Ring):
             return self.pow(self.inv(a), -e)
         if not any(a):
             return self.one() if e == 0 else self._zero
-        if self.order <= _TABLE_MAX_ORDER:
-            if self._exp is None:
-                self._build_tables()
-            return self._exp[(self._log[a] * e) % (self.order - 1)]
-        return self._pow_conv(a, e)
+        if not self._tables_ready():
+            return self._pow_conv(a, e)
+        return self._exp[(self._log[a] * e) % (self.order - 1)]
 
     def evaluate(self, factors, coords):
-        if self._exp is None:
-            if self.order > _TABLE_MAX_ORDER:
-                return Ring.evaluate(self, factors, coords)
-            self._build_tables()
+        if not self._tables_ready():
+            return Ring.evaluate(self, factors, coords)
         # a term is exp[log c + sum e*log x]; zero has no log
         log, exp, cycle = self._log, self._exp, self.order - 1
         terms = []
@@ -509,8 +512,8 @@ class ExtensionField(Ring):
                 s += x * e
             else:
                 terms.append(exp[s % cycle])
-        if len(terms) < 2:
-            return terms[0] if terms else self._zero
+        if not terms:
+            return self._zero
         p = self.p
         return tuple([sum(column) % p for column in zip(*terms)])
 

@@ -134,7 +134,8 @@ def source_coefficients(ring, field):
     return field_values(ring)
 
 
-EVAL_FIELDS = [GF(5), GF(7), GF(2, 3), GF(3, 2)]
+# GF(3121) draws exponents in the thousands, as the degree-p norm has
+EVAL_FIELDS = [GF(5), GF(7), GF(3121), GF(2, 3), GF(3, 2)]
 
 
 @pytest.mark.parametrize("field", EVAL_FIELDS, ids=repr)
