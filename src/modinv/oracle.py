@@ -20,9 +20,10 @@ import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 
-from .action import (RepresentationSpec, act_raw, in_b_raw, is_orbit_rep_raw,
-                     orbit_raw, render_point)
+from .action import RepresentationSpec, act_raw, in_b_raw, render_point
 from .builder import InvariantSuite, _connecting_rational
 from .rings import Ring
 
@@ -40,6 +41,10 @@ DEFAULT_BUDGET = 10_000_000
 # at most this many smallest representatives are retained per fiber
 _KEEP_REPS = 11
 _MAX_WITNESS_PAIRS = 10
+
+# value tables are built over runs of first coordinates of at least this
+# many points (or over a single first coordinate, when that is larger)
+_SLAB_POINTS = 1 << 12
 
 
 def _check_budget(q: int, n: int, budget: int):
@@ -66,40 +71,151 @@ def resolve_workers(workers=None) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Value tables.
+
+
+def _support_terms(f, ring: Ring):
+    """(support, terms) of a polynomial: the flat indices of the coordinates
+    up to the last one it reads in each block, and its terms over ring as
+    (coeff, exponents on the support).
+
+    The action maps the first l coordinates of a block among themselves, so
+    f(sigma v) depends only on v restricted to the support."""
+    table = f.table
+    read = [0] * len(table.blocks)
+    terms = f.change_ring(ring).terms()
+    for exps, _ in terms:
+        for i, e in enumerate(exps):
+            if e:
+                b, j = table.positions[i]
+                read[b] = max(read[b], j)
+    support = [offset + j for offset, length in zip(table.block_offsets, read)
+               for j in range(length)]
+    return support, [(c, tuple(exps[i] for i in support)) for exps, c in terms]
+
+
+def _table(ring: Ring, terms, lists) -> list:
+    """Values of sum c * prod s_i^e_i over (c, (e_1..e_d)) in terms at every
+    point of the product of the d value lists, in row-major order.
+
+    Terms are split by their exponent in the last coordinate and each
+    split's coefficient is tabulated over the earlier coordinates the same
+    way, so a point costs one univariate step in its last coordinate."""
+    if not lists:
+        acc = ring.zero()
+        for c, _ in terms:
+            acc = ring.add(acc, c)
+        return [acc]
+    if not terms:
+        return [ring.zero()] * prod(len(values) for values in lists)
+    split = {}
+    for c, exps in terms:
+        split.setdefault(exps[-1], []).append((c, exps[:-1]))
+    return ring.extend_table(
+        {e: _table(ring, sub, lists[:-1]) for e, sub in split.items()}, lists[-1])
+
+
+def _slabs(firsts, per_first: int) -> list:
+    """Consecutive runs of first coordinates, each tabulated at once: one
+    coordinate per run, or as many as fill _SLAB_POINTS points, so a large
+    field over few coordinates is not tabulated one value at a time."""
+    step = max(1, _SLAB_POINTS // per_first)
+    return [firsts[i:i + step] for i in range(0, len(firsts), step)]
+
+
+def _unrank(elements, index: int, count: int) -> tuple:
+    """The point at a row-major index of elements^count."""
+    q = len(elements)
+    out = []
+    for _ in range(count):
+        index, r = divmod(index, q)
+        out.append(elements[r])
+    return tuple(reversed(out))
+
+
+# ---------------------------------------------------------------------------
 # Orbit constancy.
+
+
+def _adder(p: int):
+    """value -> the index permutation x -> index of (x-th element + value),
+    for field elements listed in row-major order of their residues."""
+    digits = list(range(p))
+
+    @lru_cache(maxsize=256)
+    def shift(value):
+        perm = [0]
+        for r in (value if isinstance(value, tuple) else (value,)):
+            rotated = digits[r:] + digits[:r]
+            perm = [b * p + y for b in perm for y in rotated]
+        return perm
+    return shift
+
+
+def _sigma_index(positions, support, elements, shift, slab) -> list:
+    """Row-major index of sigma v for every v of a support grid whose first
+    coordinate runs over slab (the action fixes it).  A coordinate that is
+    not first in its block moves by its predecessor, the one before it in
+    the support."""
+    q = len(elements)
+    index = list(range(len(slab)))
+    for j in range(1, len(support)):
+        if positions[support[j]][1] == 1:
+            index = [s * q + x for s in index for x in range(q)]
+        elif j == 1:
+            index = [s * q + y for s, v in zip(index, slab) for y in shift(v)]
+        else:
+            index = [s * q + y for u, s in enumerate(index)
+                     for y in shift(elements[u % q])]
+    return index
 
 
 def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
                            budget: int = DEFAULT_BUDGET):
     """Check f(g.v) == f(v) for every point and entry; None when all hold.
 
-    Each orbit is walked once from its representative, comparing the values
-    at consecutive points; around the closed cycle that is the check at
-    every point, for one evaluation per point.  On failure returns (entry
-    name, coordinates of the first violating point in row-major enumeration
-    order), naming the first entry that differs there.
+    Each entry is tabulated over its support, one slab of values of the
+    first support coordinate at a time, and every table value is compared with
+    the one at sigma v.  The smallest violating point of an entry is its
+    smallest violating sub-point padded with zeros (zero is the smallest
+    raw value).  On failure returns (entry name, smallest violating point
+    over all entries in row-major order), naming the first entry that
+    differs there.
     """
     spec = suite.spec
     _check_field(spec, ring)
     _check_budget(ring.order, spec.n, budget)
-    polys = [e.polynomial.change_ring(ring) for e in suite.entries]
-    blocks = spec.blocks
-    witness = None      # (entry name, point), smallest point so far
-    for rep in itertools.product(ring.elements(), repeat=spec.n):
-        if witness is not None and rep > witness[1]:
-            break       # later orbits lie above their representatives
-        if not is_orbit_rep_raw(blocks, rep):
-            continue
-        orbit = orbit_raw(blocks, ring, rep)
-        if len(orbit) == 1:
-            continue    # fixed point
-        values = [tuple(f.evaluate_raw(x, ring) for f in polys) for x in orbit]
-        for point, here, after in zip(orbit, values, values[1:] + values[:1]):
-            if here != after and (witness is None or point < witness[1]):
-                entry = next(e for e, a, b in zip(suite.entries, here, after)
-                             if a != b)
-                witness = (entry.name, point)
-    return witness
+    positions = spec.table.positions
+    elements = list(ring.elements())
+    shift = _adder(ring.p)
+    witnesses = []
+    for entry in suite.entries:
+        support, terms = _support_terms(entry.polynomial, ring)
+        if all(positions[i][1] == 1 for i in support):
+            continue        # the action fixes every coordinate it reads
+        rest = [elements] * (len(support) - 1)
+        per_first = len(elements) ** len(rest)
+        for slab in _slabs(elements, per_first):
+            values = _table(ring, terms, [slab] + rest)
+            index = _sigma_index(positions, support, elements, shift, slab)
+            if [values[i] for i in index] == values:
+                continue
+            at = next(u for u, i in enumerate(index) if values[u] != values[i])
+            head, tail = divmod(at, per_first)
+            point = [ring.zero()] * spec.n
+            sub = (slab[head],) + _unrank(elements, tail, len(rest))
+            for i, c in zip(support, sub):
+                point[i] = c
+            witnesses.append(tuple(point))
+            break
+    if not witnesses:
+        return None
+    point = min(witnesses)
+    moved = act_raw(spec.blocks, ring, point)
+    entry = next(e for e in suite.entries
+                 if e.polynomial.evaluate_raw(point, ring)
+                 != e.polynomial.evaluate_raw(moved, ring))
+    return entry.name, point
 
 
 def require_orbit_constancy(suite: InvariantSuite, ring: Ring,
@@ -115,51 +231,169 @@ def require_orbit_constancy(suite: InvariantSuite, ring: Ring,
 # Separation.
 
 
-def _scan_chunk(args):
-    """Count B-points and collect invariant fibers for a set of first
-    coordinates; returns (pointsInB, {key: [orbitCount, smallestReps]}).
+def _rep_factors(blocks, ring: Ring, elements):
+    """The representatives of the orbits in B as a product of consecutive
+    coordinate groups, each with its allowed value tuples in ascending
+    order: (first coordinate -> the first group's tuples starting with it,
+    the later groups).
 
-    firsts ascend, so representatives arrive in ascending order and each
-    fiber keeps the first _KEEP_REPS it meets."""
-    suite, ring, firsts = args
-    spec = suite.spec
-    blocks = spec.blocks
-    n = spec.n
-    polys = [e.polynomial.change_ring(ring) for e in suite.entries]
-    points_in_b = 0
-    fibers = {}
-    for first in firsts:
-        for rest in itertools.product(ring.elements(), repeat=n - 1):
-            coords = (first,) + rest
-            if not in_b_raw(blocks, ring, coords):
+    In B every nontrivial block has a nonzero first coordinate, and in the
+    first one, a, the representative is the orbit point whose x2_a has
+    residue 0 where x1_a has its first nonzero residue (x2_a == 0 over F_p);
+    see action.is_orbit_rep_raw.  Without nontrivial blocks every point is
+    fixed and represents itself."""
+    p, k = ring.p, getattr(ring, "k", 1)
+    zero = elements[0]
+
+    def pairs(u):       # (x1_a, x2_a) of representatives with x1_a = u
+        r = next(i for i, c in enumerate(u if k > 1 else (u,)) if c)
+        ws = itertools.product(*[(0,) if i == r else range(p) for i in range(k)])
+        return [(u, w if k > 1 else w[0]) for w in ws]
+
+    free = [(x,) for x in elements]
+    if blocks[0] == 1:
+        def first_group(first):
+            return [(first,)]
+        later, lead_seen = [], False
+    else:
+        def first_group(first):
+            return [] if first == zero else pairs(first)
+        later, lead_seen = [free] * (blocks[0] - 2), True
+    for size in blocks[1:]:
+        if size == 1:
+            later.append(free)
+        elif lead_seen:
+            later.append(free[1:])
+            later.extend([free] * (size - 1))
+        else:
+            later.append([t for u in elements[1:] for t in pairs(u)])
+            later.extend([free] * (size - 2))
+            lead_seen = True
+    return first_group, later
+
+
+def _per_first(factors, elements) -> int:
+    """Representatives per nonzero first coordinate (all have as many)."""
+    first_group, later = factors
+    return len(first_group(elements[-1])) * prod(map(len, later))
+
+
+def _decode(factors, elements, rep: int) -> tuple:
+    """Coordinates of a representative kept as its rank (see _scan_chunk)."""
+    first_group, later = factors
+    head, pos = divmod(rep, _per_first(factors, elements))
+    parts = []
+    for tuples in reversed([first_group(elements[head])] + later):
+        pos, r = divmod(pos, len(tuples))
+        parts.append(tuples[r])
+    return tuple(c for t in reversed(parts) for c in t)
+
+
+def _lookup(groups, support, lists) -> list:
+    """Row-major index into a table over the support's value lists for each
+    point of the product of the coordinate groups, in enumeration order."""
+    read = {}
+    size = 1
+    for i, values in zip(reversed(support), reversed(lists)):
+        read[i] = (size, {v: r for r, v in enumerate(values)})
+        size *= len(values)
+    index = [0]
+    coord = 0
+    for tuples in groups:
+        width = len(tuples[0])
+        used = [(j, *read[coord + j]) for j in range(width) if coord + j in read]
+        coord += width
+        if used:
+            offsets = [0] * len(tuples)
+            for j, stride, rank in used:
+                offsets = [o + rank[t[j]] * stride for o, t in zip(offsets, tuples)]
+            index = [b + o for b in index for o in offsets]
+        else:
+            index = [b for b in index for _ in tuples]
+    return index
+
+
+# (suite, ring) of the running separation scan; forked pool workers inherit
+# it, so a task carries only its first coordinates
+_SCAN = None
+
+
+def _scan_chunk(firsts):
+    """Count the representatives of B with these first coordinates and
+    collect their fibers: (representatives, {key: first representative},
+    {key: representatives} of the keys met more than once).
+
+    Entries reading the first coordinate are tabulated per slab of first
+    coordinates, the others once.  F_{p^k} values enter keys as their
+    ranks in elements(), and a representative is kept as its rank, the
+    first coordinate's rank times the representatives per first coordinate
+    plus its position among them; both order like what they stand for and
+    pickle small.  firsts ascend, so each fiber keeps the first _KEEP_REPS
+    it meets."""
+    suite, ring = _SCAN
+    elements = list(ring.elements())
+    rank = {v: r for r, v in enumerate(elements)}
+    factors = first_group, later = _rep_factors(suite.spec.blocks, ring, elements)
+    entries = [_support_terms(e.polynomial, ring) for e in suite.entries]
+    later_lists = []
+    for tuples in later:
+        later_lists.extend(list(dict.fromkeys(column)) for column in zip(*tuples))
+    fixed = {}      # tables of entries that do not read the first coordinate
+    later_size = prod(map(len, later))
+    per_first = _per_first(factors, elements)
+    count = 0
+    seen = {}       # key -> its first representative
+    shared = {}     # key -> first _KEEP_REPS reps of keys met more than once
+    for slab in _slabs(firsts, per_first):
+        starts = [(first, first_group(first)) for first in slab]
+        lead = [t for _, tuples in starts for t in tuples]
+        heads = [rank[first] * per_first + r * later_size
+                 for first, tuples in starts for r in range(len(tuples))]
+        if not lead:
+            continue    # no point of B starts here
+        groups = [lead] + later
+        lists = [list(dict.fromkeys(column)) for column in zip(*lead)] + later_lists
+        columns = []
+        for j, (support, terms) in enumerate(entries):
+            grid = [lists[i] for i in support]
+            table = fixed.get(j)
+            if table is None:
+                table = _table(ring, terms, grid)
+                if isinstance(table[0], tuple):
+                    table = [rank[v] for v in table]
+                if not support or support[0] != 0:
+                    fixed[j] = table
+            columns.append([table[i] for i in _lookup(groups, support, grid)])
+        for pos, key in enumerate(zip(*columns)):
+            if key not in seen:
+                seen[key] = heads[pos // later_size] + pos % later_size
                 continue
-            points_in_b += 1
-            if not is_orbit_rep_raw(blocks, coords):
-                continue  # another orbit point owns this orbit
-            key = tuple(f.evaluate_raw(coords, ring) for f in polys)
-            slot = fibers.get(key)
-            if slot is None:
-                fibers[key] = [1, [coords]]
-            else:
-                slot[0] += 1
-                if len(slot[1]) < _KEEP_REPS:
-                    slot[1].append(coords)
-    return points_in_b, fibers
+            kept = shared.get(key)
+            if kept is None:
+                kept = shared[key] = [seen[key]]
+            if len(kept) < _KEEP_REPS:
+                kept.append(heads[pos // later_size] + pos % later_size)
+        count += len(lead) * later_size
+    return count, seen, shared
 
 
 def _merge_fibers(results):
-    points_in_b = 0
-    merged = {}
-    for pb, fibers in results:
-        points_in_b += pb
-        for key, (count, reps) in fibers.items():
-            slot = merged.get(key)
-            if slot is None:
-                merged[key] = [count, list(reps)]
+    """(representatives, fiberCount, {key: reps} of the fibers holding more
+    than one representative) over the chunks' results."""
+    reps, seen, shared = results[0]
+    for count, more_seen, more_shared in results[1:]:
+        reps += count
+        for key, rep in more_seen.items():
+            more = more_shared.get(key, [rep])
+            if key not in seen:
+                seen[key] = rep
+                if len(more) > 1:
+                    shared[key] = more
+            elif key in shared:
+                shared[key].extend(more)
             else:
-                slot[0] += count
-                slot[1].extend(reps)
-    return points_in_b, merged
+                shared[key] = [seen[key]] + more
+    return reps, len(seen), shared
 
 
 @dataclass(frozen=True)
@@ -221,31 +455,36 @@ def separation_report(suite: InvariantSuite, ring: Ring,
     pairs of distinct orbit representatives sharing a fiber, ordered by the
     fiber's smallest representative and then lexicographically.
     """
+    global _SCAN
     spec = suite.spec
     _check_field(spec, ring)
     _check_budget(ring.order, spec.n, budget)
     firsts = list(ring.elements())
     # no more processes than chunks of first coordinates, or than CPUs
     workers = min(resolve_workers(workers), ring.order, os.cpu_count() or 1)
-    if workers > 1:
-        chunks = [firsts[i::workers] for i in range(workers)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            results = pool.map(
-                _scan_chunk, [(suite, ring, chunk) for chunk in chunks])
-    else:
-        results = [_scan_chunk((suite, ring, firsts))]
-    points_in_b, fibers = _merge_fibers(results)
-    orbit_count = sum(count for count, _ in fibers.values())
-    for slot in fibers.values():
-        slot[1].sort()
-        del slot[1][_KEEP_REPS:]
+    _SCAN = (suite, ring)
+    try:
+        if workers > 1:
+            # F_{p^k} builds its log tables on first use: build them before
+            # the fork, so the workers share them
+            ring.mul(ring.one(), ring.one())
+            chunks = [firsts[i::workers] for i in range(workers)]
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(workers) as pool:
+                results = pool.map(_scan_chunk, chunks)
+        else:
+            results = [_scan_chunk(firsts)]
+    finally:
+        _SCAN = None
+    reps, fiber_count, shared = _merge_fibers(results)
+    for kept in shared.values():
+        kept.sort()
+        del kept[_KEEP_REPS:]
+    factors = _rep_factors(spec.blocks, ring, firsts)
     pairs = []
-    for count, reps in sorted(fibers.values(), key=lambda slot: slot[1][0]):
-        if count < 2:
-            continue
-        for a, b in itertools.combinations(reps, 2):
-            pairs.append((a, b))
+    for kept in sorted(shared.values()):
+        for a, b in itertools.combinations(kept, 2):
+            pairs.append((_decode(factors, firsts, a), _decode(factors, firsts, b)))
             if len(pairs) == _MAX_WITNESS_PAIRS:
                 break
         if len(pairs) == _MAX_WITNESS_PAIRS:
@@ -254,10 +493,10 @@ def separation_report(suite: InvariantSuite, ring: Ring,
         spec=spec,
         ring=ring,
         total_points=ring.order ** spec.n,
-        points_in_b=points_in_b,
-        orbit_count_in_b=orbit_count,
-        fiber_count=len(fibers),
-        separated=len(fibers) == orbit_count,
+        points_in_b=reps * spec.p if spec.m else reps,
+        orbit_count_in_b=reps,
+        fiber_count=fiber_count,
+        separated=fiber_count == reps,
         witness_pairs=tuple(pairs),
     )
 
@@ -282,17 +521,24 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
         raise ValueError("block size exceeds p")
     _check_budget(ring.order, n, budget)
     f = _connecting_rational(n).polynomial.change_ring(ring)
-    zero = ring.zero()
-    lasts = list(ring.elements())
-    for prefix in itertools.product(ring.elements(), repeat=n - 1):
-        if prefix[0] == zero:
-            continue
-        seen = {}
-        for last in lasts:
-            val = f.evaluate_raw(prefix + (last,), ring)
-            if val in seen:
-                return prefix + (seen[val],), prefix + (last,)
-            seen[val] = last
+    terms = [(c, exps) for exps, c in f.terms()]
+    elements = list(ring.elements())
+    q = len(elements)
+    rest = [elements] * (n - 1)
+    rows = q ** (n - 2)     # per first coordinate
+    for slab in _slabs(elements[1:], rows * q):
+        values = _table(ring, terms, [slab] + rest)
+        for start in range(0, len(values), q):
+            row = values[start:start + q]
+            if len(set(row)) == q:
+                continue
+            head, tail = divmod(start // q, rows)
+            prefix = (slab[head],) + _unrank(elements, tail, n - 2)
+            seen = {}
+            for last, val in zip(elements, row):
+                if val in seen:
+                    return prefix + (seen[val],), prefix + (last,)
+                seen[val] = last
     return None
 
 

@@ -9,6 +9,7 @@ reports and JSON.  Nothing here ever rounds.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 
 
@@ -188,6 +189,20 @@ class Ring:
             acc = self.add(acc, c)
         return acc
 
+    def extend_table(self, coeffs, xs):
+        """Row-major table of sum_e a_e * x^e over every prefix and x in xs.
+
+        coeffs maps each exponent e to the values a_e of its coefficient at
+        every prefix point (all of one length); the result lists, prefix by
+        prefix, the polynomial's value at each x.
+        """
+        out = None
+        for e, table in coeffs.items():
+            powers = [self.pow(x, e) for x in xs]
+            part = [self.mul(a, w) for a in table for w in powers]
+            out = part if out is None else list(map(self.add, out, part))
+        return out
+
     def is_negative(self, a) -> bool:
         """Whether the rendered form carries a leading minus sign."""
         return False
@@ -357,6 +372,16 @@ class PrimeField(Ring):
             acc += c
         return acc % p
 
+    def extend_table(self, coeffs, xs):
+        # sums reduced once per value
+        p = self.p
+        out = None
+        for e, table in coeffs.items():
+            powers = [pow(x, e, p) for x in xs]
+            part = [a * w for a in table for w in powers]
+            out = part if out is None else list(map(operator.add, out, part))
+        return [v % p for v in out]
+
     def render(self, a):
         return str(a % self.p)
 
@@ -458,9 +483,28 @@ class ExtensionField(Ring):
             if g != self._zero and all(self._pow_conv(g, cycle // r) != one
                                        for r in primes):
                 break
+        # Multiplication by g is F_p-linear: g*v is the sum of v_i * (g*x^i).
+        # Those sums are tabulated over the low and the high half of the
+        # residues, so each next power costs one sum of two vectors.
+        p, k, half = self.p, self.k, self.k // 2
+        columns = [self._mul_conv(g, tuple(int(i == j) for j in range(k)))
+                   for i in range(k)]
+
+        def column_sums(cols):
+            out = {}
+            for digits in itertools.product(range(p), repeat=len(cols)):
+                acc = [0] * k
+                for d, col in zip(digits, cols):
+                    acc = [a + d * c for a, c in zip(acc, col)]
+                out[digits] = tuple([a % p for a in acc])
+            return out
+
+        low, high = column_sums(columns[:half]), column_sums(columns[half:])
         powers = [one]
+        x = one
         for _ in range(cycle - 1):
-            powers.append(self._mul_conv(powers[-1], g))
+            x = tuple([(a + b) % p for a, b in zip(low[x[:half]], high[x[half:]])])
+            powers.append(x)
         self._exp = powers
         self._log = {v: i for i, v in enumerate(powers)}
 
@@ -516,6 +560,21 @@ class ExtensionField(Ring):
             return self._zero
         p = self.p
         return tuple([sum(column) % p for column in zip(*terms)])
+
+    def extend_table(self, coeffs, xs):
+        if not self._tables_ready():
+            return Ring.extend_table(self, coeffs, xs)
+        # a product is exp[log a + log w]; zero has no log
+        log, exp, cycle, zero = self._log, self._exp, self.order - 1, self._zero
+        logs = [log.get(x) for x in xs]
+        out = None
+        for e, table in coeffs.items():
+            powers = ([0] * len(xs) if e == 0 else
+                      [None if v is None else v * e for v in logs])
+            part = [zero if a is None or w is None else exp[(a + w) % cycle]
+                    for a in map(log.get, table) for w in powers]
+            out = part if out is None else list(map(self.add, out, part))
+        return out
 
     def render(self, a):
         return ",".join(str(c) for c in a)

@@ -164,6 +164,31 @@ def test_log_tables_use_first_full_order_element(pk):
     assert field._log == {v: i for i, v in enumerate(powers)}
 
 
+def reference_exp(field):
+    """Powers of the generator as the tables were first built: the same
+    generator search, then one convolution product per power."""
+    cycle = field.order - 1
+    primes = [r for r in range(2, cycle + 1) if cycle % r == 0 and is_prime(r)]
+    one = field.one()
+    g = next(g for g in field.elements() if g != field.zero() and all(
+        field._pow_conv(g, cycle // r) != one for r in primes))
+    powers = [one]
+    for _ in range(cycle - 1):
+        powers.append(field._mul_conv(powers[-1], g))
+    return powers
+
+
+EXP_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for k in range(2, 10)
+              if p ** k <= 5 ** 4] + [(2, 16)]
+
+
+@pytest.mark.parametrize("p,k", EXP_FIELDS)
+def test_exp_table_matches_convolution_walk(p, k):
+    field = ExtensionField(p, k)
+    field.mul(field.one(), field.one())     # builds the tables
+    assert field._exp == reference_exp(field)
+
+
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
 def test_field_axioms_prime_field(a, b, c):
     a, b, c = F5.from_int(a), F5.from_int(b), F5.from_int(c)

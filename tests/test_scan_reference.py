@@ -23,8 +23,9 @@ import pytest
 
 from modinv.action import (RepresentationSpec, act_raw, in_b_raw,
                            is_orbit_rep_raw, orbit_raw)
+from modinv import oracle
 from modinv.builder import build_suite
-from modinv.oracle import separation_report, verify_orbit_constancy
+from modinv.oracle import separation_report, verify_lifting, verify_orbit_constancy
 from modinv.poly import Polynomial
 from modinv.rings import GF
 
@@ -171,3 +172,121 @@ def test_constancy_witness_is_smallest_over_all_orbits(p, k, blocks):
         doctored = dataclasses.replace(suite, entries=tuple(entries))
         assert (verify_orbit_constancy(doctored, field)
                 == reference_constancy(doctored, field)), (u, w)
+
+
+def reference_lifting(f, ring):
+    """The lifting check as it was before value tables: for each prefix
+    with a nonzero first coordinate, evaluate f along the last coordinate
+    until a value repeats."""
+    n = f.table.n
+    zero = ring.zero()
+    for prefix in itertools.product(ring.elements(), repeat=n - 1):
+        if prefix[0] == zero:
+            continue
+        seen = {}
+        for last in ring.elements():
+            val = f.evaluate_raw(prefix + (last,), ring)
+            if val in seen:
+                return prefix + (seen[val],), prefix + (last,)
+            seen[val] = last
+    return None
+
+
+def lifting_bumps(f, field):
+    """f plus x_2*x_n, x_{n-1}*x_n or x_n^2, and on small fields x_n^p.
+    Each can make f collide in x_n: where x_2 = -x_1, where x_{n-1} = -x_1,
+    on every prefix, and (odd n) first where x_1 = p - 1."""
+    table, ring = f.table, f.ring
+    x = [Polynomial.variable(ring, table, i) for i in range(table.n)]
+    bumps = [x[1] * x[-1], x[-2] * x[-1], x[-1] * x[-1]]
+    if field.order ** table.n <= 5 ** 5:
+        bumps.append(x[-1] ** field.characteristic)
+    return [f + bump for bump in bumps]
+
+
+@pytest.mark.parametrize("p,k,n", [(p, 1, n) for p in (3, 5, 7) for n in range(3, p + 1)]
+                         + [(3, 2, 3)])
+def test_lifting_matches_reference(monkeypatch, p, k, n):
+    field = GF(p, k)
+    connecting = oracle._connecting_rational(n)
+    assert verify_lifting(n, field) is None
+    assert reference_lifting(connecting.polynomial.change_ring(field), field) is None
+    for doctored in lifting_bumps(connecting.polynomial, field):
+        monkeypatch.setattr(oracle, "_connecting_rational", lambda _: dataclasses.replace(
+            connecting, polynomial=doctored))
+        assert (verify_lifting(n, field)
+                == reference_lifting(doctored.change_ring(field), field)), doctored
+
+
+def cross_bumps(suite):
+    """Every suite with one entry f replaced by f + x_i*x_j, where x_i and
+    x_j lie in different blocks or x_j is at least two places after x_i in
+    its block: the entry then reads another block, or a coordinate beyond
+    the ones before it, and its support must be closed up to cover them."""
+    table = suite.spec.table
+    ring = suite.entries[0].polynomial.ring
+    x = [Polynomial.variable(ring, table, i) for i in range(table.n)]
+    pairs = [(i, j) for i in range(table.n) for j in range(i + 1, table.n)
+             if table.positions[i][0] != table.positions[j][0] or j >= i + 2]
+    for index, entry in enumerate(suite.entries):
+        for i, j in pairs:
+            entries = list(suite.entries)
+            entries[index] = dataclasses.replace(
+                entry, polynomial=entry.polynomial + x[i] * x[j])
+            yield dataclasses.replace(suite, entries=tuple(entries))
+
+
+CROSS_SPECS = [(5, 1, (2, 2)), (3, 1, (3, 2)), (3, 1, (2, 3)), (3, 1, (1, 3, 1)),
+               (5, 1, (4,)), (3, 1, (3, 3)), (2, 2, (2, 2)), (2, 2, (2, 1, 2)),
+               (2, 2, (1, 2)), (3, 2, (2, 2))]
+
+
+@pytest.mark.parametrize("p,k,blocks", CROSS_SPECS)
+def test_cross_reading_suites_match_reference(p, k, blocks):
+    field = GF(p, k)
+    suite = build_suite(RepresentationSpec(p, blocks), "fp")
+    failures = 0
+    for doctored in cross_bumps(suite):
+        witness = verify_orbit_constancy(doctored, field)
+        assert witness == reference_constancy(doctored, field), blocks
+        failures += witness is not None
+        report = separation_report(doctored, field, workers=1)
+        *expected, _ = reference_scan(doctored, field)
+        assert (report.points_in_b, report.orbit_count_in_b,
+                report.fiber_count, report.witness_pairs) == tuple(expected), blocks
+    assert failures
+
+
+@pytest.mark.parametrize("p,k,blocks", [(5, 1, (2, 2)), (3, 1, (1, 2, 2)), (2, 2, (2, 2)),
+                                        (3, 2, (1, 2)), (3, 1, (1, 2)), (5, 1, (1, 2))])
+def test_fibers_merge_across_chunks(monkeypatch, p, k, blocks):
+    # without the first entry, points with different first coordinates
+    # share fibers, so chunks of first coordinates must merge them; over
+    # [1, 2] each chunk meets a fiber once per first coordinate it holds
+    monkeypatch.setattr("modinv.oracle.multiprocessing.get_context",
+                        lambda method: InProcessContext())
+    monkeypatch.setattr("modinv.oracle.os.cpu_count", lambda: 8)
+    field = GF(p, k)
+    suite = build_suite(RepresentationSpec(p, blocks), "fp")
+    suite = dataclasses.replace(suite, entries=suite.entries[1:])
+    *expected, _ = reference_scan(suite, field)
+    for workers in (1, 2, 3, 4):
+        report = separation_report(suite, field, workers=workers)
+        assert (report.points_in_b, report.orbit_count_in_b,
+                report.fiber_count, report.witness_pairs) == tuple(expected), workers
+
+
+class InProcessContext:
+    """Stands in for the fork context: maps the chunks in this process."""
+
+    def Pool(self, size):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
