@@ -1,26 +1,44 @@
 """Brute-force verification over small finite fields.
 
-Everything here is an independent check on the symbolic construction: suites
-are re-evaluated pointwise over an exhaustively enumerated field, orbits are
-computed by iterating the group action, and separation is decided by
-comparing invariant fibers against actual orbits inside the open set B where
-every nontrivial block has a nonzero leading coordinate.
+Everything here is an independent check on the symbolic construction:
+suites are re-evaluated over an exhaustively enumerated field and compared
+along the group action, and separation is decided by comparing invariant
+fibers against the orbits inside the open set B where every nontrivial
+block has a nonzero leading coordinate.
 
-Enumeration cost is q^n points; every entry point checks that against an
-explicit budget before starting.  Orbits are counted by rep ownership: a
-point is processed only when it is the smallest element of its own orbit in
-the natural order of raw tuples, which action.is_orbit_rep_raw decides in
-closed form.  The constancy check walks each orbit from that point, so
-every point is evaluated once.  Worker partitioning by first coordinate is
-exact (the first coordinate is fixed by the action, so an orbit never
-crosses chunks) and the result independent of the worker count.
+Support closure.  An entry's support is, in each block, every coordinate up
+to the last one it reads.  The action maps the first l coordinates of a
+block among themselves, so an entry's value at sigma v depends only on v
+restricted to its support, for any polynomial.
+
+Value tables.  Each entry is evaluated once per point of a product of value
+lists over its support, in row-major order: its terms are split by the
+exponent of the last coordinate and the coefficients are tabulated over the
+earlier coordinates the same way (Ring.extend_table does the univariate
+step).  Tables are built one slab of first coordinates at a time, so memory
+stays near q^(n-1) values; the action fixes the first coordinate.
+
+- Constancy compares each table value at v with the one at sigma v, reached
+  by index arithmetic.  An entry's smallest violating point is its smallest
+  violating sub-point padded with zeros; the witness is the least of these,
+  named by the first entry that differs there.
+- Separation enumerates only the representatives of the orbits in B, q^n/p
+  of them when some block is nontrivial (see _rep_factors), and looks each
+  fiber key up in the entries' tables; pointsInB is p times their number.
+  Workers split the first coordinates, which the action fixes, so the
+  result does not depend on the worker count.
+- Lifting checks that every row of f_n's table over the last coordinate
+  holds q distinct values.
+
+Every entry point checks q^n, the size of the whole space, against an
+explicit budget before starting.
 """
 
 import itertools
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 
 from .action import RepresentationSpec, act_raw, in_b_raw, render_point
@@ -137,36 +155,30 @@ def _unrank(elements, index: int, count: int) -> tuple:
 # Orbit constancy.
 
 
-def _adder(p: int):
-    """value -> the index permutation x -> index of (x-th element + value),
-    for field elements listed in row-major order of their residues."""
-    digits = list(range(p))
-
-    @lru_cache(maxsize=256)
-    def shift(value):
-        perm = [0]
-        for r in (value if isinstance(value, tuple) else (value,)):
-            rotated = digits[r:] + digits[:r]
-            perm = [b * p + y for b in perm for y in rotated]
-        return perm
-    return shift
+def _shift(p: int, value) -> list:
+    """The index permutation x -> index of (x-th element + value), for field
+    elements listed in row-major order of their residues."""
+    perm = [0]
+    for r in (value if isinstance(value, tuple) else (value,)):
+        rotated = list(range(r, p)) + list(range(r))
+        perm = [b * p + y for b in perm for y in rotated]
+    return perm
 
 
-def _sigma_index(positions, support, elements, shift, slab) -> list:
+def _sigma_index(positions, support, elements, p, slab) -> list:
     """Row-major index of sigma v for every v of a support grid whose first
     coordinate runs over slab (the action fixes it).  A coordinate that is
     not first in its block moves by its predecessor, the one before it in
-    the support."""
+    the support, so its moves repeat with the predecessor's value."""
     q = len(elements)
     index = list(range(len(slab)))
     for j in range(1, len(support)):
         if positions[support[j]][1] == 1:
-            index = [s * q + x for s in index for x in range(q)]
-        elif j == 1:
-            index = [s * q + y for s, v in zip(index, slab) for y in shift(v)]
+            moves = list(range(q))
         else:
-            index = [s * q + y for u, s in enumerate(index)
-                     for y in shift(elements[u % q])]
+            moves = [y for v in (slab if j == 1 else elements) for y in _shift(p, v)]
+        spread = [s * q for s in index for _ in range(q)]
+        index = list(map(operator.add, spread, moves * (len(spread) // len(moves))))
     return index
 
 
@@ -187,7 +199,6 @@ def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
     _check_budget(ring.order, spec.n, budget)
     positions = spec.table.positions
     elements = list(ring.elements())
-    shift = _adder(ring.p)
     witnesses = []
     for entry in suite.entries:
         support, terms = _support_terms(entry.polynomial, ring)
@@ -197,7 +208,7 @@ def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
         per_first = len(elements) ** len(rest)
         for slab in _slabs(elements, per_first):
             values = _table(ring, terms, [slab] + rest)
-            index = _sigma_index(positions, support, elements, shift, slab)
+            index = _sigma_index(positions, support, elements, ring.p, slab)
             if [values[i] for i in index] == values:
                 continue
             at = next(u for u, i in enumerate(index) if values[u] != values[i])
