@@ -12,7 +12,15 @@ walked once: it compares every entry at every point with its value at the
 point's image.  It must return the same result, None or (entry, point), on
 every spec with q^n <= 5^4 and, for n <= 7, on every suite with one entry
 bumped by one variable or by a quadratic that breaks invariance away from
-the orbit's smallest point.
+the orbit's smallest point.  Suites whose bumped entry reads another block,
+or a coordinate beyond the ones before it, must give the same constancy
+result and separation report as both references.
+
+reference_lifting is the lifting check as it was before value tables: it
+evaluates the top connecting invariant along the last coordinate, prefix by
+prefix.  It must return the same collision, or None, for every block size
+3 <= n <= p <= 7 over F_p, n = 3 over F_9, and for f_n bumped so that it
+collides.
 """
 
 import dataclasses
