@@ -9,8 +9,10 @@ file records, per workload, the seeds and each side's final JSON line for
 every pair, the per-metric medians and the pairs the change won, and the
 line count of src/modinv on each side.  Only the standard library is used.
 
-Usage: python3 scripts/bench_pairs.py --parent REV [--change REV]
-       [--pairs 10] [--first-seed 1] [--seconds 20] [--workload NAME ...]
+Every workload in BENCHMARK.json runs for its `run_seconds`, in 10
+pairs, comparing REV against HEAD.
+
+Usage: python3 scripts/bench_pairs.py --parent REV [--first-seed 1]
        [--tmp DIR] [--out BENCH.json]
 """
 
@@ -26,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def git(*args, cwd=ROOT) -> str:
@@ -67,22 +70,18 @@ def summarize(runs, better) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="baseline revision")
-    parser.add_argument("--change", default="HEAD", help="revision under test")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--workload", action="append",
-                        help="workload to run (repeatable; default: all)")
     parser.add_argument("--tmp", help="directory for the temporary worktrees")
     parser.add_argument("--out", default="BENCH.json")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     revs = {side: git("rev-parse", rev)
-            for side, rev in (("parent", args.parent), ("change", args.change))}
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+            for side, rev in (("parent", args.parent), ("change", "HEAD"))}
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.tmp))
     checkouts = {side: tmp / side for side in revs}
@@ -92,7 +91,7 @@ def main(argv=None) -> int:
         result = {
             "revisions": revs,
             "host": {"cpus": os.cpu_count(), "python": platform.python_version()},
-            "seconds": args.seconds,
+            "seconds": seconds,
             "src_modinv_lines": {side: src_lines(path)
                                  for side, path in checkouts.items()},
             "workloads": {},
@@ -103,7 +102,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                    pair[side] = run_once(checkouts[side], workload, seed, seconds)
                     print(f"{workload} seed {seed} {side}: " + ", ".join(
                         f"{k} {v['value']:.3f}" for k, v in pair[side]["metrics"].items()),
                         file=sys.stderr, flush=True)

@@ -109,7 +109,6 @@ class Polynomial:
         self.table = table
         self._terms = clean
         self._hash = None
-        self._factors = None     # (ring, term list) of the last evaluate_raw
 
     # -- constructors -------------------------------------------------------
 
@@ -290,28 +289,20 @@ class Polynomial:
         """Value at a point given as raw values of `ring`; returns a raw value.
 
         Coefficients are embedded into `ring` via the canonical coercion,
-        so e.g. integer polynomials evaluate at prime-field points.  The
-        embedded sparse term list is kept for the last ring asked for.
+        so e.g. integer polynomials evaluate at prime-field points.
         """
         if len(coords) != self.table.n:
             raise DimensionMismatch(f"{len(coords)} coordinates for {self.table.n} variables")
-        cached = self._factors
-        if cached is None or (cached[0] is not ring and cached[0] != ring):
-            cached = self._factors = (ring, self._factors_in(ring))
-        return ring.evaluate(cached[1], coords)
-
-    def _factors_in(self, ring: Ring) -> list:
-        """Terms as (coeff in ring, ((i, e), ...)) with the zero exponents
-        left out; coefficients that vanish in ring are dropped."""
         src = self.ring
         same = ring is src or ring == src
-        zero = ring.zero()
-        out = []
+        acc = ring.zero()
         for exps, c in self._terms.items():
             val = c if same else coerce(c, src, ring)
-            if val != zero:
-                out.append((val, tuple((i, e) for i, e in enumerate(exps) if e)))
-        return out
+            for i, e in enumerate(exps):
+                if e:
+                    val = ring.mul(val, ring.pow(coords[i], e))
+            acc = ring.add(acc, val)
+        return acc
 
     def change_ring(self, ring: Ring) -> "Polynomial":
         """Map coefficients along the canonical embedding (zeros are pruned)."""

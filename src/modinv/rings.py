@@ -176,19 +176,6 @@ class Ring:
             e >>= 1
         return acc
 
-    def evaluate(self, factors, coords):
-        """Value of a polynomial at a point of raw values.
-
-        factors lists the terms as (coeff, ((i, e), ...)): a raw coefficient
-        of this ring and the 0-based variables with their positive exponents.
-        """
-        acc = self.zero()
-        for c, powers in factors:
-            for i, e in powers:
-                c = self.mul(c, self.pow(coords[i], e))
-            acc = self.add(acc, c)
-        return acc
-
     def extend_table(self, coeffs, xs):
         """Row-major table of sum_e a_e * x^e over every prefix and x in xs.
 
@@ -362,16 +349,6 @@ class PrimeField(Ring):
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
-    def evaluate(self, factors, coords):
-        # each power reduced, each sum reduced once
-        p = self.p
-        acc = 0
-        for c, powers in factors:
-            for i, e in powers:
-                c *= pow(coords[i], e, p)
-            acc += c
-        return acc % p
-
     def extend_table(self, coeffs, xs):
         # sums reduced once per value
         p = self.p
@@ -538,28 +515,6 @@ class ExtensionField(Ring):
         if not self._tables_ready():
             return self._pow_conv(a, e)
         return self._exp[(self._log[a] * e) % (self.order - 1)]
-
-    def evaluate(self, factors, coords):
-        if not self._tables_ready():
-            return Ring.evaluate(self, factors, coords)
-        # a term is exp[log c + sum e*log x]; zero has no log
-        log, exp, cycle = self._log, self._exp, self.order - 1
-        terms = []
-        for c, powers in factors:
-            s = log.get(c)
-            if s is None:
-                continue
-            for i, e in powers:
-                x = log.get(coords[i])
-                if x is None:
-                    break
-                s += x * e
-            else:
-                terms.append(exp[s % cycle])
-        if not terms:
-            return self._zero
-        p = self.p
-        return tuple([sum(column) % p for column in zip(*terms)])
 
     def extend_table(self, coeffs, xs):
         if not self._tables_ready():

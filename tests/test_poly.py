@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from modinv.poly import (DimensionMismatch, MissingImage, Polynomial,
                          TableMismatch, VariableTable, embed, grlex_key,
                          monomial_text)
-from modinv.rings import GF, QQ, ZZ, Ring, RingMismatch, coerce
+from modinv.rings import GF, QQ, ZZ, RingMismatch, coerce
 
 F5 = GF(5)
 T3 = VariableTable((3,))
@@ -118,49 +118,7 @@ def reference_evaluate(f, coords, ring):
     return acc
 
 
-def field_values(field):
-    residues = st.integers(0, field.p - 1)
-    k = getattr(field, "k", 1)
-    return residues if k == 1 else st.tuples(*[residues] * k)
-
-
-def source_coefficients(ring, field):
-    """Coefficients of a polynomial over ring that embed into field."""
-    if ring == ZZ:
-        return st.integers(-30, 30)
-    if ring == QQ:
-        units = st.integers(1, 30).filter(lambda d: d % field.p)
-        return st.builds(F, st.integers(-30, 30), units)
-    return field_values(ring)
-
-
-# GF(3121) draws exponents in the thousands, as the degree-p norm has
 EVAL_FIELDS = [GF(5), GF(7), GF(3121), GF(2, 3), GF(3, 2)]
-
-
-@pytest.mark.parametrize("field", EVAL_FIELDS, ids=repr)
-@given(data=st.data())
-def test_field_evaluate_matches_generic(field, data):
-    # the PrimeField/ExtensionField overrides against Ring.evaluate, on
-    # exponents past p, zero coordinates, constants, the zero polynomial
-    # and coefficients coerced from Z, Q and F_p
-    sources = [field, ZZ, QQ] + ([GF(field.p)] if field.order != field.p else [])
-    src = data.draw(st.sampled_from(sources))
-    table = VariableTable(data.draw(st.sampled_from([(1,), (3,), (2, 2)])))
-    monomials = st.tuples(*[st.integers(0, 2 * field.p + 1)] * table.n)
-    terms = data.draw(st.dictionaries(
-        monomials, source_coefficients(src, field), max_size=6))
-    f = Polynomial(src, table, terms)
-    zero = field.zero()
-    coords = tuple(data.draw(st.lists(
-        st.one_of(st.just(zero), field_values(field)),
-        min_size=table.n, max_size=table.n)))
-    factors = f._factors_in(field)
-    expected = Ring.evaluate(field, factors, coords)
-    assert field.evaluate(factors, coords) == expected
-    assert f.evaluate_raw(coords, field) == expected
-    assert f.change_ring(field).evaluate_raw(coords, field) == expected
-    assert reference_evaluate(f, coords, field) == expected
 
 
 @pytest.mark.parametrize("field", EVAL_FIELDS, ids=repr)
