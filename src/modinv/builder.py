@@ -8,17 +8,21 @@ deterministic elimination loop that repeatedly cancels the top weight
 component of delta(t) against a designated space of lower monomials; each
 step solves an integer linear system that is provably invertible, so the
 result is exact over the rationals and reduces to any F_p with p >= n.
-delta(t) is computed once; each pass subtracts only delta of its few-term
-correction from it.
-Direct sums are handled blockwise.
+
+The loop runs in integers over one common denominator and solves each
+system with its integer adjugate (linalg.IntegerSystem), which one
+fraction-free pass gives together with the determinant.  A system depends
+on its weight and family, not on n, so it is solved once and shared by
+every f_m.  Direct sums are handled blockwise.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import linalg
-from .action import BlockExceedsP, RepresentationSpec, _sigma_monomial, delta
+from .action import BlockExceedsP, RepresentationSpec, _sigma_monomial
 from .poly import Polynomial, VariableTable, embed, monomial_text, ring_code
 from .rings import GF, QQ, ZZ, RationalRing, Ring
 
@@ -199,6 +203,33 @@ def _designated_family(degree: int, d: int) -> str:
     return "Shat" if d % 2 else "Sprime"
 
 
+# Systems met by the elimination loop, keyed by (source names, target names):
+# f_{n+2} meets every system f_n meets, so f_3..f_29 solve only 54 systems.
+_SYSTEMS = {}
+
+
+def _system(source, target_monomials, n, key) -> linalg.IntegerSystem:
+    system = _SYSTEMS.get(key)
+    if system is None:
+        matrix = _delta_matrix(source, target_monomials, n)
+        system = _SYSTEMS[key] = linalg.IntegerSystem(matrix, len(source))
+    return system
+
+
+@lru_cache(maxsize=None)
+def _basis_names(family: str, d: int) -> tuple:
+    """Monomial names of weight_basis(family, d, n), the same for every valid n."""
+    return weight_basis(family, d, d).names()
+
+
+def _ring_value(ring: Ring, num: int, den: int):
+    """num/den as a raw value of ring: a Fraction, or reduced mod p."""
+    p = ring.characteristic
+    if p:
+        return ring.from_int(num * pow(den, -1, p))
+    return Fraction(num, den)
+
+
 def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInvariant:
     """Run the elimination loop for a single block of size n.
 
@@ -209,6 +240,16 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
     system uniquely solvable in the cases where the invariant exists
     (degree 2 with odd n, degree 3 with even n); otherwise the first
     unsolvable system raises NoSolution.
+
+    The loop keeps residual = delta(t) = R/D, with an integer map R and an
+    integer D.  A pass takes y = adj * rhs, so M*y = scale*rhs, subtracts
+    g = sum y_i m_i / (scale*D) from t, and moves to
+    R <- scale*R - delta(sum y_i m_i) and D <- scale*D; only delta of the
+    few-term correction is computed.  Each pass's monomials lie one weight
+    above its residual, below every earlier pass's, so t's coefficients are
+    just the negated solutions.  Over F_p every integer is reduced mod p,
+    and a scale divisible by p has no unique solution.  The Polynomial is
+    built once, at the end.
     """
     if degree not in (2, 3):
         raise ValueError("degree must be 2 or 3")
@@ -216,16 +257,36 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
         raise ValueError("n must be at least 2")
     if not ring.is_field:
         raise ValueError("construction needs a field (use integral_form for Z output)")
+    p = ring.characteristic
     table = VariableTable((n,))
+    weights = range(1, n + 1)
     lead = _exps(n, 1, n) if degree == 2 else _exps(n, 1, 1, n)
-    t = Polynomial.monomial(ring, table, lead)
     target_family = "W" if degree == 2 else "S"
+
+    def subtract_delta(monomial, c, below):
+        """R -= c * delta(monomial), on weights below `below` only."""
+        for e, k in _sigma_monomial(table, monomial).items():
+            w = sum(map(mul, e, weights))
+            if w < below:
+                part = residual.setdefault(w, {})
+                v = part.get(e, 0) - c * k
+                if p:
+                    v %= p
+                if v:
+                    part[e] = v
+                else:
+                    part.pop(e, None)
+                    if not part:
+                        del residual[w]
+
+    terms = {lead: ring.one()}
+    denominator = 1
+    residual = {}                       # weight -> {exponent tuple: int}
+    subtract_delta(lead, -1, n + degree - 1)
     steps = []
     prev_top = None
-    residual = delta(t)
-    while not residual.is_zero:
-        components = residual.weight_components()
-        top = max(components)
+    while residual:
+        top = max(residual)
         if prev_top is not None and top >= prev_top:
             raise AssertionError("elimination failed to lower the top weight")
         prev_top = top
@@ -233,36 +294,47 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
         family = _designated_family(degree, d)
         basis = weight_basis(family, d, n)
         # keep the tail inside the first n-1 variables
-        source = tuple(e for e in basis.monomials if e[n - 1] == 0)
+        kept = [(e, name) for e, name in zip(basis.monomials, _basis_names(family, d))
+                if e[n - 1] == 0]
+        source = tuple(e for e, _ in kept)
+        source_names = tuple(name for _, name in kept)
         target = weight_basis(target_family, top, n)
-        matrix = _delta_matrix(source, target.monomials, n)
-        comp = components[top]
-        rhs = [comp.coefficient(e) for e in target.monomials]
-        if sum(1 for e in comp._terms) != sum(1 for v in rhs if v != ring.zero()):
+        target_names = _basis_names(target_family, top)
+        comp = residual.pop(top)
+        rhs = [comp.get(e, 0) for e in target.monomials]
+        if len(comp) != sum(1 for v in rhs if v):
             raise AssertionError("residual outside the target span")
-        ring_rows = [[ring.from_int(v) for v in row] for row in matrix]
         try:
-            solution = linalg.solve_unique(ring, ring_rows, rhs)
+            system = _system(source, target.monomials, n, (source_names, target_names))
+            y = system.solve(rhs, p)
         except (linalg.InconsistentSystem, linalg.UnderdeterminedSystem) as exc:
             lead_text = monomial_text(table, lead)
             raise NoSolution(
                 f"no invariant {lead_text} + h with h free of x{n}: "
                 f"weight-{top} residual has no unique preimage in {family}_{d}") from exc
-        g = Polynomial(ring, table, dict(zip(source, solution)))
-        t = t - g
-        residual = residual - delta(g)
-        det = linalg.det_int(matrix) if len(matrix) == len(source) else None
+        scale = system.scale % p if p else system.scale
+        if scale != 1:
+            for part in residual.values():
+                for e, v in part.items():
+                    part[e] = v * scale % p if p else v * scale
+        denominator = denominator * scale % p if p else denominator * scale
+        solution = [_ring_value(ring, v, denominator) for v in y]
+        for e, v, c in zip(source, y, solution):
+            if v:
+                terms[e] = ring.neg(c)
+                subtract_delta(e, v, top)
         steps.append(EliminationStep(
             weight=d,
             family=family,
-            source=tuple(monomial_text(table, e) for e in source),
-            target=tuple(monomial_text(table, e) for e in target.monomials),
-            matrix=tuple(tuple(row) for row in matrix),
-            det=det,
+            source=source_names,
+            target=target_names,
+            matrix=system.rows,
+            det=system.det,
             solution=tuple(ring.render(c) for c in solution),
         ))
-    tail = t - Polynomial.monomial(ring, table, lead)
-    return ConnectingInvariant(n, degree, t, tail, tuple(steps))
+    t = Polynomial(ring, table, terms)
+    del terms[lead]
+    return ConnectingInvariant(n, degree, t, Polynomial(ring, table, terms), tuple(steps))
 
 
 @lru_cache(maxsize=None)

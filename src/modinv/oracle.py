@@ -324,8 +324,9 @@ def _lookup(groups, support, lists) -> list:
     return index
 
 
-# (suite, ring) of the running separation scan; forked pool workers inherit
-# it, so a task carries only its first coordinates
+# (suite, ring, elements, rank in elements, _rep_factors) of the running
+# separation scan, built once in the parent; forked pool workers inherit it,
+# so a task carries only its first coordinates
 _SCAN = None
 
 
@@ -341,10 +342,8 @@ def _scan_chunk(firsts):
     plus its position among them; both order like what they stand for and
     pickle small.  firsts ascend, so each fiber keeps the first _KEEP_REPS
     it meets."""
-    suite, ring = _SCAN
-    elements = list(ring.elements())
-    rank = {v: r for r, v in enumerate(elements)}
-    factors = first_group, later = _rep_factors(suite.spec.blocks, ring, elements)
+    suite, ring, elements, rank, factors = _SCAN
+    first_group, later = factors
     entries = [_support_terms(e.polynomial, ring) for e in suite.entries]
     later_lists = []
     for tuples in later:
@@ -471,9 +470,10 @@ def separation_report(suite: InvariantSuite, ring: Ring,
     _check_field(spec, ring)
     _check_budget(ring.order, spec.n, budget)
     firsts = list(ring.elements())
+    factors = _rep_factors(spec.blocks, ring, firsts)
     # no more processes than chunks of first coordinates, or than CPUs
     workers = min(resolve_workers(workers), ring.order, os.cpu_count() or 1)
-    _SCAN = (suite, ring)
+    _SCAN = (suite, ring, firsts, {v: r for r, v in enumerate(firsts)}, factors)
     try:
         if workers > 1:
             # F_{p^k} builds its log tables on first use: build them before
@@ -491,7 +491,6 @@ def separation_report(suite: InvariantSuite, ring: Ring,
     for kept in shared.values():
         kept.sort()
         del kept[_KEEP_REPS:]
-    factors = _rep_factors(spec.blocks, ring, firsts)
     pairs = []
     for kept in sorted(shared.values()):
         for a, b in itertools.combinations(kept, 2):

@@ -15,7 +15,7 @@ from modinv.builder import (IncompatibleBases, NoSolution, ParityViolation,
                             weight_basis)
 from modinv.linalg import det_int
 from modinv.poly import Polynomial, VariableTable
-from modinv.rings import GF, QQ, ZZ
+from modinv.rings import GF, QQ, ZZ, is_prime
 
 T3 = VariableTable((3,))
 T4 = VariableTable((4,))
@@ -177,6 +177,39 @@ def test_lemma_determinant_pattern_at_n31():
     for k in range(3, n + 1):
         for step in construct_connecting(k, connecting_degree(k)).steps:
             assert step.det is not None and step.det % p != 0, (k, step.weight)
+
+
+def sweep_step_determinants(max_p):
+    """Check every elimination step of f_n for 3 <= n <= max_p: its
+    determinant is +-1, +-2 or +-(d-3) at source weight d, and a unit mod
+    every prime p with n <= p <= max_p.  Returns the number of steps."""
+    primes = [p for p in range(2, max_p + 1) if is_prime(p)]
+    checked = 0
+    for n in range(3, max_p + 1):
+        for step in construct_connecting(n, connecting_degree(n)).steps:
+            d = step.weight
+            assert step.det is not None and abs(step.det) in (1, 2, d - 3), (n, d, step.det)
+            for p in primes:
+                assert p < n or step.det % p != 0, (p, n, d, step.det)
+            checked += 1
+    return checked
+
+
+def test_step_determinants_are_units_mod_p():
+    # every prime p <= 41 and every block size n <= p: 800 passes of f_3..f_41
+    assert sweep_step_determinants(41) == 800
+
+
+def test_block_sizes_share_their_systems():
+    # what the builder's system cache relies on: f_3..f_29 make 392 passes
+    # over 54 distinct systems, and f_{n+2} meets every system f_n meets
+    systems = {n: [(s.source, s.target) for s in
+                   construct_connecting(n, connecting_degree(n)).steps]
+               for n in range(3, 32)}
+    assert sum(len(systems[n]) for n in range(3, 30)) == 392
+    assert len({key for n in range(3, 30) for key in systems[n]}) == 54
+    for n in range(3, 30):
+        assert set(systems[n]) <= set(systems[n + 2])
 
 
 # -- connecting invariants ---------------------------------------------------
@@ -401,3 +434,14 @@ def test_denominators_coprime_to_large_primes(n):
     for q in (11, 13):
         if q >= n:
             assert lcm % q != 0
+
+
+if __name__ == "__main__":
+    # the determinant sweep at a larger bound:
+    #   PYTHONPATH=src python3 tests/test_builder.py 101
+    import sys
+    import time
+
+    start = time.perf_counter()
+    count = sweep_step_determinants(int(sys.argv[1]))
+    print(f"{count} steps checked in {time.perf_counter() - start:.1f} s")

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modinv.linalg import InconsistentSystem, UnderdeterminedSystem, solve_unique
+from modinv.linalg import (InconsistentSystem, IntegerSystem, UnderdeterminedSystem,
+                           det_int, solve_unique)
 from modinv.rings import GF, QQ
 
 F7 = GF(7)
@@ -86,3 +87,53 @@ def test_solve_unique_singular_and_inconsistent(ring):
     tall = [[one, zero], [zero, one], [one, one]]
     assert solve_unique(ring, tall, [one, two, ring.from_int(3)]) == [one, two]
 
+
+
+def integer_solution(rows, rhs, modulus=0):
+    """IntegerSystem's solution as field values, or None when it fails."""
+    try:
+        system = IntegerSystem(rows, len(rows[0]))
+        y = system.solve(rhs, modulus)
+    except (InconsistentSystem, UnderdeterminedSystem):
+        return None
+    if modulus:
+        return [v * pow(system.scale, -1, modulus) % modulus for v in y]
+    return [Fraction(v, system.scale) for v in y]
+
+
+@given(st.data())
+def test_integer_system_matches_solve_unique(data):
+    small = st.one_of(st.just(0), st.integers(-3, 3))
+    m = data.draw(st.integers(1, 5))
+    square = data.draw(st.booleans())
+    ncols = m if square else data.draw(st.integers(1, 5))
+    rows = [[data.draw(small) for _ in range(ncols)] for _ in range(m)]
+    rhs = [data.draw(small) for _ in range(m)]
+    expected = outcome(solve_unique, QQ, [[Fraction(v) for v in r] for r in rows],
+                       [Fraction(v) for v in rhs])
+    assert integer_solution(rows, rhs) == (expected if isinstance(expected, list) else None)
+    if square:
+        # mod p a square system fails exactly when its determinant vanishes mod p
+        expected = outcome(solve_unique, F7, [[v % 7 for v in r] for r in rows],
+                           [v % 7 for v in rhs])
+        assert integer_solution(rows, rhs, 7) == (
+            expected if isinstance(expected, list) else None)
+
+
+@given(st.data())
+def test_integer_system_adjugate_and_determinant(data):
+    m = data.draw(st.integers(1, 6))
+    ncols = data.draw(st.integers(1, m))
+    rows = [[data.draw(st.one_of(st.just(0), st.integers(-5, 5))) for _ in range(ncols)]
+            for _ in range(m)]
+    try:
+        system = IntegerSystem(rows, ncols)
+    except UnderdeterminedSystem:
+        assert m != ncols or det_int(rows) == 0
+        return
+    assert system.det == (det_int(rows) if m == ncols else None)
+    assert system.scale > 0
+    for k, adj_row in enumerate(system.adjugate):
+        for col in range(ncols):
+            assert sum(v * rows[i][col] for i, v in adj_row) == (
+                system.scale if col == k else 0)
