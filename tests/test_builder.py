@@ -201,7 +201,7 @@ def test_step_determinants_are_units_mod_p():
 
 
 def test_block_sizes_share_their_systems():
-    # what the builder's system cache relies on: f_3..f_29 make 392 passes
+    # why the builder caches its systems: f_3..f_29 make 392 passes
     # over 54 distinct systems, and f_{n+2} meets every system f_n meets
     systems = {n: [(s.source, s.target) for s in
                    construct_connecting(n, connecting_degree(n)).steps]
