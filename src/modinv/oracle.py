@@ -22,11 +22,14 @@ stays near q^(n-1) values; the action fixes the first coordinate.
   by index arithmetic.  An entry's smallest violating point is its smallest
   violating sub-point padded with zeros; the witness is the least of these,
   named by the first entry that differs there.
-- Separation enumerates only the representatives of the orbits in B, q^n/p
+- Separation enumerates only the representatives of the orbits in B, |B|/p
   of them when some block is nontrivial (see _rep_factors), and looks each
   fiber key up in the entries' tables; pointsInB is p times their number.
   Workers split the first coordinates, which the action fixes, so the
-  result does not depend on the worker count.
+  result does not depend on the worker count.  A pool forks only when each
+  worker gets at least _MIN_REPS_PER_WORKER representatives, and only then
+  is multiprocessing imported.  The scan makes no reference cycles, so it
+  runs with the cyclic garbage collector paused.
 - Lifting checks that every row of f_n's table over the last coordinate
   holds q distinct values.
 
@@ -35,7 +38,6 @@ explicit budget before starting.
 """
 
 import itertools
-import multiprocessing
 import operator
 import os
 from dataclasses import dataclass
@@ -43,7 +45,7 @@ from math import prod
 
 from .action import RepresentationSpec, act_raw, in_b_raw, render_point
 from .builder import InvariantSuite, _connecting_rational
-from .rings import Ring
+from .rings import Ring, gc_paused
 
 
 class BudgetExceeded(Exception):
@@ -78,7 +80,10 @@ def _check_field(spec: RepresentationSpec, ring: Ring):
 
 
 def resolve_workers(workers=None) -> int:
-    """Worker count: explicit argument, else MODINV_THREADS, else 1."""
+    """Most workers a scan may use: explicit argument, else MODINV_THREADS,
+    else 1.  separation_report forks fewer when CPUs, first coordinates or
+    representatives run short, and none for a small scan; a MODINV_THREADS
+    that is not an integer raises ValueError all the same."""
     if workers is None:
         raw = os.environ.get("MODINV_THREADS", "1")
         try:
@@ -198,7 +203,7 @@ def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
     _check_field(spec, ring)
     _check_budget(ring.order, spec.n, budget)
     positions = spec.table.positions
-    elements = list(ring.elements())
+    elements = ring.elements()
     witnesses = []
     for entry in suite.entries:
         support, terms = _support_terms(entry.polynomial, ring)
@@ -326,21 +331,31 @@ def _lookup(groups, support, lists) -> list:
 
 # (suite, ring, elements, rank in elements, _rep_factors) of the running
 # separation scan, built once in the parent; forked pool workers inherit it,
-# so a task carries only its first coordinates
+# so a task carries only a range of ranks of first coordinates
 _SCAN = None
 
+# A pool forks only when each worker scans at least this many
+# representatives.  Measured on 2 CPUs (Python 3.11): a pool's fixed cost
+# (importing multiprocessing, forking, start-up and teardown) is about 20 ms,
+# and shipping a worker's fibers back and merging them 0.5-1.4 us per
+# representative, against 1-4 us per representative scanned in-process.
+# Two workers then save at most about 0.6 us per representative, so the
+# fixed cost is recovered near 33k representatives; twice that per worker
+# leaves the saving at least 3x the fixed cost.
+_MIN_REPS_PER_WORKER = 1 << 16
 
-def _scan_chunk(firsts):
-    """Count the representatives of B with these first coordinates and
-    collect their fibers: (representatives, {key: first representative},
-    {key: representatives} of the keys met more than once).
+
+def _scan_chunk(chunk):
+    """The fibers of the representatives of B whose first coordinates have
+    the ranks in chunk: ({key: first representative}, {key: representatives}
+    of the keys met more than once).
 
     Entries reading the first coordinate are tabulated per slab of first
     coordinates, the others once.  F_{p^k} values enter keys as their
     ranks in elements(), and a representative is kept as its rank, the
     first coordinate's rank times the representatives per first coordinate
     plus its position among them; both order like what they stand for and
-    pickle small.  firsts ascend, so each fiber keeps the first _KEEP_REPS
+    pickle small.  chunk ascends, so each fiber keeps the first _KEEP_REPS
     it meets."""
     suite, ring, elements, rank, factors = _SCAN
     first_group, later = factors
@@ -351,14 +366,13 @@ def _scan_chunk(firsts):
     fixed = {}      # tables of entries that do not read the first coordinate
     later_size = prod(map(len, later))
     per_first = _per_first(factors, elements)
-    count = 0
     seen = {}       # key -> its first representative
     shared = {}     # key -> first _KEEP_REPS reps of keys met more than once
-    for slab in _slabs(firsts, per_first):
-        starts = [(first, first_group(first)) for first in slab]
+    for slab in _slabs(chunk, per_first):
+        starts = [(r, first_group(elements[r])) for r in slab]
         lead = [t for _, tuples in starts for t in tuples]
-        heads = [rank[first] * per_first + r * later_size
-                 for first, tuples in starts for r in range(len(tuples))]
+        heads = [r * per_first + i * later_size
+                 for r, tuples in starts for i in range(len(tuples))]
         if not lead:
             continue    # no point of B starts here
         groups = [lead] + later
@@ -383,16 +397,21 @@ def _scan_chunk(firsts):
                 kept = shared[key] = [seen[key]]
             if len(kept) < _KEEP_REPS:
                 kept.append(heads[pos // later_size] + pos % later_size)
-        count += len(lead) * later_size
-    return count, seen, shared
+    return seen, shared
+
+
+def _pool_map(workers: int, chunks) -> list:
+    """_scan_chunk over the chunks in a pool of forked workers."""
+    import multiprocessing      # only a run that forks pays for the import
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return pool.map(_scan_chunk, chunks)
 
 
 def _merge_fibers(results):
-    """(representatives, fiberCount, {key: reps} of the fibers holding more
-    than one representative) over the chunks' results."""
-    reps, seen, shared = results[0]
-    for count, more_seen, more_shared in results[1:]:
-        reps += count
+    """(fiberCount, {key: reps} of the fibers holding more than one
+    representative) over the chunks' results."""
+    seen, shared = results[0]
+    for more_seen, more_shared in results[1:]:
         for key, rep in more_seen.items():
             more = more_shared.get(key, [rep])
             if key not in seen:
@@ -403,7 +422,7 @@ def _merge_fibers(results):
                 shared[key].extend(more)
             else:
                 shared[key] = [seen[key]] + more
-    return reps, len(seen), shared
+    return len(seen), shared
 
 
 @dataclass(frozen=True)
@@ -469,25 +488,28 @@ def separation_report(suite: InvariantSuite, ring: Ring,
     spec = suite.spec
     _check_field(spec, ring)
     _check_budget(ring.order, spec.n, budget)
-    firsts = list(ring.elements())
+    firsts = ring.elements()
     factors = _rep_factors(spec.blocks, ring, firsts)
-    # no more processes than chunks of first coordinates, or than CPUs
-    workers = min(resolve_workers(workers), ring.order, os.cpu_count() or 1)
-    _SCAN = (suite, ring, firsts, {v: r for r, v in enumerate(firsts)}, factors)
+    # with a nontrivial first block, no representative has first coordinate 0
+    reps = _per_first(factors, firsts) * (len(firsts) - (spec.blocks[0] > 1))
+    # no more processes than chunks of first coordinates or than CPUs, and
+    # none unless each worker scans enough representatives to pay its way
+    workers = min(resolve_workers(workers), len(firsts), os.cpu_count() or 1,
+                  reps // _MIN_REPS_PER_WORKER)
+    _SCAN = (suite, ring, firsts, dict(zip(firsts, range(len(firsts)))), factors)
     try:
-        if workers > 1:
-            # F_{p^k} builds its log tables on first use: build them before
-            # the fork, so the workers share them
-            ring.mul(ring.one(), ring.one())
-            chunks = [firsts[i::workers] for i in range(workers)]
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                results = pool.map(_scan_chunk, chunks)
-        else:
-            results = [_scan_chunk(firsts)]
+        with gc_paused():
+            if workers > 1:
+                # F_{p^k} builds its log tables on first use: build them
+                # before the fork, so the workers share them
+                ring.mul(ring.one(), ring.one())
+                results = _pool_map(workers, [range(i, len(firsts), workers)
+                                              for i in range(workers)])
+            else:
+                results = [_scan_chunk(range(len(firsts)))]
+            fiber_count, shared = _merge_fibers(results)
     finally:
         _SCAN = None
-    reps, fiber_count, shared = _merge_fibers(results)
     for kept in shared.values():
         kept.sort()
         del kept[_KEEP_REPS:]
@@ -532,7 +554,7 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
     _check_budget(ring.order, n, budget)
     f = _connecting_rational(n).polynomial.change_ring(ring)
     terms = [(c, exps) for exps, c in f.terms()]
-    elements = list(ring.elements())
+    elements = ring.elements()
     q = len(elements)
     rest = [elements] * (n - 1)
     rows = q ** (n - 2)     # per first coordinate

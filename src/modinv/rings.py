@@ -8,6 +8,8 @@ the arithmetic on them and renders and parses the textual encodings used in
 reports and JSON.  Nothing here ever rounds.
 """
 
+import contextlib
+import gc
 import itertools
 import operator
 from fractions import Fraction
@@ -53,6 +55,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@contextlib.contextmanager
+def gc_paused():
+    """Suspend the cyclic garbage collector, then restore the caller's state.
+
+    Bulk builds of tuples, ints and flat containers make no reference
+    cycles, so the collector's passes over them cost time and free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # Modulus search for extension fields.
 
@@ -73,11 +90,12 @@ def _poly_rem(num, den, p):
     """Remainder of num modulo a monic den over F_p (lists, low degree first)."""
     num = [c % p for c in num]
     dn = _poly_deg(den)
-    while _poly_deg(num) >= dn:
-        shift = _poly_deg(num) - dn
-        factor = num[_poly_deg(num)]
-        for i in range(dn + 1):
-            num[shift + i] = (num[shift + i] - factor * den[i]) % p
+    for top in range(len(num) - 1, dn - 1, -1):
+        factor = num[top]
+        if factor:
+            shift = top - dn
+            for i in range(dn + 1):
+                num[shift + i] = (num[shift + i] - factor * den[i]) % p
     return num[: _poly_deg(num) + 1]
 
 
@@ -366,7 +384,7 @@ class PrimeField(Ring):
         return int(text) % self.p
 
     def elements(self):
-        return iter(range(self.p))
+        return range(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -383,9 +401,12 @@ class ExtensionField(Ring):
 
     Raw values are length-k tuples of residues, low degree first.  The
     modulus is the canonical one from find_irreducible, so two fields with
-    the same (p, k) are interchangeable.  Small fields get a lazily built
-    discrete-log table to keep exhaustive enumeration fast; pickling builds
-    it first, so pool workers receive it instead of each building their own.
+    the same (p, k) are interchangeable.  Small fields get lazily built
+    log/exp tables to keep exhaustive enumeration fast.  elements() is built
+    once as well, and the tables hold its tuples, not copies.  Pickling
+    builds the tables first, so an unpickled copy carries them; the
+    separation scan's pool workers need no pickle, they inherit the field by
+    fork.
     """
 
     is_field = True
@@ -397,6 +418,7 @@ class ExtensionField(Ring):
         self.characteristic = p
         self.order = p ** k
         self._zero = (0,) * k
+        self._elements = None
         self._log = None
         self._exp = None
 
@@ -454,36 +476,72 @@ class ExtensionField(Ring):
         in elements() order: g generates exactly when g^((q-1)/r) != 1 for
         every prime r dividing q - 1."""
         cycle = self.order - 1
-        primes = [r for r in range(2, cycle + 1) if cycle % r == 0 and is_prime(r)]
+        primes, rest, r = [], cycle, 2      # the prime factors of cycle
+        while r * r <= rest:
+            if rest % r == 0:
+                primes.append(r)
+                while rest % r == 0:
+                    rest //= r
+            r += 1
+        if rest > 1:
+            primes.append(rest)
         one = self.one()
-        for g in self.elements():
+        elements = self.elements()
+        for g in elements:
             if g != self._zero and all(self._pow_conv(g, cycle // r) != one
                                        for r in primes):
                 break
         # Multiplication by g is F_p-linear: g*v is the sum of v_i * (g*x^i).
-        # Those sums are tabulated over the low and the high half of the
-        # residues, so each next power costs one sum of two vectors.
+        # Residue vectors are packed into one int, w bits per residue, so two
+        # add in one int addition.  The sum's residues are at most 2p - 2,
+        # and one reached p exactly when adding 2^(w-1) - p sets its top bit;
+        # reduce takes p off there.  The images of the low and the high half
+        # of the residues are tabulated, so each next power of g is one
+        # reduced sum of two table entries.
         p, k, half = self.p, self.k, self.k // 2
-        columns = [self._mul_conv(g, tuple(int(i == j) for j in range(k)))
-                   for i in range(k)]
+        w = (2 * p - 2).bit_length() + 1
 
-        def column_sums(cols):
-            out = {}
-            for digits in itertools.product(range(p), repeat=len(cols)):
-                acc = [0] * k
-                for d, col in zip(digits, cols):
-                    acc = [a + d * c for a, c in zip(acc, col)]
-                out[digits] = tuple([a % p for a in acc])
-            return out
+        def pack(residues):
+            return sum(r << (w * i) for i, r in enumerate(residues))
 
-        low, high = column_sums(columns[:half]), column_sums(columns[half:])
-        powers = [one]
-        x = one
+        flags = pack([1 << (w - 1)] * k)
+        bias = pack([(1 << (w - 1)) - p] * k)
+
+        def reduce(x):
+            return x - (((x + bias) & flags) * p >> (w - 1))
+
+        def half_tables(lo, hi):
+            """packed residues lo..hi-1 -> (packed image under g, their
+            share of the lexicographic rank)"""
+            images, ranks = {0: 0}, {0: 0}
+            for i in range(lo, hi):
+                column = pack(self._mul_conv(g, tuple(int(i == j) for j in range(k))))
+                unit, place = 1 << (w * (i - lo)), p ** (k - 1 - i)
+                for key, image in list(images.items()):
+                    rank = ranks[key]
+                    for d in range(1, p):
+                        image = reduce(image + column)
+                        images[key + d * unit] = image
+                        ranks[key + d * unit] = rank + d * place
+            return images, ranks
+
+        (low, low_rank), (high, high_rank) = half_tables(0, half), half_tables(half, k)
+        shift = w * half
+        mask = (1 << shift) - 1
+        x = 1
+        packed = [x]
         for _ in range(cycle - 1):
-            x = tuple([(a + b) % p for a, b in zip(low[x[:half]], high[x[half:]])])
-            powers.append(x)
-        self._exp = powers
-        self._log = {v: i for i, v in enumerate(powers)}
+            x = low[x & mask] + high[x >> shift]
+            x -= ((x + bias) & flags) * p >> (w - 1)      # reduce, inlined
+            packed.append(x)
+        ranks = [low_rank[x & mask] + high_rank[x >> shift] for x in packed]
+        self._exp = list(map(elements.__getitem__, ranks))
+        # the log dict is filled in elements() order, which walks memory in
+        # order and hashes the tuples faster than the order of powers
+        logs = [0] * self.order
+        for i, r in enumerate(ranks):
+            logs[r] = i
+        self._log = dict(zip(elements[1:], logs[1:]))
 
     def _tables_ready(self) -> bool:
         """Whether log/exp tables serve this field, building them on first use;
@@ -491,7 +549,8 @@ class ExtensionField(Ring):
         if self._exp is None:
             if self.order > _TABLE_MAX_ORDER:
                 return False
-            self._build_tables()
+            with gc_paused():
+                self._build_tables()
         return True
 
     def mul(self, a, b):
@@ -541,9 +600,12 @@ class ExtensionField(Ring):
         return parts
 
     def elements(self):
-        # Tuple-lexicographic order; the generator search above relies on
-        # this being deterministic.
-        return itertools.product(range(self.p), repeat=self.k)
+        # Tuple-lexicographic order, built once: the log/exp tables hold
+        # these same tuples, and the generator search relies on the order.
+        if self._elements is None:
+            with gc_paused():
+                self._elements = tuple(itertools.product(range(self.p), repeat=self.k))
+        return self._elements
 
     def __eq__(self, other):
         return (isinstance(other, ExtensionField) and other.p == self.p

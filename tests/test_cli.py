@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import time
@@ -11,6 +12,8 @@ from modinv.builder import build_suite, suite_from_json
 from modinv.cli import main
 from modinv.oracle import separation_report, verify_orbit_constancy
 from modinv.rings import GF
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -285,6 +288,28 @@ def test_module_invocation_verify_smoke():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "20/20 orbits separated" in proc.stdout
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
+def test_verify_without_pool_never_imports_multiprocessing(threads):
+    # one worker, or a scan too small for a pool, pays no import of it
+    env = {k: v for k, v in os.environ.items() if k != "MODINV_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["MODINV_THREADS"] = threads
+    code = ("import sys; from modinv.cli import main; "
+            "code = main(['verify', '--p', '3', '--blocks', '3,2', '--k', '2']); "
+            "print(code, 'multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    env["MODINV_THREADS"] = "abc"
+    proc = subprocess.run([sys.executable, "-m", "modinv", "verify", "--p", "3",
+                           "--blocks", "2"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: MODINV_THREADS must be an integer, got 'abc'\n"
 
 
 def test_missing_subcommand_is_usage_error():

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import json
 
 import pytest
 
 from modinv.action import RepresentationSpec, orbit_rep_raw
+from modinv import oracle
 from modinv.builder import build_suite
 from modinv.oracle import (DEFAULT_BUDGET, BudgetExceeded, OrbitConstancyError,
                            fixed_point_census, require_orbit_constancy,
@@ -144,7 +146,9 @@ def test_report_is_deterministic():
             == json.dumps(b.to_json_dict(), sort_keys=True))
 
 
-def test_report_independent_of_worker_count():
+def test_report_independent_of_worker_count(monkeypatch):
+    # forks real pools: the scan is far below the pool's work constant
+    monkeypatch.setattr(oracle, "_MIN_REPS_PER_WORKER", 1)
     suite = fp_suite(5, (2, 2))
     one = separation_report(suite, GF(5), workers=1)
     two = separation_report(suite, GF(5), workers=2)
@@ -165,24 +169,16 @@ def test_resolve_workers_env(monkeypatch):
         resolve_workers()
 
 
-class _RecordingContext:
-    """Stands in for the fork context: records pool sizes, maps in-process."""
+class _RecordingPool:
+    """Stands in for the forked pool: records pool sizes, maps in-process."""
 
     def __init__(self):
         self.sizes = []
 
-    def Pool(self, size):
-        self.sizes.append(size)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
+    def __call__(self, workers, chunks):
+        assert len(chunks) == workers
+        self.sizes.append(workers)
+        return [oracle._scan_chunk(chunk) for chunk in chunks]
 
 
 @pytest.mark.parametrize("requested,cpus,q,expected", [
@@ -194,14 +190,67 @@ class _RecordingContext:
     (8, 1, 5, None),
 ])
 def test_pool_size_is_clamped(monkeypatch, requested, cpus, q, expected):
-    ctx = _RecordingContext()
-    monkeypatch.setattr("modinv.oracle.multiprocessing.get_context", lambda method: ctx)
+    pool = _RecordingPool()
+    monkeypatch.setattr(oracle, "_pool_map", pool)
+    monkeypatch.setattr(oracle, "_MIN_REPS_PER_WORKER", 1)
     monkeypatch.setattr("modinv.oracle.os.cpu_count", lambda: cpus)
     suite = fp_suite(q, (2, 2) if q > 2 else (2, 1))
     report = separation_report(suite, GF(q), workers=requested)
-    assert ctx.sizes == ([] if expected is None else [expected])
+    assert pool.sizes == ([] if expected is None else [expected])
     assert (report.to_json_dict()
             == separation_report(suite, GF(q), workers=1).to_json_dict())
+
+
+@pytest.mark.parametrize("minimum,expected", [
+    (None, None),       # the real constant: 80 representatives fork nothing
+    (41, None),         # 80 representatives cannot give two workers 41 each
+    (40, 2),
+    (27, 2),
+    (16, 5),            # then capped by the five first coordinates
+])
+def test_pool_needs_enough_work(monkeypatch, minimum, expected):
+    # [2,2] over F_5 has 80 representatives in B; 8 CPUs and 8 workers asked
+    pool = _RecordingPool()
+    monkeypatch.setattr(oracle, "_pool_map", pool)
+    if minimum is not None:
+        monkeypatch.setattr(oracle, "_MIN_REPS_PER_WORKER", minimum)
+    monkeypatch.setattr("modinv.oracle.os.cpu_count", lambda: 8)
+    suite = fp_suite(5, (2, 2))
+    report = separation_report(suite, GF(5), workers=8)
+    assert report.orbit_count_in_b == 80
+    assert pool.sizes == ([] if expected is None else [expected])
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_scan_pauses_gc_and_restores_it(monkeypatch, enabled):
+    during = []
+    scan = oracle._scan_chunk
+
+    def recording_scan(chunk):
+        during.append(gc.isenabled())
+        return scan(chunk)
+
+    monkeypatch.setattr(oracle, "_scan_chunk", recording_scan)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        separation_report(fp_suite(5, (2, 2)), GF(5))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
+
+
+def test_failing_scan_restores_gc(monkeypatch):
+    def failing_scan(chunk):
+        raise RuntimeError("scan failed")
+
+    monkeypatch.setattr(oracle, "_scan_chunk", failing_scan)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="scan failed"):
+        separation_report(fp_suite(5, (2, 2)), GF(5))
+    assert gc.isenabled()
+    assert oracle._SCAN is None
 
 
 def test_fibers_invariant_under_scaling_and_order():

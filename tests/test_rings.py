@@ -178,15 +178,23 @@ def reference_exp(field):
     return powers
 
 
+# beyond the small fields: the largest table, odd k with odd and even p
+# (an unequal split of the packed residues) and the widest residues
 EXP_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for k in range(2, 10)
-              if p ** k <= 5 ** 4] + [(2, 16)]
+              if p ** k <= 5 ** 4] + [(2, 16), (2, 15), (3, 7), (251, 2)]
 
 
 @pytest.mark.parametrize("p,k", EXP_FIELDS)
 def test_exp_table_matches_convolution_walk(p, k):
     field = ExtensionField(p, k)
     field.mul(field.one(), field.one())     # builds the tables
-    assert field._exp == reference_exp(field)
+    expected = reference_exp(field)
+    assert field._exp == expected
+    assert field._log == {v: i for i, v in enumerate(expected)}
+    # the tables hold the element tuples themselves, not copies
+    ids = set(map(id, field.elements()))
+    assert all(id(v) in ids for v in field._exp)
+    assert all(id(v) in ids for v in field._log)
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))

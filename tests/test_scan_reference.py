@@ -271,8 +271,8 @@ def test_fibers_merge_across_chunks(monkeypatch, p, k, blocks):
     # without the first entry, points with different first coordinates
     # share fibers, so chunks of first coordinates must merge them; over
     # [1, 2] each chunk meets a fiber once per first coordinate it holds
-    monkeypatch.setattr("modinv.oracle.multiprocessing.get_context",
-                        lambda method: InProcessContext())
+    monkeypatch.setattr(oracle, "_pool_map", in_process_pool)
+    monkeypatch.setattr(oracle, "_MIN_REPS_PER_WORKER", 1)
     monkeypatch.setattr("modinv.oracle.os.cpu_count", lambda: 8)
     field = GF(p, k)
     suite = build_suite(RepresentationSpec(p, blocks), "fp")
@@ -284,17 +284,6 @@ def test_fibers_merge_across_chunks(monkeypatch, p, k, blocks):
                 report.fiber_count, report.witness_pairs) == tuple(expected), workers
 
 
-class InProcessContext:
-    """Stands in for the fork context: maps the chunks in this process."""
-
-    def Pool(self, size):
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
+def in_process_pool(workers, chunks):
+    """Stands in for the forked pool: maps the chunks in this process."""
+    return [oracle._scan_chunk(chunk) for chunk in chunks]
