@@ -499,16 +499,17 @@ class ExtensionField(Ring):
         # of the residues are tabulated, so each next power of g is one
         # reduced sum of two table entries.
         p, k, half = self.p, self.k, self.k // 2
-        w = (2 * p - 2).bit_length() + 1
+        top = (2 * p - 2).bit_length()      # w - 1, the flag bit of a residue
+        w = top + 1
 
         def pack(residues):
             return sum(r << (w * i) for i, r in enumerate(residues))
 
-        flags = pack([1 << (w - 1)] * k)
-        bias = pack([(1 << (w - 1)) - p] * k)
+        flags = pack([1 << top] * k)
+        bias = pack([(1 << top) - p] * k)
 
         def reduce(x):
-            return x - (((x + bias) & flags) * p >> (w - 1))
+            return x - (((x + bias) & flags) * p >> top)
 
         def half_tables(lo, hi):
             """packed residues lo..hi-1 -> (packed image under g, their
@@ -528,19 +529,20 @@ class ExtensionField(Ring):
         (low, low_rank), (high, high_rank) = half_tables(0, half), half_tables(half, k)
         shift = w * half
         mask = (1 << shift) - 1
+        logs = [0] * self.order     # the log of each element, by rank
         x = 1
-        packed = [x]
-        for _ in range(cycle - 1):
-            x = low[x & mask] + high[x >> shift]
-            x -= ((x + bias) & flags) * p >> (w - 1)      # reduce, inlined
-            packed.append(x)
-        ranks = [low_rank[x & mask] + high_rank[x >> shift] for x in packed]
-        self._exp = list(map(elements.__getitem__, ranks))
-        # the log dict is filled in elements() order, which walks memory in
-        # order and hashes the tuples faster than the order of powers
-        logs = [0] * self.order
-        for i, r in enumerate(ranks):
-            logs[r] = i
+        for i in range(cycle):
+            lo, hi = x & mask, x >> shift
+            logs[low_rank[lo] + high_rank[hi]] = i
+            x = low[lo] + high[hi]
+            x -= ((x + bias) & flags) * p >> top      # reduce, inlined
+        # Both tables are filled in elements() order: touching the tuples in
+        # the order they lie in memory is markedly faster than in the order
+        # of the powers.
+        exp = [None] * cycle
+        for i, v in zip(logs[1:], elements[1:]):
+            exp[i] = v
+        self._exp = exp
         self._log = dict(zip(elements[1:], logs[1:]))
 
     def _tables_ready(self) -> bool:
