@@ -219,6 +219,7 @@ class Ring:
         raise NotImplementedError
 
     def elements(self):
+        """Every element in ascending order, as a sequence (finite rings only)."""
         raise TypeError(f"{self!r} is not finite")
 
 
