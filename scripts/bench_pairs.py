@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark two commits in alternating pairs and write a BENCH file.
 
-Both commits are exported with `git archive` into a temporary directory.
+Both commits are checked out as git worktrees in a temporary directory.
 For every workload and seed, `perfbench/run.py --trace 0` runs once in each
 checkout, one right after the other; which side goes first alternates from
 pair to pair, so drift on the host falls on both sides alike.  The output
@@ -17,7 +17,6 @@ Usage: python3 scripts/bench_pairs.py --parent REV [--first-seed 1]
 """
 
 import argparse
-import io
 import json
 import os
 import platform
@@ -25,7 +24,6 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -36,14 +34,6 @@ PAIRS = 10
 def git(*args, cwd=ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True,
                            capture_output=True, text=True).stdout.strip()
-
-
-def export(rev: str, dest: Path):
-    """The committed files of rev, written under dest."""
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest)
 
 
 def src_lines(checkout: Path) -> int:
@@ -81,7 +71,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="baseline revision")
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--tmp", help="directory for the temporary checkouts")
+    parser.add_argument("--tmp", help="directory for the temporary worktrees")
     parser.add_argument("--out", default="BENCH.json")
     args = parser.parse_args(argv)
 
@@ -97,7 +87,7 @@ def main(argv=None) -> int:
     checkouts = {side: tmp / side for side in revs}
     try:
         for side, rev in revs.items():
-            export(rev, checkouts[side])
+            git("worktree", "add", "--detach", str(checkouts[side]), rev)
         result = {
             "revisions": revs,
             "host": {"cpus": os.cpu_count(), "python": platform.python_version()},
@@ -125,6 +115,10 @@ def main(argv=None) -> int:
             }
         Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     finally:
+        for path in checkouts.values():
+            if path.exists():
+                git("worktree", "remove", "--force", str(path))
+        git("worktree", "prune")
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
 

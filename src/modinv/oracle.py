@@ -25,11 +25,11 @@ stays near q^(n-1) values; the action fixes the first coordinate.
 - Separation enumerates only the representatives of the orbits in B, |B|/p
   of them when some block is nontrivial (see _rep_factors), and looks each
   fiber key up in the entries' tables; pointsInB is p times their number.
-  Workers split the first coordinates, which the action fixes, so the
-  result does not depend on the worker count.  A pool forks only when each
-  worker gets at least _MIN_REPS_PER_WORKER representatives, and only then
-  is multiprocessing imported.  The scan makes no reference cycles, so it
-  runs with the cyclic garbage collector paused.
+  The scan runs in this process whatever worker count is asked for: a
+  forked worker would ship every fiber it meets back to be merged, which
+  costs about as much as scanning its representatives here.  The scan
+  makes no reference cycles, so it runs with the cyclic garbage collector
+  paused.
 - Lifting checks that every row of f_n's table over the last coordinate
   holds q distinct values.
 
@@ -80,10 +80,9 @@ def _check_field(spec: RepresentationSpec, ring: Ring):
 
 
 def resolve_workers(workers=None) -> int:
-    """Most workers a scan may use: explicit argument, else MODINV_THREADS,
-    else 1.  separation_report forks fewer when CPUs, first coordinates or
-    representatives run short, and none for a small scan; a MODINV_THREADS
-    that is not an integer raises ValueError all the same."""
+    """Worker count asked for: explicit argument, else MODINV_THREADS, else
+    1; a MODINV_THREADS that is not an integer raises ValueError.  The
+    separation scan checks the count but runs in-process at any count."""
     if workers is None:
         raw = os.environ.get("MODINV_THREADS", "1")
         try:
@@ -295,7 +294,7 @@ def _per_first(factors, elements) -> int:
 
 
 def _decode(factors, elements, rep: int) -> tuple:
-    """Coordinates of a representative kept as its rank (see _scan_chunk)."""
+    """Coordinates of a representative kept as its rank (see _scan_fibers)."""
     first_group, later = factors
     head, pos = divmod(rep, _per_first(factors, elements))
     parts = []
@@ -329,36 +328,19 @@ def _lookup(groups, support, lists) -> list:
     return index
 
 
-# (suite, ring, elements, rank in elements, _rep_factors) of the running
-# separation scan, built once in the parent; forked pool workers inherit it,
-# so a task carries only a range of ranks of first coordinates
-_SCAN = None
-
-# A pool forks only when each worker scans at least this many
-# representatives.  Measured on 2 CPUs (Python 3.11): a pool's fixed cost
-# (importing multiprocessing, forking, start-up and teardown) is about 20 ms,
-# and shipping a worker's fibers back and merging them 0.5-1.4 us per
-# representative, against 1-4 us per representative scanned in-process.
-# Two workers then save at most about 0.6 us per representative, so the
-# fixed cost is recovered near 33k representatives; twice that per worker
-# leaves the saving at least 3x the fixed cost.
-_MIN_REPS_PER_WORKER = 1 << 16
-
-
-def _scan_chunk(chunk):
-    """The fibers of the representatives of B whose first coordinates have
-    the ranks in chunk: ({key: first representative}, {key: representatives}
-    of the keys met more than once).
+def _scan_fibers(suite: InvariantSuite, ring: Ring, elements, factors):
+    """The fibers of the representatives of B: ({key: first representative},
+    {key: representatives} of the keys met more than once).
 
     Entries reading the first coordinate are tabulated per slab of first
     coordinates, the others once.  F_{p^k} values enter keys as their
     ranks in elements(), and a representative is kept as its rank, the
     first coordinate's rank times the representatives per first coordinate
-    plus its position among them; both order like what they stand for and
-    pickle small.  chunk ascends, so each fiber keeps the first _KEEP_REPS
-    it meets."""
-    suite, ring, elements, rank, factors = _SCAN
+    plus its position among them; both order like what they stand for.
+    Representatives are met in ascending order, so each fiber keeps its
+    first _KEEP_REPS, sorted."""
     first_group, later = factors
+    rank = dict(zip(elements, range(len(elements))))
     entries = [_support_terms(e.polynomial, ring) for e in suite.entries]
     later_lists = []
     for tuples in later:
@@ -368,7 +350,7 @@ def _scan_chunk(chunk):
     per_first = _per_first(factors, elements)
     seen = {}       # key -> its first representative
     shared = {}     # key -> first _KEEP_REPS reps of keys met more than once
-    for slab in _slabs(chunk, per_first):
+    for slab in _slabs(range(len(elements)), per_first):
         starts = [(r, first_group(elements[r])) for r in slab]
         lead = [t for _, tuples in starts for t in tuples]
         heads = [r * per_first + i * later_size
@@ -398,31 +380,6 @@ def _scan_chunk(chunk):
             if len(kept) < _KEEP_REPS:
                 kept.append(heads[pos // later_size] + pos % later_size)
     return seen, shared
-
-
-def _pool_map(workers: int, chunks) -> list:
-    """_scan_chunk over the chunks in a pool of forked workers."""
-    import multiprocessing      # only a run that forks pays for the import
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return pool.map(_scan_chunk, chunks)
-
-
-def _merge_fibers(results):
-    """(fiberCount, {key: reps} of the fibers holding more than one
-    representative) over the chunks' results."""
-    seen, shared = results[0]
-    for more_seen, more_shared in results[1:]:
-        for key, rep in more_seen.items():
-            more = more_shared.get(key, [rep])
-            if key not in seen:
-                seen[key] = rep
-                if len(more) > 1:
-                    shared[key] = more
-            elif key in shared:
-                shared[key].extend(more)
-            else:
-                shared[key] = [seen[key]] + more
-    return len(seen), shared
 
 
 @dataclass(frozen=True)
@@ -482,37 +439,20 @@ def separation_report(suite: InvariantSuite, ring: Ring,
     The suite separates B exactly when distinct orbits give distinct value
     tuples, i.e. fiberCount == orbitCountInB.  Witness pairs list up to ten
     pairs of distinct orbit representatives sharing a fiber, ordered by the
-    fiber's smallest representative and then lexicographically.
+    fiber's smallest representative and then lexicographically.  workers
+    is checked by resolve_workers; the report does not depend on it.
     """
-    global _SCAN
     spec = suite.spec
     _check_field(spec, ring)
     _check_budget(ring.order, spec.n, budget)
+    resolve_workers(workers)
     firsts = ring.elements()
     factors = _rep_factors(spec.blocks, ring, firsts)
     # with a nontrivial first block, no representative has first coordinate 0
     reps = _per_first(factors, firsts) * (len(firsts) - (spec.blocks[0] > 1))
-    # no more processes than chunks of first coordinates or than CPUs, and
-    # none unless each worker scans enough representatives to pay its way
-    workers = min(resolve_workers(workers), len(firsts), os.cpu_count() or 1,
-                  reps // _MIN_REPS_PER_WORKER)
-    _SCAN = (suite, ring, firsts, dict(zip(firsts, range(len(firsts)))), factors)
-    try:
-        with gc_paused():
-            if workers > 1:
-                # F_{p^k} builds its log tables on first use: build them
-                # before the fork, so the workers share them
-                ring.mul(ring.one(), ring.one())
-                results = _pool_map(workers, [range(i, len(firsts), workers)
-                                              for i in range(workers)])
-            else:
-                results = [_scan_chunk(range(len(firsts)))]
-            fiber_count, shared = _merge_fibers(results)
-    finally:
-        _SCAN = None
-    for kept in shared.values():
-        kept.sort()
-        del kept[_KEEP_REPS:]
+    with gc_paused():
+        seen, shared = _scan_fibers(suite, ring, firsts, factors)
+    fiber_count = len(seen)
     pairs = []
     for kept in sorted(shared.values()):
         for a, b in itertools.combinations(kept, 2):

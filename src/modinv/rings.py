@@ -405,9 +405,7 @@ class ExtensionField(Ring):
     the same (p, k) are interchangeable.  Small fields get lazily built
     log/exp tables to keep exhaustive enumeration fast.  elements() is built
     once as well, and the tables hold its tuples, not copies.  Pickling
-    builds the tables first, so an unpickled copy carries them; the
-    separation scan's pool workers need no pickle, they inherit the field by
-    fork.
+    builds the tables first, so an unpickled copy carries them.
     """
 
     is_field = True
@@ -477,15 +475,7 @@ class ExtensionField(Ring):
         in elements() order: g generates exactly when g^((q-1)/r) != 1 for
         every prime r dividing q - 1."""
         cycle = self.order - 1
-        primes, rest, r = [], cycle, 2      # the prime factors of cycle
-        while r * r <= rest:
-            if rest % r == 0:
-                primes.append(r)
-                while rest % r == 0:
-                    rest //= r
-            r += 1
-        if rest > 1:
-            primes.append(rest)
+        primes = [r for r in range(2, cycle + 1) if cycle % r == 0 and is_prime(r)]
         one = self.one()
         elements = self.elements()
         for g in elements:
@@ -552,8 +542,7 @@ class ExtensionField(Ring):
         if self._exp is None:
             if self.order > _TABLE_MAX_ORDER:
                 return False
-            with gc_paused():
-                self._build_tables()
+            self._build_tables()
         return True
 
     def mul(self, a, b):

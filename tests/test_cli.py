@@ -291,8 +291,8 @@ def test_module_invocation_verify_smoke():
 
 
 @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
-def test_verify_without_pool_never_imports_multiprocessing(threads):
-    # one worker, or a scan too small for a pool, pays no import of it
+def test_verify_never_imports_multiprocessing(threads):
+    # the separation scan runs in-process at any worker count
     env = {k: v for k, v in os.environ.items() if k != "MODINV_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if threads is not None:

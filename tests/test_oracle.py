@@ -146,9 +146,7 @@ def test_report_is_deterministic():
             == json.dumps(b.to_json_dict(), sort_keys=True))
 
 
-def test_report_independent_of_worker_count(monkeypatch):
-    # forks real pools: the scan is far below the pool's work constant
-    monkeypatch.setattr(oracle, "_MIN_REPS_PER_WORKER", 1)
+def test_report_independent_of_worker_count():
     suite = fp_suite(5, (2, 2))
     one = separation_report(suite, GF(5), workers=1)
     two = separation_report(suite, GF(5), workers=2)
@@ -169,68 +167,16 @@ def test_resolve_workers_env(monkeypatch):
         resolve_workers()
 
 
-class _RecordingPool:
-    """Stands in for the forked pool: records pool sizes, maps in-process."""
-
-    def __init__(self):
-        self.sizes = []
-
-    def __call__(self, workers, chunks):
-        assert len(chunks) == workers
-        self.sizes.append(workers)
-        return [oracle._scan_chunk(chunk) for chunk in chunks]
-
-
-@pytest.mark.parametrize("requested,cpus,q,expected", [
-    (64, 4, 5, 4),      # capped by the CPUs
-    (64, 64, 5, 5),     # capped by the number of first coordinates
-    (3, 8, 5, 3),       # as requested
-    (8, 8, 2, 2),
-    (1, 8, 5, None),    # one worker scans in-process, no pool
-    (8, 1, 5, None),
-])
-def test_pool_size_is_clamped(monkeypatch, requested, cpus, q, expected):
-    pool = _RecordingPool()
-    monkeypatch.setattr(oracle, "_pool_map", pool)
-    monkeypatch.setattr(oracle, "_MIN_REPS_PER_WORKER", 1)
-    monkeypatch.setattr("modinv.oracle.os.cpu_count", lambda: cpus)
-    suite = fp_suite(q, (2, 2) if q > 2 else (2, 1))
-    report = separation_report(suite, GF(q), workers=requested)
-    assert pool.sizes == ([] if expected is None else [expected])
-    assert (report.to_json_dict()
-            == separation_report(suite, GF(q), workers=1).to_json_dict())
-
-
-@pytest.mark.parametrize("minimum,expected", [
-    (None, None),       # the real constant: 80 representatives fork nothing
-    (41, None),         # 80 representatives cannot give two workers 41 each
-    (40, 2),
-    (27, 2),
-    (16, 5),            # then capped by the five first coordinates
-])
-def test_pool_needs_enough_work(monkeypatch, minimum, expected):
-    # [2,2] over F_5 has 80 representatives in B; 8 CPUs and 8 workers asked
-    pool = _RecordingPool()
-    monkeypatch.setattr(oracle, "_pool_map", pool)
-    if minimum is not None:
-        monkeypatch.setattr(oracle, "_MIN_REPS_PER_WORKER", minimum)
-    monkeypatch.setattr("modinv.oracle.os.cpu_count", lambda: 8)
-    suite = fp_suite(5, (2, 2))
-    report = separation_report(suite, GF(5), workers=8)
-    assert report.orbit_count_in_b == 80
-    assert pool.sizes == ([] if expected is None else [expected])
-
-
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_scan_pauses_gc_and_restores_it(monkeypatch, enabled):
     during = []
-    scan = oracle._scan_chunk
+    scan = oracle._scan_fibers
 
-    def recording_scan(chunk):
+    def recording_scan(*args):
         during.append(gc.isenabled())
-        return scan(chunk)
+        return scan(*args)
 
-    monkeypatch.setattr(oracle, "_scan_chunk", recording_scan)
+    monkeypatch.setattr(oracle, "_scan_fibers", recording_scan)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -242,15 +188,14 @@ def test_scan_pauses_gc_and_restores_it(monkeypatch, enabled):
 
 
 def test_failing_scan_restores_gc(monkeypatch):
-    def failing_scan(chunk):
+    def failing_scan(*args):
         raise RuntimeError("scan failed")
 
-    monkeypatch.setattr(oracle, "_scan_chunk", failing_scan)
+    monkeypatch.setattr(oracle, "_scan_fibers", failing_scan)
     assert gc.isenabled()
     with pytest.raises(RuntimeError, match="scan failed"):
         separation_report(fp_suite(5, (2, 2)), GF(5))
     assert gc.isenabled()
-    assert oracle._SCAN is None
 
 
 def test_fibers_invariant_under_scaling_and_order():

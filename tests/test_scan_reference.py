@@ -267,13 +267,10 @@ def test_cross_reading_suites_match_reference(p, k, blocks):
 
 @pytest.mark.parametrize("p,k,blocks", [(5, 1, (2, 2)), (3, 1, (1, 2, 2)), (2, 2, (2, 2)),
                                         (3, 2, (1, 2)), (3, 1, (1, 2)), (5, 1, (1, 2))])
-def test_fibers_merge_across_chunks(monkeypatch, p, k, blocks):
+def test_fibers_shared_across_first_coordinates(p, k, blocks):
     # without the first entry, points with different first coordinates
-    # share fibers, so chunks of first coordinates must merge them; over
-    # [1, 2] each chunk meets a fiber once per first coordinate it holds
-    monkeypatch.setattr(oracle, "_pool_map", in_process_pool)
-    monkeypatch.setattr(oracle, "_MIN_REPS_PER_WORKER", 1)
-    monkeypatch.setattr("modinv.oracle.os.cpu_count", lambda: 8)
+    # share fibers, so a fiber's representatives span several slabs of
+    # first coordinates; the worker count asked for changes nothing
     field = GF(p, k)
     suite = build_suite(RepresentationSpec(p, blocks), "fp")
     suite = dataclasses.replace(suite, entries=suite.entries[1:])
@@ -282,8 +279,3 @@ def test_fibers_merge_across_chunks(monkeypatch, p, k, blocks):
         report = separation_report(suite, field, workers=workers)
         assert (report.points_in_b, report.orbit_count_in_b,
                 report.fiber_count, report.witness_pairs) == tuple(expected), workers
-
-
-def in_process_pool(workers, chunks):
-    """Stands in for the forked pool: maps the chunks in this process."""
-    return [oracle._scan_chunk(chunk) for chunk in chunks]
