@@ -11,12 +11,18 @@ to the last one it reads.  The action maps the first l coordinates of a
 block among themselves, so an entry's value at sigma v depends only on v
 restricted to its support, for any polynomial.
 
-Value tables.  Each entry is evaluated once per point of a product of value
+Codes.  Every check computes on the fields' int codes (ring.encode): the
+rank of an element in elements() order, the residue itself over F_p.  Codes
+order like the elements, so smallest points and representatives are the
+same; tuples are built only to decode witnesses.
+
+Value tables.  Each entry is evaluated once per point of a product of code
 lists over its support, in row-major order: its terms are split by the
 exponent of the last coordinate and the coefficients are tabulated over the
-earlier coordinates the same way (Ring.extend_table does the univariate
-step).  Tables are built one slab of first coordinates at a time, so memory
-stays near q^(n-1) values; the action fixes the first coordinate.
+earlier coordinates the same way (the field's extend_table does the
+univariate step).  Tables are built one slab of first coordinates at a
+time, so memory stays near q^(n-1) values; the action fixes the first
+coordinate.
 
 - Constancy compares each table value at v with the one at sigma v, reached
   by index arithmetic.  An entry's smallest violating point is its smallest
@@ -24,12 +30,12 @@ stays near q^(n-1) values; the action fixes the first coordinate.
   named by the first entry that differs there.
 - Separation enumerates only the representatives of the orbits in B, |B|/p
   of them when some block is nontrivial (see _rep_factors), and looks each
-  fiber key up in the entries' tables; pointsInB is p times their number.
-  The scan runs in this process whatever worker count is asked for: a
-  forked worker would ship every fiber it meets back to be merged, which
-  costs about as much as scanning its representatives here.  The scan
-  makes no reference cycles, so it runs with the cyclic garbage collector
-  paused.
+  fiber key, one int, up in the entries' tables; pointsInB is p times their
+  number.  The scan runs in this process whatever worker count is asked
+  for: a forked worker would ship every fiber it meets back to be merged,
+  which costs about as much as scanning its representatives here.  The
+  scan makes no reference cycles, so it runs with the cyclic garbage
+  collector paused.
 - Lifting checks that every row of f_n's table over the last coordinate
   holds q distinct values.
 
@@ -38,6 +44,7 @@ explicit budget before starting.
 """
 
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -99,7 +106,7 @@ def resolve_workers(workers=None) -> int:
 def _support_terms(f, ring: Ring):
     """(support, terms) of a polynomial: the flat indices of the coordinates
     up to the last one it reads in each block, and its terms over ring as
-    (coeff, exponents on the support).
+    (coefficient code, exponents on the support).
 
     The action maps the first l coordinates of a block among themselves, so
     f(sigma v) depends only on v restricted to the support."""
@@ -113,23 +120,22 @@ def _support_terms(f, ring: Ring):
                 read[b] = max(read[b], j)
     support = [offset + j for offset, length in zip(table.block_offsets, read)
                for j in range(length)]
-    return support, [(c, tuple(exps[i] for i in support)) for exps, c in terms]
+    return support, [(ring.encode(c), tuple(exps[i] for i in support))
+                     for exps, c in terms]
 
 
 def _table(ring: Ring, terms, lists) -> list:
-    """Values of sum c * prod s_i^e_i over (c, (e_1..e_d)) in terms at every
-    point of the product of the d value lists, in row-major order.
+    """Codes of sum c * prod s_i^e_i over (c, (e_1..e_d)) in terms at every
+    point of the product of the d lists of codes, in row-major order.
 
     Terms are split by their exponent in the last coordinate and each
     split's coefficient is tabulated over the earlier coordinates the same
     way, so a point costs one univariate step in its last coordinate."""
     if not lists:
-        acc = ring.zero()
-        for c, _ in terms:
-            acc = ring.add(acc, c)
-        return [acc]
+        # monomials are distinct on the support, so at most one term is left
+        return [terms[0][0] if terms else 0]
     if not terms:
-        return [ring.zero()] * prod(len(values) for values in lists)
+        return [0] * prod(len(values) for values in lists)
     split = {}
     for c, exps in terms:
         split.setdefault(exps[-1], []).append((c, exps[:-1]))
@@ -145,13 +151,12 @@ def _slabs(firsts, per_first: int) -> list:
     return [firsts[i:i + step] for i in range(0, len(firsts), step)]
 
 
-def _unrank(elements, index: int, count: int) -> tuple:
-    """The point at a row-major index of elements^count."""
-    q = len(elements)
+def _unrank(q: int, index: int, count: int) -> tuple:
+    """The codes at a row-major index of range(q)^count."""
     out = []
     for _ in range(count):
         index, r = divmod(index, q)
-        out.append(elements[r])
+        out.append(r)
     return tuple(reversed(out))
 
 
@@ -159,28 +164,30 @@ def _unrank(elements, index: int, count: int) -> tuple:
 # Orbit constancy.
 
 
-def _shift(p: int, value) -> list:
-    """The index permutation x -> index of (x-th element + value), for field
-    elements listed in row-major order of their residues."""
+def _shift(p: int, q: int, value: int) -> list:
+    """The code permutation x -> x + value: codes are base-p digits, added
+    digit by digit mod p."""
     perm = [0]
-    for r in (value if isinstance(value, tuple) else (value,)):
+    place = q
+    while place > 1:
+        place //= p
+        r = value // place % p
         rotated = list(range(r, p)) + list(range(r))
         perm = [b * p + y for b in perm for y in rotated]
     return perm
 
 
-def _sigma_index(positions, support, elements, p, slab) -> list:
+def _sigma_index(positions, support, p: int, q: int, slab) -> list:
     """Row-major index of sigma v for every v of a support grid whose first
     coordinate runs over slab (the action fixes it).  A coordinate that is
     not first in its block moves by its predecessor, the one before it in
     the support, so its moves repeat with the predecessor's value."""
-    q = len(elements)
     index = list(range(len(slab)))
     for j in range(1, len(support)):
         if positions[support[j]][1] == 1:
             moves = list(range(q))
         else:
-            moves = [y for v in (slab if j == 1 else elements) for y in _shift(p, v)]
+            moves = [y for v in (slab if j == 1 else range(q)) for y in _shift(p, q, v)]
         spread = [s * q for s in index for _ in range(q)]
         index = list(map(operator.add, spread, moves * (len(spread) // len(moves))))
     return index
@@ -202,30 +209,29 @@ def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
     _check_field(spec, ring)
     _check_budget(ring.order, spec.n, budget)
     positions = spec.table.positions
-    elements = ring.elements()
+    q = ring.order
     witnesses = []
     for entry in suite.entries:
         support, terms = _support_terms(entry.polynomial, ring)
         if all(positions[i][1] == 1 for i in support):
             continue        # the action fixes every coordinate it reads
-        rest = [elements] * (len(support) - 1)
-        per_first = len(elements) ** len(rest)
-        for slab in _slabs(elements, per_first):
+        rest = [range(q)] * (len(support) - 1)
+        per_first = q ** len(rest)
+        for slab in _slabs(range(q), per_first):
             values = _table(ring, terms, [slab] + rest)
-            index = _sigma_index(positions, support, elements, ring.p, slab)
-            if [values[i] for i in index] == values:
+            index = _sigma_index(positions, support, ring.p, q, slab)
+            if list(map(values.__getitem__, index)) == values:
                 continue
             at = next(u for u, i in enumerate(index) if values[u] != values[i])
             head, tail = divmod(at, per_first)
-            point = [ring.zero()] * spec.n
-            sub = (slab[head],) + _unrank(elements, tail, len(rest))
-            for i, c in zip(support, sub):
+            point = [0] * spec.n
+            for i, c in zip(support, (slab[head],) + _unrank(q, tail, len(rest))):
                 point[i] = c
             witnesses.append(tuple(point))
             break
     if not witnesses:
         return None
-    point = min(witnesses)
+    point = tuple(map(ring.decode, min(witnesses)))
     moved = act_raw(spec.blocks, ring, point)
     entry = next(e for e in suite.entries
                  if e.polynomial.evaluate_raw(point, ring)
@@ -246,62 +252,68 @@ def require_orbit_constancy(suite: InvariantSuite, ring: Ring,
 # Separation.
 
 
-def _rep_factors(blocks, ring: Ring, elements):
+def _rep_factors(blocks, p: int, q: int):
     """The representatives of the orbits in B as a product of consecutive
-    coordinate groups, each with its allowed value tuples in ascending
-    order: (first coordinate -> the first group's tuples starting with it,
-    the later groups).
+    coordinate groups, each a list of columns of codes that lists its
+    allowed values in ascending order: (slab of first coordinates -> the
+    first group's columns over those, the later groups).
 
     In B every nontrivial block has a nonzero first coordinate, and in the
     first one, a, the representative is the orbit point whose x2_a has
-    residue 0 where x1_a has its first nonzero residue (x2_a == 0 over F_p);
-    see action.is_orbit_rep_raw.  Without nontrivial blocks every point is
-    fixed and represents itself."""
-    p, k = ring.p, getattr(ring, "k", 1)
-    zero = elements[0]
+    residue 0 where x1_a has its first nonzero residue, the leading nonzero
+    digit of its code (x2_a == 0 over F_p); see action.is_orbit_rep_raw.
+    Without nontrivial blocks every point is fixed and represents itself."""
+    seconds = [[]]      # the codes of x2_a by the code of x1_a
+    place = 1
+    while place < q and max(blocks) > 1:
+        ws = [w for h in range(0, q, place * p) for w in range(h, h + place)]
+        seconds += [ws] * (place * (p - 1))     # codes led by the digit at place
+        place *= p
 
-    def pairs(u):       # (x1_a, x2_a) of representatives with x1_a = u
-        r = next(i for i, c in enumerate(u if k > 1 else (u,)) if c)
-        ws = itertools.product(*[(0,) if i == r else range(p) for i in range(k)])
-        return [(u, w if k > 1 else w[0]) for w in ws]
+    def pairs(firsts):  # the (x1_a, x2_a) columns of representatives
+        return [[u for u in firsts for _ in seconds[u]],
+                [w for u in firsts for w in seconds[u]]]
 
-    free = [(x,) for x in elements]
+    free = [range(q)]
     if blocks[0] == 1:
-        def first_group(first):
-            return [(first,)]
+        def lead(slab):
+            return [slab]
         later, lead_seen = [], False
     else:
-        def first_group(first):
-            return [] if first == zero else pairs(first)
-        later, lead_seen = [free] * (blocks[0] - 2), True
+        lead, later, lead_seen = pairs, [free] * (blocks[0] - 2), True
     for size in blocks[1:]:
         if size == 1:
             later.append(free)
         elif lead_seen:
-            later.append(free[1:])
+            later.append([range(1, q)])
             later.extend([free] * (size - 1))
         else:
-            later.append([t for u in elements[1:] for t in pairs(u)])
+            later.append(pairs(range(1, q)))
             later.extend([free] * (size - 2))
             lead_seen = True
-    return first_group, later
+    return lead, later
 
 
-def _per_first(factors, elements) -> int:
+def _per_first(factors, q: int) -> int:
     """Representatives per nonzero first coordinate (all have as many)."""
-    first_group, later = factors
-    return len(first_group(elements[-1])) * prod(map(len, later))
+    lead, later = factors
+    return prod(len(group[0]) for group in [lead(range(q - 1, q))] + later)
 
 
-def _decode(factors, elements, rep: int) -> tuple:
-    """Coordinates of a representative kept as its rank (see _scan_fibers)."""
-    first_group, later = factors
-    head, pos = divmod(rep, _per_first(factors, elements))
+def _decode(factors, ring: Ring, rep: int) -> tuple:
+    """The point of a representative kept as its rank (see _scan_fibers)."""
+    lead, later = factors
+    head, pos = divmod(rep, _per_first(factors, ring.order))
     parts = []
-    for tuples in reversed([first_group(elements[head])] + later):
-        pos, r = divmod(pos, len(tuples))
-        parts.append(tuples[r])
-    return tuple(c for t in reversed(parts) for c in t)
+    for group in reversed([lead(range(head, head + 1))] + later):
+        pos, r = divmod(pos, len(group[0]))
+        parts.append([column[r] for column in group])
+    return tuple(ring.decode(c) for part in reversed(parts) for c in part)
+
+
+def _distinct(column):
+    """The values of a column, each once."""
+    return column if isinstance(column, range) else list(dict.fromkeys(column))
 
 
 def _lookup(groups, support, lists) -> list:
@@ -310,75 +322,82 @@ def _lookup(groups, support, lists) -> list:
     read = {}
     size = 1
     for i, values in zip(reversed(support), reversed(lists)):
-        read[i] = (size, {v: r for r, v in enumerate(values)})
+        position = (values.index if isinstance(values, range) else
+                    {v: r for r, v in enumerate(values)}.__getitem__)
+        read[i] = (size, position)
         size *= len(values)
     index = [0]
     coord = 0
-    for tuples in groups:
-        width = len(tuples[0])
-        used = [(j, *read[coord + j]) for j in range(width) if coord + j in read]
-        coord += width
-        if used:
-            offsets = [0] * len(tuples)
-            for j, stride, rank in used:
-                offsets = [o + rank[t[j]] * stride for o, t in zip(offsets, tuples)]
-            index = [b + o for b in index for o in offsets]
-        else:
-            index = [b for b in index for _ in tuples]
+    for group in groups:
+        offsets = [0] * len(group[0])
+        for c, column in enumerate(group, coord):
+            if c in read:
+                stride, position = read[c]
+                offsets = list(map(operator.add, offsets,
+                                   map(stride.__mul__, map(position, column))))
+        coord += len(group)
+        index = [b + o for b in index for o in offsets]
     return index
 
 
-def _scan_fibers(suite: InvariantSuite, ring: Ring, elements, factors):
+def _scan_fibers(suite: InvariantSuite, ring: Ring, factors):
     """The fibers of the representatives of B: ({key: first representative},
-    {key: representatives} of the keys met more than once).
+    {first representative: representatives} of the _MAX_WITNESS_PAIRS fibers
+    met more than once whose first representatives are smallest; each of
+    them gives a witness pair, so no other fiber can give one).
 
     Entries reading the first coordinate are tabulated per slab of first
-    coordinates, the others once.  F_{p^k} values enter keys as their
-    ranks in elements(), and a representative is kept as its rank, the
-    first coordinate's rank times the representatives per first coordinate
-    plus its position among them; both order like what they stand for.
-    Representatives are met in ascending order, so each fiber keeps its
-    first _KEEP_REPS, sorted."""
-    first_group, later = factors
-    rank = dict(zip(elements, range(len(elements))))
+    coordinates, the others once.  A key is one int, the entries' codes
+    as digits in base q, and a representative is kept as its rank, the
+    first coordinate's code times the representatives per first coordinate
+    plus its position among them; ranks order like the points.  A slab's
+    keys go into the fibers at once when none repeats or was met before;
+    otherwise one at a time.  Representatives are met in ascending order,
+    so each fiber keeps its first _KEEP_REPS, sorted."""
+    lead, later = factors
+    q = ring.order
     entries = [_support_terms(e.polynomial, ring) for e in suite.entries]
-    later_lists = []
-    for tuples in later:
-        later_lists.extend(list(dict.fromkeys(column)) for column in zip(*tuples))
+    later_lists = [_distinct(column) for group in later for column in group]
     fixed = {}      # tables of entries that do not read the first coordinate
-    later_size = prod(map(len, later))
-    per_first = _per_first(factors, elements)
+    per_first = _per_first(factors, q)
     seen = {}       # key -> its first representative
-    shared = {}     # key -> first _KEEP_REPS reps of keys met more than once
-    for slab in _slabs(range(len(elements)), per_first):
-        starts = [(r, first_group(elements[r])) for r in slab]
-        lead = [t for _, tuples in starts for t in tuples]
-        heads = [r * per_first + i * later_size
-                 for r, tuples in starts for i in range(len(tuples))]
-        if not lead:
+    shared = {}     # first representative -> the fiber's first _KEEP_REPS
+    bound = math.inf    # the largest first representative kept in shared
+    for slab in _slabs(range(q), per_first):
+        groups = [lead(slab)] + later
+        if not groups[0][0]:
             continue    # no point of B starts here
-        groups = [lead] + later
-        lists = [list(dict.fromkeys(column)) for column in zip(*lead)] + later_lists
-        columns = []
+        lists = [_distinct(column) for column in groups[0]] + later_lists
+        keys = None
         for j, (support, terms) in enumerate(entries):
             grid = [lists[i] for i in support]
             table = fixed.get(j)
             if table is None:
                 table = _table(ring, terms, grid)
-                if isinstance(table[0], tuple):
-                    table = [rank[v] for v in table]
+                if j:
+                    table = [v * q ** j for v in table]
                 if not support or support[0] != 0:
                     fixed[j] = table
-            columns.append([table[i] for i in _lookup(groups, support, grid)])
-        for pos, key in enumerate(zip(*columns)):
-            if key not in seen:
-                seen[key] = heads[pos // later_size] + pos % later_size
+            column = list(map(table.__getitem__, _lookup(groups, support, grid)))
+            keys = column if keys is None else list(map(operator.add, keys, column))
+        start = groups[0][0][0] * per_first
+        fresh = dict(zip(keys, range(start, start + len(keys))))
+        if len(fresh) == len(keys) and fresh.keys().isdisjoint(seen.keys()):
+            seen.update(fresh)
+            continue
+        for rep, key in enumerate(keys, start):
+            first = seen.setdefault(key, rep)
+            if first == rep or first > bound:
                 continue
-            kept = shared.get(key)
+            kept = shared.get(first)
             if kept is None:
-                kept = shared[key] = [seen[key]]
+                kept = shared[first] = [first]
+                if len(shared) > _MAX_WITNESS_PAIRS:
+                    del shared[max(shared)]
+                if len(shared) == _MAX_WITNESS_PAIRS:
+                    bound = max(shared)
             if len(kept) < _KEEP_REPS:
-                kept.append(heads[pos // later_size] + pos % later_size)
+                kept.append(rep)
     return seen, shared
 
 
@@ -446,17 +465,17 @@ def separation_report(suite: InvariantSuite, ring: Ring,
     _check_field(spec, ring)
     _check_budget(ring.order, spec.n, budget)
     resolve_workers(workers)
-    firsts = ring.elements()
-    factors = _rep_factors(spec.blocks, ring, firsts)
+    q = ring.order
+    factors = _rep_factors(spec.blocks, ring.p, q)
     # with a nontrivial first block, no representative has first coordinate 0
-    reps = _per_first(factors, firsts) * (len(firsts) - (spec.blocks[0] > 1))
+    reps = _per_first(factors, q) * (q - (spec.blocks[0] > 1))
     with gc_paused():
-        seen, shared = _scan_fibers(suite, ring, firsts, factors)
+        seen, shared = _scan_fibers(suite, ring, factors)
     fiber_count = len(seen)
     pairs = []
     for kept in sorted(shared.values()):
         for a, b in itertools.combinations(kept, 2):
-            pairs.append((_decode(factors, firsts, a), _decode(factors, firsts, b)))
+            pairs.append((_decode(factors, ring, a), _decode(factors, ring, b)))
             if len(pairs) == _MAX_WITNESS_PAIRS:
                 break
         if len(pairs) == _MAX_WITNESS_PAIRS:
@@ -493,23 +512,23 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
         raise ValueError("block size exceeds p")
     _check_budget(ring.order, n, budget)
     f = _connecting_rational(n).polynomial.change_ring(ring)
-    terms = [(c, exps) for exps, c in f.terms()]
-    elements = ring.elements()
-    q = len(elements)
-    rest = [elements] * (n - 1)
+    terms = [(ring.encode(c), exps) for exps, c in f.terms()]
+    q = ring.order
+    rest = [range(q)] * (n - 1)
     rows = q ** (n - 2)     # per first coordinate
-    for slab in _slabs(elements[1:], rows * q):
+    for slab in _slabs(range(1, q), rows * q):
         values = _table(ring, terms, [slab] + rest)
         for start in range(0, len(values), q):
             row = values[start:start + q]
             if len(set(row)) == q:
                 continue
             head, tail = divmod(start // q, rows)
-            prefix = (slab[head],) + _unrank(elements, tail, n - 2)
+            prefix = (slab[head],) + _unrank(q, tail, n - 2)
             seen = {}
-            for last, val in zip(elements, row):
+            for last, val in enumerate(row):
                 if val in seen:
-                    return prefix + (seen[val],), prefix + (last,)
+                    return (tuple(map(ring.decode, prefix + (seen[val],))),
+                            tuple(map(ring.decode, prefix + (last,))))
                 seen[val] = last
     return None
 

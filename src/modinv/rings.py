@@ -5,7 +5,9 @@ prime fields F_p, and small extension fields F_{p^k} with a deterministically
 chosen irreducible modulus.  Values are plain immutable "raw" values
 (Fraction, int, or tuples of residues) that carry no ring; a Ring object does
 the arithmetic on them and renders and parses the textual encodings used in
-reports and JSON.  Nothing here ever rounds.
+reports and JSON.  Finite fields also number their elements by int codes in
+elements() order, and tabulate polynomials on codes (extend_table), which is
+how the verifier computes.  Nothing here ever rounds.
 """
 
 import contextlib
@@ -74,10 +76,6 @@ def gc_paused():
 # Modulus search for extension fields.
 
 IRREDUCIBLE_SEARCH_BOUND = 1 << 20
-
-# Multiplication tables are only built for fields at most this large.
-_TABLE_MAX_ORDER = 1 << 16
-
 
 def _poly_deg(coeffs) -> int:
     for i in range(len(coeffs) - 1, -1, -1):
@@ -193,20 +191,6 @@ class Ring:
             base = self.mul(base, base)
             e >>= 1
         return acc
-
-    def extend_table(self, coeffs, xs):
-        """Row-major table of sum_e a_e * x^e over every prefix and x in xs.
-
-        coeffs maps each exponent e to the values a_e of its coefficient at
-        every prefix point (all of one length); the result lists, prefix by
-        prefix, the polynomial's value at each x.
-        """
-        out = None
-        for e, table in coeffs.items():
-            powers = [self.pow(x, e) for x in xs]
-            part = [self.mul(a, w) for a in table for w in powers]
-            out = part if out is None else list(map(self.add, out, part))
-        return out
 
     def is_negative(self, a) -> bool:
         """Whether the rendered form carries a leading minus sign."""
@@ -368,8 +352,21 @@ class PrimeField(Ring):
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
+    def encode(self, a) -> int:
+        """The code of an element (see ExtensionField): the residue itself."""
+        return a
+
+    decode = encode
+
     def extend_table(self, coeffs, xs):
-        # sums reduced once per value
+        """Row-major table of sum_e a_e * x^e over every prefix and x in xs,
+        on codes.
+
+        coeffs maps each exponent e to the values a_e of its coefficient at
+        every prefix point (all of one length); the result lists, prefix by
+        prefix, the polynomial's value at each x.  Sums are reduced once per
+        value.
+        """
         p = self.p
         out = None
         for e, table in coeffs.items():
@@ -402,10 +399,11 @@ class ExtensionField(Ring):
 
     Raw values are length-k tuples of residues, low degree first.  The
     modulus is the canonical one from find_irreducible, so two fields with
-    the same (p, k) are interchangeable.  Small fields get lazily built
-    log/exp tables to keep exhaustive enumeration fast.  elements() is built
-    once as well, and the tables hold its tuples, not copies.  Pickling
-    builds the tables first, so an unpickled copy carries them.
+    the same (p, k) are interchangeable.  Each element also has a code, its
+    rank in elements() order: the residues read as base-p digits, the
+    constant one most significant, so codes order like the tuples.  Three
+    int tables on codes are built on first use (see _tables); extend_table
+    works on codes through them, and mul, pow and inv convert their tuples.
     """
 
     is_field = True
@@ -418,12 +416,21 @@ class ExtensionField(Ring):
         self.order = p ** k
         self._zero = (0,) * k
         self._elements = None
-        self._log = None
-        self._exp = None
+        self._log = self._exp = self._zech = None
 
-    def __getstate__(self):
-        self._tables_ready()
-        return self.__dict__
+    def encode(self, a) -> int:
+        """The code of an element: its rank in elements()."""
+        code = 0
+        for r in a:
+            code = code * self.p + r
+        return code
+
+    def decode(self, code: int) -> tuple:
+        """The element with a code."""
+        out = [0] * self.k
+        for i in range(self.k - 1, -1, -1):
+            code, out[i] = divmod(code, self.p)
+        return tuple(out)
 
     def zero(self):
         return self._zero
@@ -470,17 +477,29 @@ class ExtensionField(Ring):
             e >>= 1
         return acc
 
+    def _tables(self):
+        """(log, exp, zech) on codes, built on first use.
+
+        g is the first generator of the multiplicative group in code order.
+        log[c] is the log of code c to base g, and exp[i] the code of g^i;
+        zero's log, log[0], is 2(q - 1), past every sum of two logs, and exp
+        is 0 from there on, so a product is exp[log a + log b], zeros
+        included.  exp runs through the cycle twice, so a sum of two logs
+        needs no reduction.  zech[n] is log(1 + g^n) (zero's log where that
+        is 0), so nonzero a and b add to exp[log a + zech[log b - log a]]; a
+        negative index wraps like n mod q - 1."""
+        if self._log is None:
+            self._build_tables()
+        return self._log, self._exp, self._zech
+
     def _build_tables(self):
-        """Log/exp tables from the first generator of the multiplicative group
-        in elements() order: g generates exactly when g^((q-1)/r) != 1 for
-        every prime r dividing q - 1."""
+        # g generates exactly when g^((q-1)/r) != 1 for every prime r | q - 1
         cycle = self.order - 1
         primes = [r for r in range(2, cycle + 1) if cycle % r == 0 and is_prime(r)]
         one = self.one()
-        elements = self.elements()
-        for g in elements:
-            if g != self._zero and all(self._pow_conv(g, cycle // r) != one
-                                       for r in primes):
+        for code in range(1, self.order):
+            g = self.decode(code)
+            if all(self._pow_conv(g, cycle // r) != one for r in primes):
                 break
         # Multiplication by g is F_p-linear: g*v is the sum of v_i * (g*x^i).
         # Residue vectors are packed into one int, w bits per residue, so two
@@ -490,68 +509,57 @@ class ExtensionField(Ring):
         # of the residues are tabulated, so each next power of g is one
         # reduced sum of two table entries.
         p, k, half = self.p, self.k, self.k // 2
-        top = (2 * p - 2).bit_length()      # w - 1, the flag bit of a residue
-        w = top + 1
+        flag = (2 * p - 2).bit_length()     # w - 1, the flag bit of a residue
+        w = flag + 1
 
         def pack(residues):
             return sum(r << (w * i) for i, r in enumerate(residues))
 
-        flags = pack([1 << top] * k)
-        bias = pack([(1 << top) - p] * k)
+        flags = pack([1 << flag] * k)
+        bias = pack([(1 << flag) - p] * k)
 
         def reduce(x):
-            return x - (((x + bias) & flags) * p >> top)
+            return x - (((x + bias) & flags) * p >> flag)
 
         def half_tables(lo, hi):
             """packed residues lo..hi-1 -> (packed image under g, their
-            share of the lexicographic rank)"""
-            images, ranks = {0: 0}, {0: 0}
+            share of the code)"""
+            images, codes = {0: 0}, {0: 0}
             for i in range(lo, hi):
                 column = pack(self._mul_conv(g, tuple(int(i == j) for j in range(k))))
                 unit, place = 1 << (w * (i - lo)), p ** (k - 1 - i)
                 for key, image in list(images.items()):
-                    rank = ranks[key]
+                    code = codes[key]
                     for d in range(1, p):
                         image = reduce(image + column)
                         images[key + d * unit] = image
-                        ranks[key + d * unit] = rank + d * place
-            return images, ranks
+                        codes[key + d * unit] = code + d * place
+            return images, codes
 
-        (low, low_rank), (high, high_rank) = half_tables(0, half), half_tables(half, k)
+        (low, low_code), (high, high_code) = half_tables(0, half), half_tables(half, k)
         shift = w * half
         mask = (1 << shift) - 1
-        logs = [0] * self.order     # the log of each element, by rank
+        logs = [0] * self.order     # by code
+        exp = [0] * cycle           # by log
         x = 1
         for i in range(cycle):
             lo, hi = x & mask, x >> shift
-            logs[low_rank[lo] + high_rank[hi]] = i
+            exp[i] = code = low_code[lo] + high_code[hi]
+            logs[code] = i
             x = low[lo] + high[hi]
-            x -= ((x + bias) & flags) * p >> top      # reduce, inlined
-        # Both tables are filled in elements() order: touching the tuples in
-        # the order they lie in memory is markedly faster than in the order
-        # of the powers.
-        exp = [None] * cycle
-        for i, v in zip(logs[1:], elements[1:]):
-            exp[i] = v
-        self._exp = exp
-        self._log = dict(zip(elements[1:], logs[1:]))
-
-    def _tables_ready(self) -> bool:
-        """Whether log/exp tables serve this field, building them on first use;
-        False above _TABLE_MAX_ORDER, where arithmetic stays on convolution."""
-        if self._exp is None:
-            if self.order > _TABLE_MAX_ORDER:
-                return False
-            self._build_tables()
-        return True
+            x -= ((x + bias) & flags) * p >> flag     # reduce, inlined
+        logs[0] = 2 * cycle
+        # adding 1 adds 1 to the most significant digit, place q/p, mod p
+        place = self.order // p
+        plus_one = logs[place:] + logs[:place]      # log(1 + a) at a's code
+        self._zech = list(map(plus_one.__getitem__, exp))
+        exp *= 2
+        exp.extend(itertools.repeat(0, 2 * cycle + 1))
+        self._exp, self._log = exp, logs
 
     def mul(self, a, b):
-        if not self._tables_ready():
-            return self._mul_conv(a, b)
-        log = self._log
-        if a not in log or b not in log:  # either factor is zero
-            return self._zero
-        return self._exp[(log[a] + log[b]) % (self.order - 1)]
+        log, exp, _ = self._tables()
+        return self.decode(exp[log[self.encode(a)] + log[self.encode(b)]])
 
     def inv(self, a):
         if a == self._zero:
@@ -561,25 +569,25 @@ class ExtensionField(Ring):
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        if not any(a):
+        code = self.encode(a)
+        if not code:
             return self.one() if e == 0 else self._zero
-        if not self._tables_ready():
-            return self._pow_conv(a, e)
-        return self._exp[(self._log[a] * e) % (self.order - 1)]
+        log, exp, _ = self._tables()
+        return self.decode(exp[log[code] * e % (self.order - 1)])
 
     def extend_table(self, coeffs, xs):
-        if not self._tables_ready():
-            return Ring.extend_table(self, coeffs, xs)
-        # a product is exp[log a + log w]; zero has no log
-        log, exp, cycle, zero = self._log, self._exp, self.order - 1, self._zero
-        logs = [log.get(x) for x in xs]
+        # on codes, through the tables: see _tables
+        log, exp, zech = self._tables()
+        cycle, nolog = self.order - 1, log[0]
+        logs = list(map(log.__getitem__, xs))
         out = None
         for e, table in coeffs.items():
-            powers = ([0] * len(xs) if e == 0 else
-                      [None if v is None else v * e for v in logs])
-            part = [zero if a is None or w is None else exp[(a + w) % cycle]
-                    for a in map(log.get, table) for w in powers]
-            out = part if out is None else list(map(self.add, out, part))
+            powers = ([0] * len(xs) if e == 0 else logs if e == 1 else
+                      [v if v == nolog else v * e % cycle for v in logs])
+            part = [exp[a + v] for a in map(log.__getitem__, table) for v in powers]
+            out = part if out is None else [
+                b if not a else a if not b else exp[(la := log[a]) + zech[log[b] - la]]
+                for a, b in zip(out, part)]
         return out
 
     def render(self, a):
@@ -592,8 +600,7 @@ class ExtensionField(Ring):
         return parts
 
     def elements(self):
-        # Tuple-lexicographic order, built once: the log/exp tables hold
-        # these same tuples, and the generator search relies on the order.
+        # tuple-lexicographic order, the order of codes, built once
         if self._elements is None:
             with gc_paused():
                 self._elements = tuple(itertools.product(range(self.p), repeat=self.k))

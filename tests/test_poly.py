@@ -133,14 +133,29 @@ def test_field_evaluate_constant_and_zero(field):
         assert Polynomial.constant(ZZ, table, field.p).evaluate_raw(point, field) == field.zero()
 
 
-def test_large_extension_field_evaluates_without_tables():
+def test_large_extension_field_evaluates_through_tables():
+    # every field the modulus search accepts gets tables; 2^17 used to be
+    # above their size limit
     field = GF(2, 17)
     table = VariableTable((3,))
     f = Polynomial(ZZ, table, {(0, 0, 0): 1, (2, 0, 1): 1, (0, 5, 0): 3, (1, 1, 19): 1})
     values = list(itertools.islice(field.elements(), 1, 200, 37))
     for coords in itertools.product([field.zero()] + values, repeat=3):
-        assert f.evaluate_raw(coords, field) == reference_evaluate(f, coords, field)
-    assert field._exp is None       # the generic path ran: no tables built
+        expected = field.zero()
+        for exps, c in f._terms.items():
+            val = coerce(c, ZZ, field)
+            for x, e in zip(coords, exps):
+                val = field._mul_conv(val, field._pow_conv(x, e))
+            expected = field.add(expected, val)
+        assert f.evaluate_raw(coords, field) == expected
+    # the tables ran: the generator's first powers, by convolution
+    exp = field._exp
+    g = field.decode(exp[1])
+    powers = [field.one()]
+    for _ in range(300):
+        powers.append(field._mul_conv(powers[-1], g))
+    assert [field.decode(c) for c in exp[:301]] == powers
+    assert all(field._log[c] == i for i, c in enumerate(exp[:301]))
 
 
 def test_weight_components_examples():

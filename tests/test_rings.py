@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,20 @@ SMALL_EXTENSIONS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 8)
                     if p ** k <= 3 ** 5]
 
 
+def decoded_tables(field):
+    """The int tables read back as elements: (the powers of the generator
+    in log order, {element: log}), after checking their layout."""
+    log, exp, zech = field._tables()
+    q, cycle = field.order, field.order - 1
+    assert len(log) == q and log[0] == 2 * cycle       # zero's log
+    assert len(exp) == 4 * cycle + 1 and len(zech) == cycle
+    assert exp[cycle:2 * cycle] == exp[:cycle]          # the cycle twice
+    assert not any(exp[2 * cycle:])                     # then zeros
+    assert all(type(v) is int for table in (log, exp, zech) for v in table)
+    return ([field.decode(c) for c in exp[:cycle]],
+            {field.decode(c): i for c, i in enumerate(log) if c})
+
+
 @given(st.sampled_from(SMALL_EXTENSIONS))
 def test_log_tables_use_first_full_order_element(pk):
     field = ExtensionField(*pk)
@@ -160,8 +175,9 @@ def test_log_tables_use_first_full_order_element(pk):
         if len(powers) == field.order - 1:
             break
     field.mul(one, one)                 # builds the tables
-    assert field._exp == powers
-    assert field._log == {v: i for i, v in enumerate(powers)}
+    exp, log = decoded_tables(field)
+    assert exp == powers
+    assert log == {v: i for i, v in enumerate(powers)}
 
 
 def reference_exp(field):
@@ -188,13 +204,71 @@ EXP_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for k in range(2,
 def test_exp_table_matches_convolution_walk(p, k):
     field = ExtensionField(p, k)
     field.mul(field.one(), field.one())     # builds the tables
+    assert field._elements is None          # without the element tuples
     expected = reference_exp(field)
-    assert field._exp == expected
-    assert field._log == {v: i for i, v in enumerate(expected)}
-    # the tables hold the element tuples themselves, not copies
-    ids = set(map(id, field.elements()))
-    assert all(id(v) in ids for v in field._exp)
-    assert all(id(v) in ids for v in field._log)
+    exp, log = decoded_tables(field)
+    assert exp == expected
+    assert log == {v: i for i, v in enumerate(expected)}
+    # zech[n] is the log of 1 + g^n, zero's log where that is zero
+    zech, one = field._tables()[2], field.one()
+    assert zech == [field._log[field.encode(field.add(one, v))] for v in expected]
+
+
+def field_cases(q_max):
+    return [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                             59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 251)
+            for k in range(1, 9) if p ** k <= q_max]
+
+
+def code_sums_and_products(field, xs, ys):
+    """extend_table on codes: every x + y, then every x * y and x * y^e."""
+    one = field.encode(field.one())
+    sums = field.extend_table({0: xs, 1: [one] * len(xs)}, ys)
+    products = field.extend_table({1: xs}, ys)
+    return sums, products
+
+
+@pytest.mark.parametrize("p,k", field_cases(256))
+def test_code_kernels_on_every_pair(p, k):
+    field = GF(p, k)
+    q = field.order
+    elements = field.elements()
+    assert [field.encode(a) for a in elements] == list(range(q))
+    assert [field.decode(c) for c in range(q)] == list(elements)
+    mul = field._mul_conv if k > 1 else lambda a, b: a * b % p
+    codes = list(range(q))
+    sums, products = code_sums_and_products(field, codes, codes)
+    for a in codes:
+        for b in codes:
+            x, y = elements[a], elements[b]
+            assert field.decode(sums[a * q + b]) == field.add(x, y), (x, y)
+            assert field.decode(products[a * q + b]) == mul(x, y), (x, y)
+            assert field.mul(x, y) == mul(x, y)
+    for e in (0, 1, 2, p, q - 2, q - 1, q):
+        powers = field.extend_table({e: [field.encode(field.one())]}, codes)
+        expected = [field._pow_conv(x, e) if k > 1 else pow(x, e, p) for x in elements]
+        assert [field.decode(c) for c in powers] == expected, e
+        assert [field.pow(x, e) for x in elements] == expected, e
+
+
+@pytest.mark.parametrize("p,k", [(2, 16), (3, 10), (7, 5), (251, 2)])
+def test_code_kernels_on_sampled_pairs(p, k):
+    field = GF(p, k)
+    rng = random.Random(p ** k)
+    xs = [0, field.encode(field.one())] + [rng.randrange(1, field.order) for _ in range(100)]
+    # b = -a makes every Zech step that lands on zero
+    negatives = [field.encode(field.neg(field.decode(a))) for a in xs]
+    ys = negatives + [0] + [rng.randrange(1, field.order) for _ in range(100)]
+    sums, products = code_sums_and_products(field, xs, ys)
+    for i, a in enumerate(xs):
+        x = field.decode(a)
+        assert field.encode(x) == a
+        for j, b in enumerate(ys):
+            y = field.decode(b)
+            assert field.decode(sums[i * len(ys) + j]) == field.add(x, y)
+            assert field.decode(products[i * len(ys) + j]) == field._mul_conv(x, y)
+        assert sums[i * len(ys) + i] == 0       # a + (-a)
+        assert field.mul(x, field.decode(ys[i])) == field._mul_conv(x, field.decode(ys[i]))
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
@@ -243,14 +317,17 @@ def test_extension_field_equality_and_pickle():
     clone = pickle.loads(pickle.dumps(f25))
     assert clone == f25
     assert clone.mul((0, 1), (0, 1)) == f25.mul((0, 1), (0, 1))
-    # built log/exp tables travel with the pickle, so workers skip rebuilding
+    # built tables travel with the pickle
     warm = pickle.loads(pickle.dumps(f25))
     assert warm._exp is not None
-    assert warm._exp == f25._exp and warm._log == f25._log
-    # a field not used yet builds them when pickled; fields above the table
-    # limit never do
+    assert warm._tables() == f25._tables()
+    assert decoded_tables(warm)[0] == reference_exp(f25)
+    # pickling builds none; the copy builds the same ones on first use
     fresh, used = GF(3, 2), GF(3, 2)
     used.mul(used.one(), used.one())
     assert fresh._exp is None
-    assert pickle.loads(pickle.dumps(fresh))._exp == used._exp
-    assert pickle.loads(pickle.dumps(GF(2, 17)))._exp is None
+    cold = pickle.loads(pickle.dumps(fresh))
+    assert cold._exp is None
+    cold.mul(cold.one(), cold.one())
+    assert cold._tables() == used._tables()
+    assert decoded_tables(cold)[0] == reference_exp(used)

@@ -14,7 +14,13 @@ every spec with q^n <= 5^4 and, for n <= 7, on every suite with one entry
 bumped by one variable or by a quadratic that breaks invariance away from
 the orbit's smallest point.  Suites whose bumped entry reads another block,
 or a coordinate beyond the ones before it, must give the same constancy
-result and separation report as both references.
+result and separation report as both references, and so must entries
+bumped by sums of several terms with coefficients outside F_p, over
+F_{p^k} with p odd.
+
+The scan puts a slab's fiber keys in at once when none repeats or was met
+before, and one at a time otherwise; suites whose fibers are met again only
+in later slabs run both ways and must match reference_scan.
 
 reference_lifting is the lifting check as it was before value tables: it
 evaluates the top connecting invariant along the last coordinate, prefix by
@@ -25,6 +31,7 @@ collides.
 
 import dataclasses
 import itertools
+import random
 from bisect import insort
 
 import pytest
@@ -279,3 +286,79 @@ def test_fibers_shared_across_first_coordinates(p, k, blocks):
         report = separation_report(suite, field, workers=workers)
         assert (report.points_in_b, report.orbit_count_in_b,
                 report.fiber_count, report.witness_pairs) == tuple(expected), workers
+
+
+def slab_kinds(suite, ring):
+    """For each slab of the scan, in order, whether its keys go in at once
+    ("bulk": none repeats or was met before) or one at a time, decided
+    from the reference's representatives and values."""
+    *_, minima = reference_scan(suite, ring)
+    per_first = len(minima) // len({point[0] for point in minima})
+    step = max(1, oracle._SLAB_POINTS // per_first)
+    slabs = {}
+    for point in minima:
+        key = tuple(e.polynomial.evaluate_raw(point, ring) for e in suite.entries)
+        slabs.setdefault(ring.encode(point[0]) // step, []).append(key)
+    seen, kinds = set(), []
+    for _, keys in sorted(slabs.items()):
+        fresh = len(set(keys)) == len(keys) and seen.isdisjoint(keys)
+        kinds.append("bulk" if fresh else "fallback")
+        seen.update(keys)
+    return kinds
+
+
+@pytest.mark.parametrize("p,k,blocks", [(5, 1, (2,)), (7, 1, (2,)), (5, 1, (1, 2)),
+                                        (2, 2, (2,)), (2, 2, (1, 2)), (3, 2, (2,)),
+                                        (5, 2, (2,))])
+def test_bulk_and_fallback_slabs_match_reference(monkeypatch, p, k, blocks):
+    # one first coordinate per slab; without its first entry the suite is
+    # injective on the representatives with one first coordinate but not
+    # across them, so the first slab goes in at once and every later one
+    # meets fibers of earlier slabs
+    monkeypatch.setattr(oracle, "_SLAB_POINTS", 1)
+    field = GF(p, k)
+    suite = build_suite(RepresentationSpec(p, blocks), "fp")
+    doctored = dataclasses.replace(suite, entries=suite.entries[1:])
+    kinds = slab_kinds(doctored, field)
+    assert kinds[0] == "bulk" and kinds[1:] and set(kinds[1:]) == {"fallback"}
+    for checked in (doctored, suite):
+        report = separation_report(checked, field)
+        *expected, _ = reference_scan(checked, field)
+        assert (report.points_in_b, report.orbit_count_in_b,
+                report.fiber_count, report.witness_pairs) == tuple(expected)
+    # the first witness pair spans two slabs
+    a, b = separation_report(doctored, field).witness_pairs[0]
+    assert a[0] != b[0]
+
+
+@pytest.mark.parametrize("p,k,blocks", [(3, 2, (3,)), (3, 3, (2,)), (5, 2, (2,)),
+                                        (7, 2, (2,)), (3, 2, (1, 2))])
+def test_constancy_of_multi_term_entries_over_extension_fields(p, k, blocks):
+    # several terms with coefficients outside F_p: table values are sums
+    # through Zech logarithms, some of them cancelling; a bump in the
+    # first coordinate alone keeps the suite invariant
+    field = GF(p, k)
+    rng = random.Random(p ** k)
+    suite = build_suite(RepresentationSpec(p, blocks), "fp")
+    table = suite.spec.table
+    x = [Polynomial.variable(field, table, i) for i in range(table.n)]
+
+    def coefficient():
+        return Polynomial.constant(field, table, rng.choice(field.elements()[1:]))
+
+    results = []
+    for trial in range(8):
+        i, j = rng.randrange(table.n), rng.randrange(table.n)
+        if trial % 4 == 0:
+            i = j = 0
+        bump = (coefficient() * x[i] ** rng.randint(1, p + 1)
+                + coefficient() * x[i] * x[j] + coefficient())
+        index = rng.randrange(len(suite.entries))
+        entries = list(suite.entries)
+        entries[index] = dataclasses.replace(
+            entries[index], polynomial=entries[index].polynomial.change_ring(field) + bump)
+        doctored = dataclasses.replace(suite, entries=tuple(entries))
+        witness = verify_orbit_constancy(doctored, field)
+        assert witness == reference_constancy(doctored, field), (trial, bump)
+        results.append(witness is None)
+    assert True in results and False in results
