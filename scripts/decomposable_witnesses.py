@@ -17,7 +17,6 @@ Usage: python3 scripts/decomposable_witnesses.py [--p 5] [--k 1]
 """
 
 import argparse
-import dataclasses
 import sys
 
 from modinv.action import RepresentationSpec, delta, orbit_rep_raw
@@ -62,7 +61,7 @@ def main():
 
     det_inv = cross_block_determinant(spec, GF(args.p))
     assert delta(det_inv).is_zero
-    augmented = dataclasses.replace(suite, entries=suite.entries + (
+    augmented = suite._replace(entries=suite.entries + (
         SuiteEntry("D", 0, 2, "cross", det_inv),))
     print("augmented with D = x1_1*x2_2 - x1_2*x2_1:")
     print(separation_report(augmented, field, args.budget, args.workers).render())

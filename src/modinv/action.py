@@ -15,11 +15,11 @@ nontrivial block has a nonzero leading coordinate), the orbit
 representative and render_point.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import comb
 
-from .poly import Polynomial, VariableTable
+from .poly import Polynomial, Record, VariableTable
 from .rings import Ring, is_prime
 
 
@@ -27,24 +27,21 @@ class BlockExceedsP(Exception):
     """A Jordan block larger than p is not unipotent of order p."""
 
 
-@dataclass(frozen=True)
-class RepresentationSpec:
+class RepresentationSpec(Record, namedtuple("RepresentationSpec", "p blocks")):
     """Prime p together with the Jordan block sizes, each in 1..p."""
 
-    p: int
-    blocks: tuple
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        object.__setattr__(self, "blocks", tuple(int(s) for s in self.blocks))
-        if not self.blocks:
+    def __new__(cls, p, blocks):
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        blocks = tuple(int(s) for s in blocks)
+        if not blocks:
             raise ValueError("at least one block is required")
-        for s in self.blocks:
+        for s in blocks:
             if s < 1:
                 raise ValueError(f"block sizes must be positive, got {s}")
-            if s > self.p:
+            if s > p:
                 raise BlockExceedsP("block size exceeds p")
+        return super().__new__(cls, p, blocks)
 
     @cached_property
     def n(self) -> int:

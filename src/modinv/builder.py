@@ -16,14 +16,15 @@ on its weight and family, not on n, so it is solved once and shared by
 every f_m.  Direct sums are handled blockwise.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from . import linalg
 from .action import BlockExceedsP, RepresentationSpec, _sigma_monomial
-from .poly import Polynomial, VariableTable, embed, monomial_text, ring_code
+from .poly import (Polynomial, Record, VariableTable, embed, monomial_text,
+                   ring_code)
 from .rings import GF, QQ, ZZ, RationalRing, Ring
 
 
@@ -49,14 +50,8 @@ _W_FAMILIES = {"W", "Wprime"}
 _S_FAMILIES = {"S", "Sprime", "Shat"}
 
 
-@dataclass(frozen=True)
-class WeightSpaceBasis:
+class WeightSpaceBasis(Record, namedtuple("WeightSpaceBasis", "family d n monomials")):
     """Ordered monomial basis of one weight space (exponent tuples over n vars)."""
-
-    family: str
-    d: int
-    n: int
-    monomials: tuple
 
     def __len__(self):
         return len(self.monomials)
@@ -170,29 +165,19 @@ def restricted_delta_matrix(source: WeightSpaceBasis, target: WeightSpaceBasis):
 # Connecting invariants.
 
 
-@dataclass(frozen=True)
-class EliminationStep:
-    """Record of one cancellation step (kept for export and audits)."""
-
-    weight: int            # weight of the monomials solved for
-    family: str
-    source: tuple          # monomial names, order = matrix columns
-    target: tuple          # monomial names, order = matrix rows
-    matrix: tuple          # integer rows
-    det: object            # int for square systems, else None
-    solution: tuple        # rendered coefficients of the correction term
+class EliminationStep(Record, namedtuple(
+        "EliminationStep", "weight family source target matrix det solution")):
+    """Record of one cancellation step (kept for export and audits): the
+    weight of the monomials solved for, the family, the source and target
+    monomial names (matrix columns and rows), the integer rows, det (int for
+    square systems, else None) and the rendered coefficients of the
+    correction term."""
 
 
-@dataclass(frozen=True)
-class ConnectingInvariant:
+class ConnectingInvariant(Record, namedtuple(
+        "ConnectingInvariant", "n degree polynomial tail steps")):
     """Invariant x1*x_n + h (degree 2) or x1^2*x_n + h (degree 3), with h
     free of x_n, together with the elimination-step records."""
-
-    n: int
-    degree: int
-    polynomial: Polynomial
-    tail: Polynomial
-    steps: tuple
 
 
 def _designated_family(degree: int, d: int) -> str:
@@ -384,21 +369,13 @@ def integral_form(f) -> Polynomial:
 # Suites.
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
-    name: str
-    block_index: int       # 1-based
-    degree: int
-    kind: str              # "linear" | "norm" | "connecting"
-    polynomial: Polynomial
+class SuiteEntry(Record, namedtuple(
+        "SuiteEntry", "name block_index degree kind polynomial")):
+    """One suite entry; block_index is 1-based and kind is "linear", "norm"
+    or "connecting"."""
 
 
-@dataclass(frozen=True)
-class InvariantSuite:
-    spec: RepresentationSpec
-    ring: Ring
-    entries: tuple
-
+class InvariantSuite(Record, namedtuple("InvariantSuite", "spec ring entries")):
     def degree_profile(self) -> tuple:
         return tuple(sorted(e.degree for e in self.entries))
 

@@ -47,11 +47,12 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from .action import RepresentationSpec, act_raw, in_b_raw, render_point
 from .builder import InvariantSuite, _connecting_rational
+from .poly import Record
 from .rings import Ring, gc_paused
 
 
@@ -401,18 +402,11 @@ def _scan_fibers(suite: InvariantSuite, ring: Ring, factors):
     return seen, shared
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    """Outcome of one exhaustive separation check."""
-
-    spec: RepresentationSpec
-    ring: Ring
-    total_points: int
-    points_in_b: int
-    orbit_count_in_b: int
-    fiber_count: int
-    separated: bool
-    witness_pairs: tuple    # pairs of raw coordinate tuples, canonical order
+class SeparationReport(Record, namedtuple("SeparationReport", (
+        "spec ring total_points points_in_b orbit_count_in_b fiber_count "
+        "separated witness_pairs"))):
+    """Outcome of one exhaustive separation check; witness_pairs holds pairs
+    of raw coordinate tuples in canonical order."""
 
     def _coord_texts(self, coords):
         return [self.ring.render(c) for c in coords]

@@ -7,9 +7,9 @@ with the *last* variable heaviest, iterated in descending order, which is
 also the order used for text and JSON serialization.
 """
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
+from itertools import compress
 from math import lcm
 
 from .rings import (GF, QQ, ZZ, ExtensionField, IntegerRing, PrimeField,
@@ -28,8 +28,29 @@ class DimensionMismatch(Exception):
     """A point's length does not match the variable table."""
 
 
-@dataclass(frozen=True)
-class VariableTable:
+class Record:
+    """Mixin for the namedtuple value classes: like a frozen dataclass, an
+    instance equals only instances of its own class and takes no attribute
+    assignment (cached_property writes to the instance dict directly)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class VariableTable(Record, namedtuple("VariableTable", "blocks")):
     """Variables of a direct sum of blocks, flattened block by block.
 
     Within block b of size s the variables sit at block positions 1..s; the
@@ -37,12 +58,10 @@ class VariableTable:
     x1..xn, multi-block ones x<block>_<position>.
     """
 
-    blocks: tuple
-
-    def __post_init__(self):
-        if not self.blocks or any(s < 1 for s in self.blocks):
+    def __new__(cls, blocks):
+        if not blocks or any(s < 1 for s in blocks):
             raise ValueError("blocks must be a nonempty tuple of positive sizes")
-        object.__setattr__(self, "blocks", tuple(int(s) for s in self.blocks))
+        return super().__new__(cls, tuple(int(s) for s in blocks))
 
     @cached_property
     def n(self) -> int:
@@ -65,12 +84,16 @@ class VariableTable:
             acc += size
         return tuple(out)
 
+    @cached_property
+    def names(self) -> tuple:
+        """Display name of each flat variable."""
+        if len(self.blocks) == 1:
+            return tuple(f"x{i}" for i in range(1, self.n + 1))
+        return tuple(f"x{b + 1}_{j}" for b, j in self.positions)
+
     def name(self, i: int) -> str:
         """Display name of the 0-based flat variable i."""
-        if len(self.blocks) == 1:
-            return f"x{i + 1}"
-        b, j = self.positions[i]
-        return f"x{b + 1}_{j}"
+        return self.names[i]
 
     def weight_of(self, exps) -> int:
         """Sum of block positions with multiplicity."""
@@ -80,17 +103,13 @@ class VariableTable:
 def grlex_key(exps):
     """Sort key for the canonical order: total degree, then lex with the
     last variable heaviest.  Descending sort by this key is canonical."""
-    return (sum(exps), tuple(reversed(exps)))
+    return (sum(exps), tuple(exps[::-1]))
 
 
 def monomial_text(table: VariableTable, exps) -> str:
-    parts = []
-    for i, e in enumerate(exps):
-        if e == 1:
-            parts.append(table.name(i))
-        elif e > 1:
-            parts.append(f"{table.name(i)}^{e}")
-    return "*".join(parts)
+    names = table.names
+    return "*".join(names[i] if exps[i] == 1 else f"{names[i]}^{exps[i]}"
+                    for i in compress(range(len(exps)), exps))
 
 
 class Polynomial:
@@ -357,19 +376,12 @@ class Polynomial:
             out["k"] = self.ring.k
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polynomial":
         ring = ring_from_code(data["ring"], data.get("p"), data.get("k", 1))
         table = VariableTable(tuple(data["blocks"]))
         terms = {tuple(t["exps"]): ring.parse(t["coeff"]) for t in data["terms"]}
         return cls(ring, table, terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Polynomial":
-        return cls.from_json_dict(json.loads(text))
 
     def __repr__(self):
         return f"<Polynomial {self.render_text()} over {self.ring!r}>"

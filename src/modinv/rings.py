@@ -97,16 +97,40 @@ def _poly_rem(num, den, p):
     return num[: _poly_deg(num) + 1]
 
 
+def _poly_mulmod(a, b, f, p):
+    """a*b modulo the monic f over F_p."""
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_rem(prod, f, p)
+
+
 def _is_irreducible(coeffs, p) -> bool:
-    """Exhaustive trial division; coeffs monic, low degree first."""
-    k = len(coeffs) - 1
-    if k == 1:
-        return True
-    for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            den = list(tail) + [1]
-            if not _poly_rem(list(coeffs), den, p):
-                return False
+    """Ben-Or's test on the monic f of degree k (coeffs low degree first).
+
+    A reducible f has an irreducible factor of some degree i <= k/2, which
+    divides x^(p^i) - x; an irreducible f divides no x^(p^i) - x with i < k.
+    So f is irreducible iff gcd(f, x^(p^i) - x) = 1 for every i <= k/2, with
+    x^(p^i) reduced modulo f."""
+    f = list(coeffs)
+    h = [0, 1]                          # x^(p^i) mod f
+    for _ in range((len(f) - 1) // 2):
+        base, h = h, [1]
+        for bit in bin(p)[2:]:
+            h = _poly_mulmod(h, h, f, p)
+            if bit == "1":
+                h = _poly_mulmod(h, base, f, p)
+        g = h + [0] * (2 - len(h))
+        g[1] -= 1
+        a, b = f, _poly_rem(g, f, p)
+        while b:                        # Euclid, each divisor made monic
+            inv = pow(b[-1], -1, p)
+            b = [c * inv % p for c in b]
+            a, b = b, _poly_rem(a, b, p)
+        if len(a) > 1:
+            return False
     return True
 
 

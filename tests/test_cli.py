@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -6,10 +5,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modinv.action import RepresentationSpec
 from modinv.builder import build_suite, suite_from_json
-from modinv.cli import main
+from modinv.cli import _json_text, main
 from modinv.oracle import separation_report, verify_orbit_constancy
 from modinv.rings import GF
 
@@ -214,7 +215,7 @@ def test_verify_strict_exit_two_on_failure(capsys, monkeypatch):
     # single blocks genuinely separate, so force a failing report through the
     # same code path to pin the strict exit code
     real = separation_report(build_suite(RepresentationSpec(5, (3,)), "fp"), GF(5))
-    failing = dataclasses.replace(real, separated=False,
+    failing = real._replace(separated=False,
                                   witness_pairs=(((1, 0, 0), (1, 0, 1)),))
     monkeypatch.setattr("modinv.cli.separation_report",
                         lambda *args, **kwargs: failing)
@@ -323,3 +324,39 @@ def test_help_exits_zero(capsys):
         main(["construct", "--help"])
     assert exc.value.code == 0
     assert "--blocks" in capsys.readouterr().out
+
+
+# -- JSON writer and start-up ----------------------------------------------------
+
+TRICKY_TEXT = st.text(st.sampled_from(
+    '"\\/\b\f\n\r\t\x00\x1f\x7f \u00e9\u20ac\U0001f600\ud800aZ'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 300, 2 ** 300)
+    | st.text() | TRICKY_TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text() | TRICKY_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300)
+@given(JSON_VALUES)
+@example({"b": [], "a": {}, "": [[], {}, ()], "t": (True, False, None, -0, -10 ** 40)})
+@example(["quote \" back \\ nl \n nul \x00 del \x7f \u00e9 \U0001f600", {"\u00e9": 1}])
+def test_json_text_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_text_refuses_what_json_cannot_write():
+    with pytest.raises(TypeError):
+        _json_text({"x": object()})
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = ("import sys; before = set(sys.modules); import modinv.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 
@@ -26,8 +25,8 @@ def doctored_suite(p, blocks, entry_index, bump_variable):
     bumped = entry.polynomial + Polynomial.variable(
         entry.polynomial.ring, entry.polynomial.table, bump_variable)
     entries = list(suite.entries)
-    entries[entry_index] = dataclasses.replace(entry, polynomial=bumped)
-    return dataclasses.replace(suite, entries=tuple(entries))
+    entries[entry_index] = entry._replace(polynomial=bumped)
+    return suite._replace(entries=tuple(entries))
 
 
 # -- orbit constancy ----------------------------------------------------------
@@ -203,10 +202,10 @@ def test_fibers_invariant_under_scaling_and_order():
     # partition, hence not the report
     spec = RepresentationSpec(5, (2, 2))
     suite = build_suite(spec, "fp")
-    scaled = dataclasses.replace(suite, entries=tuple(
-        dataclasses.replace(e, polynomial=e.polynomial.scale(3))
+    scaled = suite._replace(entries=tuple(
+        e._replace(polynomial=e.polynomial.scale(3))
         for e in suite.entries))
-    permuted = dataclasses.replace(suite, entries=tuple(reversed(suite.entries)))
+    permuted = suite._replace(entries=tuple(reversed(suite.entries)))
     base = separation_report(suite, GF(5))
     for variant in (scaled, permuted):
         report = separation_report(variant, GF(5))

@@ -227,7 +227,7 @@ def test_json_round_trip_rings(ring):
     one = ring.one()
     two = ring.from_int(2) if not isinstance(one, tuple) else ring.add(one, one)
     f = Polynomial(ring, T3, {(1, 0, 1): one, (0, 2, 0): ring.neg(two)})
-    assert Polynomial.from_json(f.to_json()) == f
+    assert Polynomial.from_json_dict(f.to_json_dict()) == f
 
 
 @given(st.dictionaries(
@@ -235,7 +235,7 @@ def test_json_round_trip_rings(ring):
     st.integers(-20, 20), max_size=8))
 def test_json_round_trip_random(terms):
     f = Polynomial(ZZ, T3, terms)
-    assert Polynomial.from_json(f.to_json()) == f
+    assert Polynomial.from_json_dict(f.to_json_dict()) == f
 
 
 @given(st.dictionaries(

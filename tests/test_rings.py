@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from modinv.rings import (GF, QQ, ZZ, BoundExceeded, DenominatorDivisibleByP,
                           DivisionByZero, ExtensionField, NotAField,
                           PrimeField, RingMismatch, coerce, find_irreducible,
                           is_prime, reduce_fraction)
+from modinv.rings import _is_irreducible, _poly_rem
 
 F5 = GF(5)
 
@@ -115,6 +117,31 @@ def test_find_irreducible_is_first_rootless(p, k):
 def test_find_irreducible_bound():
     with pytest.raises(BoundExceeded):
         find_irreducible(2, 25)
+
+
+def trial_division_irreducible(coeffs, p):
+    """The earlier exhaustive test: no monic divisor of degree 1..k/2."""
+    for d in range(1, (len(coeffs) - 1) // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if not _poly_rem(list(coeffs), list(tail) + [1], p):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(2, 82) if is_prime(p)
+                                 for k in range(2, 14) if p ** k <= 3 ** 8])
+def test_ben_or_matches_trial_division(p, k):
+    # every monic polynomial of degree k over F_p, k = 1 being trivial
+    for tail in itertools.product(range(p), repeat=k):
+        coeffs = tail + (1,)
+        assert _is_irreducible(coeffs, p) == trial_division_irreducible(coeffs, p), coeffs
+
+
+def test_find_irreducible_2_16_matches_trial_division():
+    first = next(tail + (1,) for tail in (
+        tuple(idx >> i & 1 for i in range(16)) for idx in range(1 << 16))
+        if trial_division_irreducible(tail + (1,), 2))
+    assert find_irreducible(2, 16) == first == (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)
 
 
 def test_extension_field_f4_arithmetic():

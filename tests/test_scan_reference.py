@@ -29,7 +29,6 @@ prefix.  It must return the same collision, or None, for every block size
 collides.
 """
 
-import dataclasses
 import itertools
 import random
 from bisect import insort
@@ -136,8 +135,8 @@ def bumped_suites(suite):
     for index, entry in enumerate(suite.entries):
         for g in bumps:
             entries = list(suite.entries)
-            entries[index] = dataclasses.replace(entry, polynomial=entry.polynomial + g)
-            yield dataclasses.replace(suite, entries=tuple(entries))
+            entries[index] = entry._replace(polynomial=entry.polynomial + g)
+            yield suite._replace(entries=tuple(entries))
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
@@ -180,11 +179,11 @@ def test_constancy_witness_is_smallest_over_all_orbits(p, k, blocks):
     bumps = {u: indicator(field, table, u) for u in points}
     for u, w in itertools.product(points, repeat=2):
         entries = list(suite.entries)
-        entries[0] = dataclasses.replace(
-            first, polynomial=first.polynomial.change_ring(field) + bumps[u])
-        entries[-1] = dataclasses.replace(
-            last, polynomial=last.polynomial.change_ring(field) + bumps[w])
-        doctored = dataclasses.replace(suite, entries=tuple(entries))
+        entries[0] = first._replace(
+            polynomial=first.polynomial.change_ring(field) + bumps[u])
+        entries[-1] = last._replace(
+            polynomial=last.polynomial.change_ring(field) + bumps[w])
+        doctored = suite._replace(entries=tuple(entries))
         assert (verify_orbit_constancy(doctored, field)
                 == reference_constancy(doctored, field)), (u, w)
 
@@ -227,8 +226,8 @@ def test_lifting_matches_reference(monkeypatch, p, k, n):
     assert verify_lifting(n, field) is None
     assert reference_lifting(connecting.polynomial.change_ring(field), field) is None
     for doctored in lifting_bumps(connecting.polynomial, field):
-        monkeypatch.setattr(oracle, "_connecting_rational", lambda _: dataclasses.replace(
-            connecting, polynomial=doctored))
+        monkeypatch.setattr(oracle, "_connecting_rational",
+                            lambda _: connecting._replace(polynomial=doctored))
         assert (verify_lifting(n, field)
                 == reference_lifting(doctored.change_ring(field), field)), doctored
 
@@ -246,9 +245,8 @@ def cross_bumps(suite):
     for index, entry in enumerate(suite.entries):
         for i, j in pairs:
             entries = list(suite.entries)
-            entries[index] = dataclasses.replace(
-                entry, polynomial=entry.polynomial + x[i] * x[j])
-            yield dataclasses.replace(suite, entries=tuple(entries))
+            entries[index] = entry._replace(polynomial=entry.polynomial + x[i] * x[j])
+            yield suite._replace(entries=tuple(entries))
 
 
 CROSS_SPECS = [(5, 1, (2, 2)), (3, 1, (3, 2)), (3, 1, (2, 3)), (3, 1, (1, 3, 1)),
@@ -280,7 +278,7 @@ def test_fibers_shared_across_first_coordinates(p, k, blocks):
     # first coordinates; the worker count asked for changes nothing
     field = GF(p, k)
     suite = build_suite(RepresentationSpec(p, blocks), "fp")
-    suite = dataclasses.replace(suite, entries=suite.entries[1:])
+    suite = suite._replace(entries=suite.entries[1:])
     *expected, _ = reference_scan(suite, field)
     for workers in (1, 2, 3, 4):
         report = separation_report(suite, field, workers=workers)
@@ -318,7 +316,7 @@ def test_bulk_and_fallback_slabs_match_reference(monkeypatch, p, k, blocks):
     monkeypatch.setattr(oracle, "_SLAB_POINTS", 1)
     field = GF(p, k)
     suite = build_suite(RepresentationSpec(p, blocks), "fp")
-    doctored = dataclasses.replace(suite, entries=suite.entries[1:])
+    doctored = suite._replace(entries=suite.entries[1:])
     kinds = slab_kinds(doctored, field)
     assert kinds[0] == "bulk" and kinds[1:] and set(kinds[1:]) == {"fallback"}
     for checked in (doctored, suite):
@@ -355,9 +353,9 @@ def test_constancy_of_multi_term_entries_over_extension_fields(p, k, blocks):
                 + coefficient() * x[i] * x[j] + coefficient())
         index = rng.randrange(len(suite.entries))
         entries = list(suite.entries)
-        entries[index] = dataclasses.replace(
-            entries[index], polynomial=entries[index].polynomial.change_ring(field) + bump)
-        doctored = dataclasses.replace(suite, entries=tuple(entries))
+        entries[index] = entries[index]._replace(
+            polynomial=entries[index].polynomial.change_ring(field) + bump)
+        doctored = suite._replace(entries=tuple(entries))
         witness = verify_orbit_constancy(doctored, field)
         assert witness == reference_constancy(doctored, field), (trial, bump)
         results.append(witness is None)
