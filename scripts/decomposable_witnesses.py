@@ -13,7 +13,7 @@ adjudicates the first pair by hand, then adds the cross-block invariant
 separates B completely.
 
 Usage: python3 scripts/decomposable_witnesses.py [--p 5] [--k 1]
-       [--budget 2000000] [--workers 2]
+       [--budget 2000000]
 """
 
 import argparse
@@ -37,14 +37,13 @@ def main():
     parser.add_argument("--p", type=int, default=5)
     parser.add_argument("--k", type=int, default=1)
     parser.add_argument("--budget", type=int, default=2_000_000)
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
 
     spec = RepresentationSpec(args.p, (2, 2))
     field = GF(args.p, args.k)
     suite = build_suite(spec, "fp")
 
-    report = separation_report(suite, field, args.budget, args.workers)
+    report = separation_report(suite, field, args.budget)
     print("blockwise suite:", ", ".join(suite.names()))
     print(report.render())
     print()
@@ -64,7 +63,7 @@ def main():
     augmented = suite._replace(entries=suite.entries + (
         SuiteEntry("D", 0, 2, "cross", det_inv),))
     print("augmented with D = x1_1*x2_2 - x1_2*x2_1:")
-    print(separation_report(augmented, field, args.budget, args.workers).render())
+    print(separation_report(augmented, field, args.budget).render())
     return 0
 
 

@@ -8,7 +8,7 @@ show witness pairs.  Specs whose enumeration exceeds the budget are skipped
 with a note, so the survey always terminates quickly.
 
 Usage: python3 scripts/separation_survey.py [--primes 5,7] [--max-n 5]
-       [--budget 200000] [--workers 2] [--skip-decomposable]
+       [--budget 200000] [--skip-decomposable]
 """
 
 import argparse
@@ -36,7 +36,6 @@ def main():
                         help="comma-separated primes to survey")
     parser.add_argument("--max-n", type=int, default=5)
     parser.add_argument("--budget", type=int, default=200_000)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--skip-decomposable", action="store_true")
     args = parser.parse_args()
     primes = [int(s) for s in args.primes.split(",")]
@@ -47,7 +46,7 @@ def main():
         suite = build_suite(spec, "fp")
         try:
             require_orbit_constancy(suite, field, args.budget)
-            report = separation_report(suite, field, args.budget, args.workers)
+            report = separation_report(suite, field, args.budget)
         except BudgetExceeded as exc:
             print(f"p={spec.p} blocks={list(spec.blocks)}  skipped ({exc})")
             skipped += 1

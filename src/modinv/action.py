@@ -12,7 +12,7 @@ Points are plain tuples of raw field values, one per variable, and the
 functions on them take the block sizes and the field alongside the tuple:
 act_raw, orbit_raw, in_b_raw (membership of the open set B where every
 nontrivial block has a nonzero leading coordinate), the orbit
-representative and render_point.
+representative, and point_texts and render_point, the one point renderer.
 """
 
 from collections import namedtuple
@@ -117,9 +117,14 @@ def delta(f: Polynomial) -> Polynomial:
 # Action on points.
 
 
+def point_texts(ring: Ring, coords) -> list:
+    """The text of each coordinate, as JSON lists it."""
+    return [ring.render(c) for c in coords]
+
+
 def render_point(ring: Ring, coords) -> str:
     """Comma-separated coordinates; F_{p^k} values are parenthesised."""
-    texts = [ring.render(c) for c in coords]
+    texts = point_texts(ring, coords)
     if any("," in t for t in texts):
         texts = [f"({t})" for t in texts]
     return ",".join(texts)

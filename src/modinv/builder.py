@@ -376,9 +376,6 @@ class SuiteEntry(Record, namedtuple(
 
 
 class InvariantSuite(Record, namedtuple("InvariantSuite", "spec ring entries")):
-    def degree_profile(self) -> tuple:
-        return tuple(sorted(e.degree for e in self.entries))
-
     def names(self) -> tuple:
         return tuple(e.name for e in self.entries)
 

@@ -8,7 +8,9 @@ Three subcommands:
 
 Exit codes: 0 success, 1 configuration error, 2 separation witnesses found
 under --strict, 3 enumeration budget exceeded.  All output is byte
-deterministic for a fixed command line.
+deterministic for a fixed command line.  verify checks that MODINV_THREADS,
+when set, is an integer (exit 1 otherwise); its value changes nothing, as
+the separation scan runs in this process.
 
 JSON is written by _json_text, as json.dumps(sort_keys=True, indent=2) would.
 Every command imports the verifier too: perfbench/tracer.py wraps the library
@@ -16,13 +18,14 @@ calls below through this module's names.
 """
 
 import argparse
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .action import BlockExceedsP, RepresentationSpec, render_point
+from .action import BlockExceedsP, RepresentationSpec, point_texts, render_point
 from .builder import build_suite, suite_construction_steps
-from .oracle import (DEFAULT_BUDGET, BudgetExceeded, resolve_workers,
-                     separation_report, verify_lifting, verify_orbit_constancy)
+from .oracle import (DEFAULT_BUDGET, BudgetExceeded, separation_report,
+                     verify_lifting, verify_orbit_constancy)
 from .rings import GF, BoundExceeded
 
 
@@ -109,14 +112,18 @@ def _cmd_verify(ns) -> int:
         raise ConfigError("--strict requires a single block")
     if ns.k < 1:
         raise ConfigError("k must be at least 1")
+    threads = os.environ.get("MODINV_THREADS", "1")
     try:
-        workers = resolve_workers()
+        int(threads)
+    except ValueError:
+        raise ConfigError(f"MODINV_THREADS must be an integer, got {threads!r}")
+    try:
         field = GF(spec.p, ns.k)
     except (ValueError, BoundExceeded) as exc:
         raise ConfigError(str(exc))
     suite = build_suite(spec, "fp")
     constancy = verify_orbit_constancy(suite, field, ns.budget)
-    report = separation_report(suite, field, ns.budget, workers)
+    report = separation_report(suite, field, ns.budget)
     lift_sizes = sorted({s for s in spec.blocks if s >= 3})
     lifting = [(n, verify_lifting(n, field, ns.budget)) for n in lift_sizes]
     failed = (constancy is not None or not report.separated
@@ -127,7 +134,7 @@ def _cmd_verify(ns) -> int:
                 "ok": constancy is None,
                 "witness": None if constancy is None else {
                     "entry": constancy[0],
-                    "point": [field.render(c) for c in constancy[1]],
+                    "point": point_texts(field, constancy[1]),
                 },
             },
             "separation": report.to_json_dict(),
@@ -136,9 +143,7 @@ def _cmd_verify(ns) -> int:
                     "n": n,
                     "ok": w is None,
                     "witness": None if w is None else [
-                        [field.render(c) for c in w[0]],
-                        [field.render(c) for c in w[1]],
-                    ],
+                        point_texts(field, w[0]), point_texts(field, w[1])],
                 }
                 for n, w in lifting
             ],

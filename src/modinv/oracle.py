@@ -31,11 +31,10 @@ coordinate.
 - Separation enumerates only the representatives of the orbits in B, |B|/p
   of them when some block is nontrivial (see _rep_factors), and looks each
   fiber key, one int, up in the entries' tables; pointsInB is p times their
-  number.  The scan runs in this process whatever worker count is asked
-  for: a forked worker would ship every fiber it meets back to be merged,
-  which costs about as much as scanning its representatives here.  The
-  scan makes no reference cycles, so it runs with the cyclic garbage
-  collector paused.
+  number.  The scan runs in this process: a forked worker would have to
+  ship every fiber it meets back to be merged, which costs about as much
+  as scanning its representatives here.  The scan makes no reference
+  cycles, so it runs with the cyclic garbage collector paused.
 - Lifting checks that every row of f_n's table over the last coordinate
   holds q distinct values.
 
@@ -46,11 +45,11 @@ explicit budget before starting.
 import itertools
 import math
 import operator
-import os
 from collections import namedtuple
 from math import prod
 
-from .action import RepresentationSpec, act_raw, in_b_raw, render_point
+from .action import (RepresentationSpec, act_raw, in_b_raw, point_texts,
+                     render_point)
 from .builder import InvariantSuite, _connecting_rational
 from .poly import Record
 from .rings import Ring, gc_paused
@@ -85,19 +84,6 @@ def _check_field(spec: RepresentationSpec, ring: Ring):
         raise ValueError("brute-force verification needs a finite field")
     if getattr(ring, "p", None) != spec.p:
         raise ValueError(f"field characteristic must be {spec.p}")
-
-
-def resolve_workers(workers=None) -> int:
-    """Worker count asked for: explicit argument, else MODINV_THREADS, else
-    1; a MODINV_THREADS that is not an integer raises ValueError.  The
-    separation scan checks the count but runs in-process at any count."""
-    if workers is None:
-        raw = os.environ.get("MODINV_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"MODINV_THREADS must be an integer, got {raw!r}")
-    return max(1, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +190,8 @@ def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
     smallest violating sub-point padded with zeros (zero is the smallest
     raw value).  On failure returns (entry name, smallest violating point
     over all entries in row-major order), naming the first entry that
-    differs there.
+    differs there: an entry that differs at that point has no smaller
+    violating point, so it is the first entry whose own witness is it.
     """
     spec = suite.spec
     _check_field(spec, ring)
@@ -228,16 +215,12 @@ def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
             point = [0] * spec.n
             for i, c in zip(support, (slab[head],) + _unrank(q, tail, len(rest))):
                 point[i] = c
-            witnesses.append(tuple(point))
+            witnesses.append((tuple(point), entry.name))
             break
     if not witnesses:
         return None
-    point = tuple(map(ring.decode, min(witnesses)))
-    moved = act_raw(spec.blocks, ring, point)
-    entry = next(e for e in suite.entries
-                 if e.polynomial.evaluate_raw(point, ring)
-                 != e.polynomial.evaluate_raw(moved, ring))
-    return entry.name, point
+    point, name = min(witnesses, key=operator.itemgetter(0))
+    return name, tuple(map(ring.decode, point))
 
 
 def require_orbit_constancy(suite: InvariantSuite, ring: Ring,
@@ -408,9 +391,6 @@ class SeparationReport(Record, namedtuple("SeparationReport", (
     """Outcome of one exhaustive separation check; witness_pairs holds pairs
     of raw coordinate tuples in canonical order."""
 
-    def _coord_texts(self, coords):
-        return [self.ring.render(c) for c in coords]
-
     def to_json_dict(self) -> dict:
         return {
             "spec": {"p": self.spec.p, "blocks": list(self.spec.blocks)},
@@ -421,7 +401,7 @@ class SeparationReport(Record, namedtuple("SeparationReport", (
             "orbitCountInB": self.orbit_count_in_b,
             "fiberCount": self.fiber_count,
             "separated": self.separated,
-            "witnessPairs": [[self._coord_texts(a), self._coord_texts(b)]
+            "witnessPairs": [[point_texts(self.ring, a), point_texts(self.ring, b)]
                              for a, b in self.witness_pairs],
         }
 
@@ -445,20 +425,17 @@ class SeparationReport(Record, namedtuple("SeparationReport", (
 
 
 def separation_report(suite: InvariantSuite, ring: Ring,
-                      budget: int = DEFAULT_BUDGET,
-                      workers=None) -> SeparationReport:
+                      budget: int = DEFAULT_BUDGET) -> SeparationReport:
     """Exhaustively compare invariant fibers with orbits inside B.
 
     The suite separates B exactly when distinct orbits give distinct value
     tuples, i.e. fiberCount == orbitCountInB.  Witness pairs list up to ten
     pairs of distinct orbit representatives sharing a fiber, ordered by the
-    fiber's smallest representative and then lexicographically.  workers
-    is checked by resolve_workers; the report does not depend on it.
+    fiber's smallest representative and then lexicographically.
     """
     spec = suite.spec
     _check_field(spec, ring)
     _check_budget(ring.order, spec.n, budget)
-    resolve_workers(workers)
     q = ring.order
     factors = _rep_factors(spec.blocks, ring.p, q)
     # with a nontrivial first block, no representative has first coordinate 0
@@ -505,8 +482,8 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
     if n > ring.characteristic:
         raise ValueError("block size exceeds p")
     _check_budget(ring.order, n, budget)
-    f = _connecting_rational(n).polynomial.change_ring(ring)
-    terms = [(ring.encode(c), exps) for exps, c in f.terms()]
+    # f_n reads x_n, so its support is the whole block
+    _, terms = _support_terms(_connecting_rational(n).polynomial, ring)
     q = ring.order
     rest = [range(q)] * (n - 1)
     rows = q ** (n - 2)     # per first coordinate
@@ -556,6 +533,6 @@ def fixed_point_census(spec: RepresentationSpec, ring: Ring,
 __all__ = [
     "BudgetExceeded", "DEFAULT_BUDGET", "OrbitConstancyError",
     "SeparationReport", "fixed_point_census", "require_orbit_constancy",
-    "resolve_workers", "separation_report", "verify_lifting",
+    "separation_report", "verify_lifting",
     "verify_orbit_constancy",
 ]

@@ -91,10 +91,6 @@ class VariableTable(Record, namedtuple("VariableTable", "blocks")):
             return tuple(f"x{i}" for i in range(1, self.n + 1))
         return tuple(f"x{b + 1}_{j}" for b, j in self.positions)
 
-    def name(self, i: int) -> str:
-        """Display name of the 0-based flat variable i."""
-        return self.names[i]
-
     def weight_of(self, exps) -> int:
         """Sum of block positions with multiplicity."""
         return sum(e * self.positions[i][1] for i, e in enumerate(exps) if e)
@@ -296,7 +292,7 @@ class Polynomial:
                 if not e:
                     continue
                 if i not in images:
-                    raise MissingImage(f"no image for {self.table.name(i)}")
+                    raise MissingImage(f"no image for {self.table.names[i]}")
                 key = (i, e)
                 if key not in power_cache:
                     power_cache[key] = images[i] ** e

@@ -201,9 +201,6 @@ class Ring:
     def inv(self, a):
         raise NotAField(f"{self!r} has no division")
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e: int):
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -261,11 +258,6 @@ class RationalRing(Ring):
         if not a:
             raise DivisionByZero("1/0 over Q")
         return 1 / a
-
-    def div(self, a, b):
-        if not b:
-            raise DivisionByZero("division by zero over Q")
-        return a / b
 
     def is_negative(self, a):
         return a < 0

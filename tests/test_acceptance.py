@@ -192,9 +192,9 @@ def test_c10_decomposable_report():
     spec = RepresentationSpec(5, (2, 2))
     suite = build_suite(spec, "fp")
     v_int, w_int = (1, 0, 1, 0), (1, 0, 1, 1)
-    for field, workers in ((GF(5), 1), (GF(5, 2), 2)):
-        first = separation_report(suite, field, workers=workers)
-        second = separation_report(suite, field, workers=workers)
+    for field in (GF(5), GF(5, 2)):
+        first = separation_report(suite, field)
+        second = separation_report(suite, field)
         assert first.to_json_dict() == second.to_json_dict()     # determinism
         assert first.fiber_count <= first.orbit_count_in_b       # consistency
         assert bool(first.witness_pairs) == (

@@ -291,9 +291,10 @@ def test_module_invocation_verify_smoke():
     assert "20/20 orbits separated" in proc.stdout
 
 
-@pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
+@pytest.mark.parametrize("threads", [None, "2", " 3 ", "-2", "0"],
+                         ids=["unset", "2", "padded-3", "-2", "0"])
 def test_verify_never_imports_multiprocessing(threads):
-    # the separation scan runs in-process at any worker count
+    # any integer MODINV_THREADS is accepted, and the scan runs in-process
     env = {k: v for k, v in os.environ.items() if k != "MODINV_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if threads is not None:

@@ -8,7 +8,7 @@ from modinv import oracle
 from modinv.builder import build_suite
 from modinv.oracle import (DEFAULT_BUDGET, BudgetExceeded, OrbitConstancyError,
                            fixed_point_census, require_orbit_constancy,
-                           resolve_workers, separation_report, verify_lifting,
+                           separation_report, verify_lifting,
                            verify_orbit_constancy)
 from modinv.poly import Polynomial
 from modinv.rings import GF, QQ
@@ -143,27 +143,6 @@ def test_report_is_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
     assert (json.dumps(a.to_json_dict(), sort_keys=True)
             == json.dumps(b.to_json_dict(), sort_keys=True))
-
-
-def test_report_independent_of_worker_count():
-    suite = fp_suite(5, (2, 2))
-    one = separation_report(suite, GF(5), workers=1)
-    two = separation_report(suite, GF(5), workers=2)
-    three = separation_report(suite, GF(5), workers=3)
-    assert one.to_json_dict() == two.to_json_dict() == three.to_json_dict()
-
-
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("MODINV_THREADS", raising=False)
-    assert resolve_workers() == 1
-    assert resolve_workers(4) == 4
-    monkeypatch.setenv("MODINV_THREADS", "3")
-    assert resolve_workers() == 3
-    assert resolve_workers(2) == 2
-    assert resolve_workers(0) == 1
-    monkeypatch.setenv("MODINV_THREADS", "abc")
-    with pytest.raises(ValueError, match="MODINV_THREADS must be an integer"):
-        resolve_workers()
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

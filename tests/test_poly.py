@@ -24,9 +24,9 @@ F3_MOD5 = F3_RATIONAL.change_ring(F5)   # x1*x3 + 2*x2^2 + 3*x1*x2
 
 
 def test_variable_table_names_and_weights():
-    assert T3.name(0) == "x1" and T3.name(2) == "x3"
+    assert T3.names[0] == "x1" and T3.names[2] == "x3"
     multi = VariableTable((2, 3))
-    assert multi.name(0) == "x1_1" and multi.name(4) == "x2_3"
+    assert multi.names[0] == "x1_1" and multi.names[4] == "x2_3"
     assert multi.block_offsets == (0, 2)
     assert T3.weight_of((1, 0, 1)) == 4
     assert T3.weight_of((0, 3, 0)) == 6

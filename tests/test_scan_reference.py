@@ -92,7 +92,7 @@ def test_scan_matches_reference_on_all_small_specs(p, k):
     while field.order ** n <= 5 ** 5:
         for blocks in compositions(n, p):
             suite = build_suite(RepresentationSpec(p, blocks), "fp")
-            report = separation_report(suite, field, workers=1)
+            report = separation_report(suite, field)
             *expected, minima = reference_scan(suite, field)
             assert (report.points_in_b, report.orbit_count_in_b,
                     report.fiber_count, report.witness_pairs) == tuple(expected), blocks
@@ -263,7 +263,7 @@ def test_cross_reading_suites_match_reference(p, k, blocks):
         witness = verify_orbit_constancy(doctored, field)
         assert witness == reference_constancy(doctored, field), blocks
         failures += witness is not None
-        report = separation_report(doctored, field, workers=1)
+        report = separation_report(doctored, field)
         *expected, _ = reference_scan(doctored, field)
         assert (report.points_in_b, report.orbit_count_in_b,
                 report.fiber_count, report.witness_pairs) == tuple(expected), blocks
@@ -275,15 +275,14 @@ def test_cross_reading_suites_match_reference(p, k, blocks):
 def test_fibers_shared_across_first_coordinates(p, k, blocks):
     # without the first entry, points with different first coordinates
     # share fibers, so a fiber's representatives span several slabs of
-    # first coordinates; the worker count asked for changes nothing
+    # first coordinates
     field = GF(p, k)
     suite = build_suite(RepresentationSpec(p, blocks), "fp")
     suite = suite._replace(entries=suite.entries[1:])
     *expected, _ = reference_scan(suite, field)
-    for workers in (1, 2, 3, 4):
-        report = separation_report(suite, field, workers=workers)
-        assert (report.points_in_b, report.orbit_count_in_b,
-                report.fiber_count, report.witness_pairs) == tuple(expected), workers
+    report = separation_report(suite, field)
+    assert (report.points_in_b, report.orbit_count_in_b,
+            report.fiber_count, report.witness_pairs) == tuple(expected)
 
 
 def slab_kinds(suite, ring):
