@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark two commits in alternating pairs and write a BENCH file.
 
-Both commits are checked out as git worktrees in a temporary directory.
-For every workload and seed, `perfbench/run.py --trace 0` runs once in each
-checkout, one right after the other; which side goes first alternates from
-pair to pair, so drift on the host falls on both sides alike.  The output
-file records, per workload, the seeds and each side's final JSON line for
-every pair, the per-metric medians and the pairs the change won, and the
+The committed files of both commits are exported with `git archive` into a
+temporary directory.  For every workload and seed, `perfbench/run.py
+--trace 0` runs once in each copy, one right after the other; which side
+goes first alternates from pair to pair, so drift on the host falls on both
+sides alike.  The output file records, per workload, the seeds and each
+side's final JSON line for every pair; per metric, each side's median and
+the distance between its quartiles, and the pairs the change won; and the
 line count of src/modinv on each side.  Only the standard library is used.
 
 Every workload in BENCHMARK.json runs for its `run_seconds`, in 10
@@ -17,6 +18,7 @@ Usage: python3 scripts/bench_pairs.py --parent REV [--first-seed 1]
 """
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -24,6 +26,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -53,8 +56,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def iqr(values) -> float:
+    """Distance between the first and third quartiles (statistics.quantiles,
+    exclusive method)."""
+    first, _, third = statistics.quantiles(values, n=4)
+    return third - first
+
+
 def summarize(runs, better) -> dict:
-    """Medians per side and pairs won by the change, per end-to-end metric."""
+    """Per end-to-end metric: each side's median and quartile distance, and
+    the pairs won by the change (ties count for neither side)."""
     out = {}
     for name, direction in better.items():
         parent = [r["parent"]["metrics"][name]["value"] for r in runs]
@@ -63,6 +74,8 @@ def summarize(runs, better) -> dict:
                   for p, c in zip(parent, change))
         out[name] = {"parent_median": statistics.median(parent),
                      "change_median": statistics.median(change),
+                     "parent_iqr": iqr(parent),
+                     "change_iqr": iqr(change),
                      "pairs_won": won}
     return out
 
@@ -71,7 +84,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="baseline revision")
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--tmp", help="directory for the temporary worktrees")
+    parser.add_argument("--tmp", help="directory for the temporary copies")
     parser.add_argument("--out", default="BENCH.json")
     args = parser.parse_args(argv)
 
@@ -87,7 +100,10 @@ def main(argv=None) -> int:
     checkouts = {side: tmp / side for side in revs}
     try:
         for side, rev in revs.items():
-            git("worktree", "add", "--detach", str(checkouts[side]), rev)
+            archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                     capture_output=True).stdout
+            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+                tar.extractall(checkouts[side])
         result = {
             "revisions": revs,
             "host": {"cpus": os.cpu_count(), "python": platform.python_version()},
@@ -115,10 +131,6 @@ def main(argv=None) -> int:
             }
         Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     finally:
-        for path in checkouts.values():
-            if path.exists():
-                git("worktree", "remove", "--force", str(path))
-        git("worktree", "prune")
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
 

@@ -4,8 +4,10 @@
 For each spec the suite is rebuilt, checked for orbit constancy, and compared
 against the exhaustive orbit count inside B.  Single blocks are expected to
 separate; decomposable shapes with two blocks of size >= 2 are expected to
-show witness pairs.  Specs whose enumeration exceeds the budget are skipped
-with a note, so the survey always terminates quickly.
+show witness pairs.  An entry that varies along an orbit is reported with
+its smallest witness point, as `modinv verify` prints it, and makes the
+survey exit 1.  Specs whose enumeration exceeds the budget are skipped with
+a note, so the survey always terminates quickly.
 
 Usage: python3 scripts/separation_survey.py [--primes 5,7] [--max-n 5]
        [--budget 200000] [--skip-decomposable]
@@ -14,10 +16,10 @@ Usage: python3 scripts/separation_survey.py [--primes 5,7] [--max-n 5]
 import argparse
 import sys
 
-from modinv.action import RepresentationSpec
+from modinv.action import RepresentationSpec, render_point
 from modinv.builder import build_suite
-from modinv.oracle import (BudgetExceeded, require_orbit_constancy,
-                           separation_report)
+from modinv.oracle import (BudgetExceeded, separation_report,
+                           verify_orbit_constancy)
 from modinv.rings import GF
 
 
@@ -40,25 +42,29 @@ def main():
     args = parser.parse_args()
     primes = [int(s) for s in args.primes.split(",")]
 
-    separated = failed = skipped = 0
+    separated = failed = skipped = varied = 0
     for spec in survey_specs(primes, args.max_n, not args.skip_decomposable):
         field = GF(spec.p)
         suite = build_suite(spec, "fp")
         try:
-            require_orbit_constancy(suite, field, args.budget)
+            constancy = verify_orbit_constancy(suite, field, args.budget)
             report = separation_report(suite, field, args.budget)
         except BudgetExceeded as exc:
             print(f"p={spec.p} blocks={list(spec.blocks)}  skipped ({exc})")
             skipped += 1
             continue
         print(report.render())
+        if constancy is not None:
+            print(f"constancy   FAILED: {constancy[0]} at "
+                  f"({render_point(field, constancy[1])})")
+            varied += 1
         print()
         if report.separated:
             separated += 1
         else:
             failed += 1
     print(f"separated {separated}, with witnesses {failed}, skipped {skipped}")
-    return 0
+    return 1 if varied else 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from .action import BlockExceedsP, RepresentationSpec, delta, sigma
 from .builder import (ConnectingInvariant, InvariantSuite, NoSolution,
                       SuiteEntry, WeightSpaceBasis, build_suite,
                       construct_connecting, integral_form, norm_invariant,
-                      restricted_delta_matrix, suite_from_json, weight_basis)
+                      restricted_delta_matrix, weight_basis)
 from .oracle import (BudgetExceeded, SeparationReport, fixed_point_census,
                      separation_report, verify_lifting, verify_orbit_constancy)
 from .poly import Polynomial, VariableTable
@@ -20,6 +20,6 @@ __all__ = [
     "RepresentationSpec", "SeparationReport", "SuiteEntry", "VariableTable",
     "WeightSpaceBasis", "ZZ", "build_suite", "construct_connecting", "delta",
     "find_irreducible", "fixed_point_census", "integral_form", "norm_invariant",
-    "restricted_delta_matrix", "separation_report", "sigma", "suite_from_json",
+    "restricted_delta_matrix", "separation_report", "sigma",
     "verify_lifting", "verify_orbit_constancy", "weight_basis", "__version__",
 ]

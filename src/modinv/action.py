@@ -165,28 +165,3 @@ def in_b_raw(blocks, ring: Ring, coords: tuple) -> bool:
 def orbit_rep_raw(blocks, ring: Ring, coords: tuple) -> tuple:
     """Canonical representative: the lexicographically smallest orbit point."""
     return min(orbit_raw(blocks, ring, coords))
-
-
-def is_orbit_rep_raw(blocks, coords: tuple) -> bool:
-    """Whether coords equals orbit_rep_raw, decided without walking the orbit.
-
-    Let x_i be the first nonzero coordinate that is not last in its block.
-    The action fixes x_i and every coordinate before it, and moves x_{i+1}
-    through x_{i+1} + t*x_i, t in F_p.  Residues of x_{i+1} before the first
-    nonzero residue of x_i stay fixed and the residue there takes every
-    value, so the smallest orbit point is the one where that residue is 0;
-    over F_p, the one with x_{i+1} == 0.  Points without such an x_i are
-    fixed and represent themselves.
-    """
-    offset = 0
-    for size in blocks:
-        for i in range(offset, offset + size - 1):
-            lead, succ = coords[i], coords[i + 1]
-            if not isinstance(lead, tuple):     # F_p: a single residue
-                lead, succ = (lead,), (succ,)
-            for a, b in zip(lead, succ):
-                if a:
-                    return b == 0
-        offset += size
-    return True
-

@@ -175,7 +175,7 @@ class EliminationStep(Record, namedtuple(
 
 
 class ConnectingInvariant(Record, namedtuple(
-        "ConnectingInvariant", "n degree polynomial tail steps")):
+        "ConnectingInvariant", "n degree polynomial steps")):
     """Invariant x1*x_n + h (degree 2) or x1^2*x_n + h (degree 3), with h
     free of x_n, together with the elimination-step records."""
 
@@ -317,9 +317,7 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
             det=system.det,
             solution=tuple(ring.render(c) for c in solution),
         ))
-    t = Polynomial(ring, table, terms)
-    del terms[lead]
-    return ConnectingInvariant(n, degree, t, Polynomial(ring, table, terms), tuple(steps))
+    return ConnectingInvariant(n, degree, Polynomial(ring, table, terms), tuple(steps))
 
 
 @lru_cache(maxsize=None)
@@ -446,22 +444,6 @@ def build_suite(spec: RepresentationSpec, ring: str = "fp") -> InvariantSuite:
     return InvariantSuite(spec, target, tuple(entries))
 
 
-def suite_from_json(data: dict) -> InvariantSuite:
-    spec = RepresentationSpec(data["spec"]["p"], tuple(data["spec"]["blocks"]))
-    entries = []
-    ring = None
-    for e in data["entries"]:
-        poly = Polynomial.from_json_dict(e["polynomial"])
-        if poly.table != spec.table:
-            raise ValueError("suite polynomial over the wrong table")
-        ring = poly.ring
-        entries.append(SuiteEntry(e["name"], e["blockIndex"], e["degree"],
-                                  e["kind"], poly))
-    if ring is None:
-        raise ValueError("empty suite")
-    return InvariantSuite(spec, ring, tuple(entries))
-
-
 def suite_construction_steps(spec: RepresentationSpec) -> list:
     """Elimination-step records for every connecting invariant of a suite."""
     out = []
@@ -484,5 +466,5 @@ __all__ = [
     "RangeViolation", "SuiteEntry", "WeightSpaceBasis", "build_suite",
     "connecting_degree", "construct_connecting", "integral_form",
     "norm_invariant", "restricted_delta_matrix", "suite_construction_steps",
-    "suite_from_json", "weight_basis",
+    "weight_basis",
 ]

@@ -7,10 +7,10 @@ Three subcommands:
   export      dump the suite plus the construction's linear algebra as JSON
 
 Exit codes: 0 success, 1 configuration error, 2 separation witnesses found
-under --strict, 3 enumeration budget exceeded.  All output is byte
-deterministic for a fixed command line.  verify checks that MODINV_THREADS,
-when set, is an integer (exit 1 otherwise); its value changes nothing, as
-the separation scan runs in this process.
+under --strict, 3 enumeration budget exceeded (decided before the suite is
+built).  All output is byte deterministic for a fixed command line.  verify
+checks that MODINV_THREADS, when set, is an integer (exit 1 otherwise); its
+value changes nothing, as the separation scan runs in this process.
 
 JSON is written by _json_text, as json.dumps(sort_keys=True, indent=2) would.
 Every command imports the verifier too: perfbench/tracer.py wraps the library
@@ -24,8 +24,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .action import BlockExceedsP, RepresentationSpec, point_texts, render_point
 from .builder import build_suite, suite_construction_steps
-from .oracle import (DEFAULT_BUDGET, BudgetExceeded, separation_report,
-                     verify_lifting, verify_orbit_constancy)
+from .oracle import (DEFAULT_BUDGET, BudgetExceeded, _check_budget,
+                     separation_report, verify_lifting, verify_orbit_constancy)
 from .rings import GF, BoundExceeded
 
 
@@ -121,6 +121,7 @@ def _cmd_verify(ns) -> int:
         field = GF(spec.p, ns.k)
     except (ValueError, BoundExceeded) as exc:
         raise ConfigError(str(exc))
+    _check_budget(field.order, spec.n, ns.budget)
     suite = build_suite(spec, "fp")
     constancy = verify_orbit_constancy(suite, field, ns.budget)
     report = separation_report(suite, field, ns.budget)

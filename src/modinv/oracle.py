@@ -59,10 +59,6 @@ class BudgetExceeded(Exception):
     """The requested enumeration is larger than the configured budget."""
 
 
-class OrbitConstancyError(Exception):
-    """A suite entry changed along an orbit (it is not invariant)."""
-
-
 DEFAULT_BUDGET = 10_000_000
 
 # at most this many smallest representatives are retained per fiber
@@ -75,7 +71,7 @@ _SLAB_POINTS = 1 << 12
 
 
 def _check_budget(q: int, n: int, budget: int):
-    if q ** n > budget:
+    if n > budget.bit_length() or q ** n > budget:     # q^n >= 2^n > budget
         raise BudgetExceeded(f"{q}^{n} points exceed budget {budget}")
 
 
@@ -223,15 +219,6 @@ def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
     return name, tuple(map(ring.decode, point))
 
 
-def require_orbit_constancy(suite: InvariantSuite, ring: Ring,
-                            budget: int = DEFAULT_BUDGET):
-    witness = verify_orbit_constancy(suite, ring, budget)
-    if witness is not None:
-        name, coords = witness
-        raise OrbitConstancyError(
-            f"{name} varies on the orbit of ({render_point(ring, coords)})")
-
-
 # ---------------------------------------------------------------------------
 # Separation.
 
@@ -242,11 +229,15 @@ def _rep_factors(blocks, p: int, q: int):
     allowed values in ascending order: (slab of first coordinates -> the
     first group's columns over those, the later groups).
 
-    In B every nontrivial block has a nonzero first coordinate, and in the
-    first one, a, the representative is the orbit point whose x2_a has
-    residue 0 where x1_a has its first nonzero residue, the leading nonzero
-    digit of its code (x2_a == 0 over F_p); see action.is_orbit_rep_raw.
-    Without nontrivial blocks every point is fixed and represents itself."""
+    The representative is the orbit's smallest point.  In B every
+    nontrivial block has a nonzero first coordinate; let a be the first
+    nontrivial block.  The action fixes x1_a and every coordinate before it,
+    and moves x2_a through x2_a + t*x1_a, t in F_p.  Residues of x2_a before
+    the first nonzero residue of x1_a stay fixed and the residue there takes
+    every value, so the smallest orbit point is the one where that residue
+    is 0.  It sits at the leading nonzero digit of x1_a's code; over F_p the
+    representative is the point with x2_a == 0.  Without nontrivial blocks
+    every point is fixed and represents itself."""
     seconds = [[]]      # the codes of x2_a by the code of x1_a
     place = 1
     while place < q and max(blocks) > 1:
@@ -531,8 +522,7 @@ def fixed_point_census(spec: RepresentationSpec, ring: Ring,
 
 
 __all__ = [
-    "BudgetExceeded", "DEFAULT_BUDGET", "OrbitConstancyError",
-    "SeparationReport", "fixed_point_census", "require_orbit_constancy",
-    "separation_report", "verify_lifting",
+    "BudgetExceeded", "DEFAULT_BUDGET", "SeparationReport",
+    "fixed_point_census", "separation_report", "verify_lifting",
     "verify_orbit_constancy",
 ]

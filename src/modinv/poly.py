@@ -12,8 +12,8 @@ from functools import cached_property
 from itertools import compress
 from math import lcm
 
-from .rings import (GF, QQ, ZZ, ExtensionField, IntegerRing, PrimeField,
-                    RationalRing, Ring, coerce)
+from .rings import (ExtensionField, IntegerRing, PrimeField, RationalRing, Ring,
+                    coerce)
 
 
 class TableMismatch(Exception):
@@ -167,22 +167,12 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self._terms)
 
-    def degree_in_variable(self, i: int) -> int:
-        """Largest exponent of the 0-based variable i; -1 for zero."""
-        if not self._terms:
-            return -1
-        return max(e[i] for e in self._terms)
-
     def lead_term(self):
         """(exps, coeff) maximal in the canonical order; None for zero."""
         if not self._terms:
             return None
         exps = max(self._terms, key=grlex_key)
         return exps, self._terms[exps]
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self._terms}
-        return len(degs) <= 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -372,13 +362,6 @@ class Polynomial:
             out["k"] = self.ring.k
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Polynomial":
-        ring = ring_from_code(data["ring"], data.get("p"), data.get("k", 1))
-        table = VariableTable(tuple(data["blocks"]))
-        terms = {tuple(t["exps"]): ring.parse(t["coeff"]) for t in data["terms"]}
-        return cls(ring, table, terms)
-
     def __repr__(self):
         return f"<Polynomial {self.render_text()} over {self.ring!r}>"
 
@@ -396,18 +379,6 @@ def ring_code(ring: Ring) -> str:
     if isinstance(ring, (PrimeField, ExtensionField)):
         return "fp"
     raise ValueError(f"no code for {ring!r}")
-
-
-def ring_from_code(code: str, p=None, k: int = 1) -> Ring:
-    if code == "q":
-        return QQ
-    if code == "z":
-        return ZZ
-    if code == "fp":
-        if p is None:
-            raise ValueError("finite-field polynomial without p")
-        return GF(p, k or 1)
-    raise ValueError(f"unknown ring code {code!r}")
 
 
 def embed(f: Polynomial, table: VariableTable, offset: int) -> Polynomial:

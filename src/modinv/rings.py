@@ -4,8 +4,8 @@ Four scalar domains are supported: arbitrary-precision rationals, integers,
 prime fields F_p, and small extension fields F_{p^k} with a deterministically
 chosen irreducible modulus.  Values are plain immutable "raw" values
 (Fraction, int, or tuples of residues) that carry no ring; a Ring object does
-the arithmetic on them and renders and parses the textual encodings used in
-reports and JSON.  Finite fields also number their elements by int codes in
+the arithmetic on them and renders the textual encodings used in reports and
+JSON.  Finite fields also number their elements by int codes in
 elements() order, and tabulate polynomials on codes (extend_table), which is
 how the verifier computes.  Nothing here ever rounds.
 """
@@ -146,7 +146,7 @@ def find_irreducible(p: int, k: int, bound: int = IRREDUCIBLE_SEARCH_BOUND) -> t
         raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError("degree must be at least 1")
-    if p ** k > bound:
+    if k > bound.bit_length() or p ** k > bound:     # p^k >= 2^k > bound
         raise BoundExceeded(f"modulus search over {p}^{k} elements exceeds bound {bound}")
     for idx in range(p ** k):
         coeffs = []
@@ -220,9 +220,6 @@ class Ring:
     def render(self, a) -> str:
         raise NotImplementedError
 
-    def parse(self, text: str):
-        raise NotImplementedError
-
     def elements(self):
         """Every element in ascending order, as a sequence (finite rings only)."""
         raise TypeError(f"{self!r} is not finite")
@@ -265,9 +262,6 @@ class RationalRing(Ring):
     def render(self, a):
         return str(a)
 
-    def parse(self, text):
-        return Fraction(text)
-
     def __eq__(self, other):
         return isinstance(other, RationalRing)
 
@@ -307,9 +301,6 @@ class IntegerRing(Ring):
 
     def render(self, a):
         return str(a)
-
-    def parse(self, text):
-        return int(text)
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -393,9 +384,6 @@ class PrimeField(Ring):
 
     def render(self, a):
         return str(a % self.p)
-
-    def parse(self, text):
-        return int(text) % self.p
 
     def elements(self):
         return range(self.p)
@@ -608,12 +596,6 @@ class ExtensionField(Ring):
 
     def render(self, a):
         return ",".join(str(c) for c in a)
-
-    def parse(self, text):
-        parts = tuple(int(c) % self.p for c in text.split(","))
-        if len(parts) != self.k:
-            raise ValueError(f"expected {self.k} residues, got {text!r}")
-        return parts
 
     def elements(self):
         # tuple-lexicographic order, the order of codes, built once

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modinv.action import RepresentationSpec
-from modinv.builder import build_suite, suite_from_json
+from modinv.builder import build_suite
 from modinv.cli import _json_text, main
-from modinv.oracle import separation_report, verify_orbit_constancy
+from modinv.oracle import separation_report
 from modinv.rings import GF
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -52,14 +52,14 @@ def test_construct_text_z(capsys):
     assert out.splitlines()[-1] == "f3 = 2*x1*x3 - x2^2 + x1*x2"
 
 
-def test_construct_json_round_trips_into_oracle(capsys):
-    code, out, _ = run_cli(capsys, "construct", "--p", "5", "--blocks", "2,2",
-                           "--format", "json")
+@pytest.mark.parametrize("ring,blocks", [("q", "5"), ("z", "5"), ("fp", "5"),
+                                         ("q", "5,3,1")])
+def test_construct_json_is_the_suite_json_dict(capsys, ring, blocks):
+    code, out, _ = run_cli(capsys, "construct", "--p", "7", "--blocks", blocks,
+                           "--ring", ring, "--format", "json")
     assert code == 0
-    suite = suite_from_json(json.loads(out))
-    assert suite.names() == ("x1_1", "N(x1_2)", "x2_1", "N(x2_2)")
-    assert verify_orbit_constancy(suite, GF(5)) is None
-    assert separation_report(suite, GF(5)).separated is False
+    spec = RepresentationSpec(7, tuple(int(s) for s in blocks.split(",")))
+    assert json.loads(out) == build_suite(spec, ring).to_json_dict()
 
 
 def test_construct_is_byte_deterministic(capsys):
@@ -209,6 +209,36 @@ def test_verify_budget_exit(capsys):
                              "--budget", "1000")
     assert code == 3 and out == ""
     assert err == "error: 7^7 points exceed budget 1000\n"
+
+
+def test_verify_budget_is_checked_before_the_suite_is_built(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("suite built although the budget is exceeded")
+
+    monkeypatch.setattr("modinv.cli.build_suite", refuse)
+    code, out, err = run_cli(capsys, "verify", "--p", "7", "--blocks", "7",
+                             "--budget", "1000")
+    assert code == 3 and out == ""
+    assert err == "error: 7^7 points exceed budget 1000\n"
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    ("verify --p 2 --blocks 1 --k 1000000000", 1,
+     "error: modulus search over 2^1000000000 elements exceeds bound 1048576\n"),
+    ("verify --p 2 --blocks 1 --k 100000000000000", 1,
+     "error: modulus search over 2^100000000000000 elements exceeds bound 1048576\n"),
+    ("verify --p 1000003 --blocks 1000003", 3,
+     "error: 1000003^1000003 points exceed budget 10000000\n"),
+    ("verify --p 3 --blocks 3,3,3 --budget 0", 3,
+     "error: 3^9 points exceed budget 0\n"),
+], ids=["k-1e9", "k-1e14", "n-1e6", "budget-0"])
+def test_bound_checks_compare_exponents_first(argv, code, err):
+    # a bound check that computes the power itself hangs on these
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "modinv", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
 
 
 def test_verify_strict_exit_two_on_failure(capsys, monkeypatch):

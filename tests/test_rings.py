@@ -316,15 +316,11 @@ def test_field_axioms_extension(i, j, k):
     assert f25.mul(f25.mul(a, b), c) == f25.mul(a, f25.mul(b, c))
 
 
-def test_text_round_trip():
+def test_render():
     assert QQ.render(Fraction(-1, 2)) == "-1/2"
     assert QQ.render(Fraction(3)) == "3"
-    assert QQ.parse("-1/2") == Fraction(-1, 2)
     assert F5.render(3) == "3"
-    assert F5.parse("8") == 3
-    f25 = GF(5, 2)
-    assert f25.render((3, 1)) == "3,1"
-    assert f25.parse("3,1") == (3, 1)
+    assert GF(5, 2).render((3, 1)) == "3,1"
 
 
 def test_coerce_paths():

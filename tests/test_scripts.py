@@ -1,9 +1,13 @@
 """The scripts under scripts/ run against the library as it stands."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from modinv.builder import build_suite
+from modinv.poly import Polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +33,52 @@ def test_decomposable_witnesses_script():
 def test_separation_survey_script():
     out = run_script("separation_survey.py", "--primes", "5", "--max-n", "3")
     assert out.splitlines()[-1] == "separated 2, with witnesses 2, skipped 0"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_separation_survey_reports_a_varying_entry(monkeypatch, capsys):
+    # f3 + x2 varies along orbits; the survey prints the witness as verify does
+    survey = load_script("separation_survey")
+
+    def doctored(spec, ring):
+        suite = build_suite(spec, ring)
+        entries = list(suite.entries)
+        f = entries[-1].polynomial
+        entries[-1] = entries[-1]._replace(
+            polynomial=f + Polynomial.variable(f.ring, f.table, 1))
+        return suite._replace(entries=tuple(entries))
+
+    monkeypatch.setattr(survey, "build_suite", doctored)
+    monkeypatch.setattr(sys, "argv", ["separation_survey.py", "--primes", "5",
+                                      "--max-n", "3", "--skip-decomposable"])
+    assert survey.main() == 1
+    out = capsys.readouterr().out
+    assert "constancy   FAILED: f3 at (1,0,0)\n" in out
+    assert out.splitlines()[-1] == "separated 2, with witnesses 0, skipped 0"
+
+
+def test_bench_pairs_summary_records_quartile_distances():
+    bench_pairs = load_script("bench_pairs")
+
+    def run(wall, rss):
+        return {"metrics": {"wall_s": {"value": wall}, "peak_rss_mib": {"value": rss}}}
+
+    parent_wall = [1.0, 1.2, 1.1, 1.4, 1.3, 1.0, 1.5, 1.2, 1.1, 1.3]
+    change_wall = [0.9, 1.2, 1.0, 1.5, 1.1, 1.0, 1.4, 1.0, 1.0, 1.2]
+    runs = [{"parent": run(p, 100.0), "change": run(c, 100.0 + i)}
+            for i, (p, c) in enumerate(zip(parent_wall, change_wall))]
+    summary = bench_pairs.summarize(runs, {"wall_s": "lower", "peak_rss_mib": "lower"})
+    wall = summary["wall_s"]
+    assert wall["parent_median"] == 1.2 and wall["change_median"] == 1.05
+    # exclusive quartiles of ten values sit at positions 2.75 and 8.25
+    assert abs(wall["parent_iqr"] - (1.325 - 1.075)) < 1e-12
+    assert abs(wall["change_iqr"] - (1.25 - 1.0)) < 1e-12
+    assert wall["pairs_won"] == 7       # two ties count for neither side
+    rss = summary["peak_rss_mib"]
+    assert (rss["parent_iqr"], rss["change_iqr"], rss["pairs_won"]) == (0.0, 5.5, 0)
