@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modinv.action import (BlockExceedsP, RepresentationSpec, act_raw, delta,
-                           in_b_raw, orbit_raw, render_point, sigma)
+                           in_b_raw, orbit_raw, orbit_rep_raw,
+                           render_point, sigma)
 from modinv.builder import norm_invariant, weight_basis
 from modinv.poly import Polynomial, VariableTable
 from modinv.rings import GF, QQ, ZZ
@@ -145,6 +147,21 @@ def test_orbit_golden():
     got = orbit_raw((3,), F5, (1, 0, 0))
     assert got == [(1, 0, 0), (1, 1, 0), (1, 2, 1), (1, 3, 3), (1, 4, 1)]
     assert orbit_raw((3,), F5, (0, 0, 2)) == [(0, 0, 2)]
+
+
+@pytest.mark.parametrize("p,k,blocks", [
+    (5, 1, (3,)), (3, 2, (2, 1)), (2, 2, (1, 2, 2)), (3, 1, (3, 1, 3)),
+    (5, 1, (1, 4)), (2, 1, (1, 1))])
+def test_orbit_rep_is_shared_by_the_whole_orbit(p, k, blocks):
+    # inside and outside B, fixed points included: every orbit point has the
+    # same representative, and it lies in the orbit
+    field = GF(p, k)
+    for coords in itertools.product(field.elements(), repeat=sum(blocks)):
+        orbit = orbit_raw(blocks, field, coords)
+        rep = orbit_rep_raw(blocks, field, coords)
+        assert rep in orbit, coords
+        assert len(orbit) in (1, p), coords
+        assert {orbit_rep_raw(blocks, field, w) for w in orbit} == {rep}, coords
 
 
 def test_render_point():

@@ -212,6 +212,21 @@ def test_json_golden_shape():
     assert data["terms"][0] == {"coeff": "1", "exps": [1, 0, 1]}
 
 
+@pytest.mark.parametrize("ring,header,coeffs", [
+    (QQ, {"ring": "q", "p": None}, ["1", "-2"]),
+    (ZZ, {"ring": "z", "p": None}, ["1", "-2"]),
+    (F5, {"ring": "fp", "p": 5}, ["1", "3"]),
+    (GF(5, 2), {"ring": "fp", "p": 5, "k": 2}, ["1,0", "3,0"])])
+def test_json_encoding_rings(ring, header, coeffs):
+    # x1*x3 - 2*x2^2: ring code, p and k, rendered coefficients, lead first
+    one = ring.one()
+    two = ring.add(one, one)
+    f = Polynomial(ring, T3, {(0, 2, 0): ring.neg(two), (1, 0, 1): one})
+    assert f.to_json_dict() == {**header, "blocks": [3], "terms": [
+        {"coeff": coeffs[0], "exps": [1, 0, 1]},
+        {"coeff": coeffs[1], "exps": [0, 2, 0]}]}
+
+
 @given(st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
     st.integers(-5, 5), max_size=4),
