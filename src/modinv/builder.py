@@ -11,18 +11,22 @@ result is exact over the rationals and reduces to any F_p with p >= n.
 
 The loop runs in integers over one common denominator and solves each
 system with its integer adjugate (linalg.IntegerSystem), which one
-fraction-free pass gives together with the determinant.  A system depends
-on its weight and family, not on n, so it is solved once and shared by
-every f_m.  Direct sums are handled blockwise.
+fraction-free pass gives together with the determinant.  Inside the loop a
+monomial is a sparse key, the sorted tuple of its 1-based variable indices
+such as (1, n) or (1, 1, n): its weight is sum(key), and sigma of a key,
+which does not depend on n, is computed once into a table that every f_m
+shares.  A system likewise depends on its weight and family, not on n, so
+it is solved once and shared by every f_m.  Keys become dense exponent
+tuples only when the result Polynomial is built, and the public bases keep
+dense tuples.  Direct sums are handled blockwise.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from . import linalg
-from .action import BlockExceedsP, RepresentationSpec, _sigma_monomial
+from .action import BlockExceedsP, RepresentationSpec
 from .poly import (Polynomial, Record, VariableTable, embed, monomial_text,
                    ring_code)
 from .rings import GF, QQ, ZZ, RationalRing, Ring
@@ -61,26 +65,81 @@ class WeightSpaceBasis(Record, namedtuple("WeightSpaceBasis", "family d n monomi
         return tuple(monomial_text(table, e) for e in self.monomials)
 
 
-def _exps(n, *indices):
-    """Exponent tuple for a product of 1-based variable indices."""
+def _dense(n, key):
+    """Exponent tuple over n variables of a sparse key."""
     out = [0] * n
-    for i in indices:
+    for i in key:
         out[i - 1] += 1
     return tuple(out)
 
 
-def _w_monomials(d, n):
-    """x_i * x_{d-i} for i = 1..floor(d/2), smallest i first."""
-    return [_exps(n, i, d - i) for i in range(1, d // 2 + 1)]
+def _key(exps):
+    """Sparse key of an exponent tuple: its 1-based indices, with multiplicity."""
+    return tuple(i for i, a in enumerate(exps, start=1) for _ in range(a))
 
 
-def _s_monomials(d, n):
-    """Degree-3 weight-d monomials divisible by x1 or x2, as (B1, B2):
-    B1 = x1*x_i*x_j with i+j = d-1, B2 = x2*x_i*x_j with 2 <= i, i+j = d-2,
-    each ordered by increasing i."""
-    b1 = [_exps(n, 1, i, d - 1 - i) for i in range(1, (d - 1) // 2 + 1)]
-    b2 = [_exps(n, 2, i, d - 2 - i) for i in range(2, (d - 2) // 2 + 1)]
-    return b1, b2
+@lru_cache(maxsize=None)
+def _key_text(key) -> str:
+    """monomial_text of a key over a single block."""
+    return "*".join(f"x{i}" if a == 1 else f"x{i}^{a}"
+                    for i, a in Counter(key).items())
+
+
+@lru_cache(maxsize=None)
+def _names(keys) -> tuple:
+    return tuple(map(_key_text, keys))
+
+
+@lru_cache(maxsize=None)
+def _sigma_key(key) -> tuple:
+    """sigma of a single-block monomial over Z, as (weight, key, int) triples.
+
+    x1 is fixed and every other x_i becomes x_{i-1} + x_i, so the image
+    does not depend on the block size.  It holds the key itself with
+    coefficient 1 and otherwise only terms of lower weight.
+    """
+    out = {(): 1}
+    for i in key:
+        images = (i,) if i == 1 else (i - 1, i)
+        nxt = {}
+        for k, c in out.items():
+            for j in images:
+                e = tuple(sorted(k + (j,)))
+                nxt[e] = nxt.get(e, 0) + c
+        out = nxt
+    return tuple((sum(e), e, c) for e, c in out.items())
+
+
+@lru_cache(maxsize=None)
+def _basis_keys(family: str, d: int) -> tuple:
+    """Keys of weight_basis(family, d, n), the same for every valid n.
+
+    W: x_i * x_{d-i} for i = 1..floor(d/2).  S: B1 = x1*x_i*x_j with
+    i+j = d-1, then B2 = x2*x_i*x_j with 2 <= i, i+j = d-2.  Each list is
+    ordered by increasing i.
+    """
+    if family in _W_FAMILIES:
+        keys = [(i, d - i) for i in range(1, d // 2 + 1)]
+        if family == "Wprime":
+            if d % 2:
+                raise ParityViolation("Wprime needs even d")
+            keys = keys[1:]
+        return tuple(keys)
+    b1 = [(1, i, d - 1 - i) for i in range(1, (d - 1) // 2 + 1)]
+    b2 = [(2, i, d - 2 - i) for i in range(2, (d - 2) // 2 + 1)]
+    if family == "Sprime":
+        if d % 2:
+            raise ParityViolation("Sprime needs even d")
+        if d < 6:
+            raise RangeViolation("Sprime needs d >= 6")
+        b1 = b1[1:]
+    elif family == "Shat":
+        if d % 2 == 0:
+            raise ParityViolation("Shat needs odd d")
+        if d < 5:
+            raise RangeViolation("Shat needs d >= 5")
+        b1 = b1[:-1]
+    return tuple(b1 + b2)
 
 
 def weight_basis(family: str, d: int, n: int) -> WeightSpaceBasis:
@@ -96,50 +155,28 @@ def weight_basis(family: str, d: int, n: int) -> WeightSpaceBasis:
         raise ValueError(f"unknown family {family!r}")
     if d < 0:
         raise RangeViolation("negative weight")
-    if family in _W_FAMILIES:
-        if d > n + 1:
-            raise RangeViolation(f"W-family needs d <= n+1, got d={d}, n={n}")
-        monomials = _w_monomials(d, n)
-        if family == "Wprime":
-            if d % 2:
-                raise ParityViolation("Wprime needs even d")
-            monomials = monomials[1:]
-    else:
-        if d > n + 2:
-            raise RangeViolation(f"S-family needs d <= n+2, got d={d}, n={n}")
-        b1, b2 = _s_monomials(d, n)
-        if family == "Sprime":
-            if d % 2:
-                raise ParityViolation("Sprime needs even d")
-            if d < 6:
-                raise RangeViolation("Sprime needs d >= 6")
-            b1 = b1[1:]
-        elif family == "Shat":
-            if d % 2 == 0:
-                raise ParityViolation("Shat needs odd d")
-            if d < 5:
-                raise RangeViolation("Shat needs d >= 5")
-            b1 = b1[:-1]
-        monomials = b1 + b2
-    return WeightSpaceBasis(family, d, n, tuple(monomials))
+    if family in _W_FAMILIES and d > n + 1:
+        raise RangeViolation(f"W-family needs d <= n+1, got d={d}, n={n}")
+    if family in _S_FAMILIES and d > n + 2:
+        raise RangeViolation(f"S-family needs d <= n+2, got d={d}, n={n}")
+    return WeightSpaceBasis(family, d, n,
+                            tuple(_dense(n, k) for k in _basis_keys(family, d)))
 
 
-def _delta_matrix(source_monomials, target_monomials, n):
-    """Integer matrix of the weight-(d-1) part of delta on given monomials.
+def _delta_matrix(source, target):
+    """Integer matrix of the weight-(d-1) part of delta on weight-d keys.
 
     Rows follow the target order, columns the source order.
     """
-    table = VariableTable((n,))
-    index = {e: i for i, e in enumerate(target_monomials)}
-    rows = [[0] * len(source_monomials) for _ in target_monomials]
-    for col, exps in enumerate(source_monomials):
-        d = table.weight_of(exps)
-        for e, c in _sigma_monomial(table, exps).items():
-            if table.weight_of(e) != d - 1:
+    index = {e: i for i, e in enumerate(target)}
+    rows = [[0] * len(source) for _ in target]
+    for col, key in enumerate(source):
+        below = sum(key) - 1
+        for w, e, c in _sigma_key(key):
+            if w != below:
                 continue
             if e not in index:
-                raise IncompatibleBases(
-                    f"target basis misses {monomial_text(table, e)}")
+                raise IncompatibleBases(f"target basis misses {_key_text(e)}")
             rows[index[e]][col] = c
     return rows
 
@@ -158,7 +195,8 @@ def restricted_delta_matrix(source: WeightSpaceBasis, target: WeightSpaceBasis):
         raise IncompatibleBases("degree-2 sources map into a W target")
     if source.family in _S_FAMILIES and target.family != "S":
         raise IncompatibleBases("degree-3 sources map into an S target")
-    return _delta_matrix(source.monomials, target.monomials, source.n)
+    return _delta_matrix(tuple(map(_key, source.monomials)),
+                         tuple(map(_key, target.monomials)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +226,17 @@ def _designated_family(degree: int, d: int) -> str:
     return "Shat" if d % 2 else "Sprime"
 
 
-# Systems met by the elimination loop, keyed by (source names, target names):
+# Systems met by the elimination loop, keyed by (source keys, target keys):
 # f_{n+2} meets every system f_n meets, so f_3..f_29 solve only 54 systems.
 _SYSTEMS = {}
 
 
-def _system(source, target_monomials, n, key) -> linalg.IntegerSystem:
-    system = _SYSTEMS.get(key)
+def _system(source, target) -> linalg.IntegerSystem:
+    system = _SYSTEMS.get((source, target))
     if system is None:
-        matrix = _delta_matrix(source, target_monomials, n)
-        system = _SYSTEMS[key] = linalg.IntegerSystem(matrix, len(source))
+        system = _SYSTEMS[source, target] = linalg.IntegerSystem(
+            _delta_matrix(source, target), len(source))
     return system
-
-
-@lru_cache(maxsize=None)
-def _basis_names(family: str, d: int) -> tuple:
-    """Monomial names of weight_basis(family, d, n), the same for every valid n."""
-    return weight_basis(family, d, d).names()
 
 
 def _ring_value(ring: Ring, num: int, den: int):
@@ -233,8 +265,8 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
     few-term correction is computed.  Each pass's monomials lie one weight
     above its residual, below every earlier pass's, so t's coefficients are
     just the negated solutions.  Over F_p every integer is reduced mod p,
-    and a scale divisible by p has no unique solution.  The Polynomial is
-    built once, at the end.
+    and a scale divisible by p has no unique solution.  Monomials are
+    sparse keys throughout; the Polynomial is built once, at the end.
     """
     if degree not in (2, 3):
         raise ValueError("degree must be 2 or 3")
@@ -243,15 +275,12 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
     if not ring.is_field:
         raise ValueError("construction needs a field (use integral_form for Z output)")
     p = ring.characteristic
-    table = VariableTable((n,))
-    weights = range(1, n + 1)
-    lead = _exps(n, 1, n) if degree == 2 else _exps(n, 1, 1, n)
+    lead = (1, n) if degree == 2 else (1, 1, n)
     target_family = "W" if degree == 2 else "S"
 
-    def subtract_delta(monomial, c, below):
-        """R -= c * delta(monomial), on weights below `below` only."""
-        for e, k in _sigma_monomial(table, monomial).items():
-            w = sum(map(mul, e, weights))
+    def subtract_delta(key, c, below):
+        """R -= c * delta(key), on weights below `below` only."""
+        for w, e, k in _sigma_key(key):
             if w < below:
                 part = residual.setdefault(w, {})
                 v = part.get(e, 0) - c * k
@@ -266,7 +295,7 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
 
     terms = {lead: ring.one()}
     denominator = 1
-    residual = {}                       # weight -> {exponent tuple: int}
+    residual = {}                       # weight -> {key: int}
     subtract_delta(lead, -1, n + degree - 1)
     steps = []
     prev_top = None
@@ -277,25 +306,19 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
         prev_top = top
         d = top + 1
         family = _designated_family(degree, d)
-        basis = weight_basis(family, d, n)
         # keep the tail inside the first n-1 variables
-        kept = [(e, name) for e, name in zip(basis.monomials, _basis_names(family, d))
-                if e[n - 1] == 0]
-        source = tuple(e for e, _ in kept)
-        source_names = tuple(name for _, name in kept)
-        target = weight_basis(target_family, top, n)
-        target_names = _basis_names(target_family, top)
+        source = tuple(k for k in _basis_keys(family, d) if k[-1] < n)
+        target = _basis_keys(target_family, top)
         comp = residual.pop(top)
-        rhs = [comp.get(e, 0) for e in target.monomials]
+        rhs = [comp.get(e, 0) for e in target]
         if len(comp) != sum(1 for v in rhs if v):
             raise AssertionError("residual outside the target span")
         try:
-            system = _system(source, target.monomials, n, (source_names, target_names))
+            system = _system(source, target)
             y = system.solve(rhs, p)
         except (linalg.InconsistentSystem, linalg.UnderdeterminedSystem) as exc:
-            lead_text = monomial_text(table, lead)
             raise NoSolution(
-                f"no invariant {lead_text} + h with h free of x{n}: "
+                f"no invariant {_key_text(lead)} + h with h free of x{n}: "
                 f"weight-{top} residual has no unique preimage in {family}_{d}") from exc
         scale = system.scale % p if p else system.scale
         if scale != 1:
@@ -311,13 +334,15 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
         steps.append(EliminationStep(
             weight=d,
             family=family,
-            source=source_names,
-            target=target_names,
+            source=_names(source),
+            target=_names(target),
             matrix=system.rows,
             det=system.det,
             solution=tuple(ring.render(c) for c in solution),
         ))
-    return ConnectingInvariant(n, degree, Polynomial(ring, table, terms), tuple(steps))
+    polynomial = Polynomial(ring, VariableTable((n,)),
+                            {_dense(n, k): c for k, c in terms.items()})
+    return ConnectingInvariant(n, degree, polynomial, tuple(steps))
 
 
 @lru_cache(maxsize=None)

@@ -91,10 +91,6 @@ class VariableTable(Record, namedtuple("VariableTable", "blocks")):
             return tuple(f"x{i}" for i in range(1, self.n + 1))
         return tuple(f"x{b + 1}_{j}" for b, j in self.positions)
 
-    def weight_of(self, exps) -> int:
-        """Sum of block positions with multiplicity."""
-        return sum(e * self.positions[i][1] for i, e in enumerate(exps) if e)
-
 
 def grlex_key(exps):
     """Sort key for the canonical order: total degree, then lex with the
@@ -157,9 +153,6 @@ class Polynomial:
     def terms(self):
         """Term list [(exps, coeff)] in the canonical descending order."""
         return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
-
-    def coefficient(self, exps):
-        return self._terms.get(tuple(exps), self.ring.zero())
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -255,13 +248,6 @@ class Polynomial:
         return self._hash
 
     # -- structure ops -------------------------------------------------------
-
-    def weight_components(self) -> dict:
-        """Split into weight-homogeneous parts: weight -> Polynomial."""
-        buckets = {}
-        for exps, c in self._terms.items():
-            buckets.setdefault(self.table.weight_of(exps), {})[exps] = c
-        return {w: Polynomial(self.ring, self.table, t) for w, t in sorted(buckets.items())}
 
     def substitute(self, images: dict) -> "Polynomial":
         """Substitute each 0-based variable i by images[i].

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -6,15 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modinv.action import BlockExceedsP, RepresentationSpec, delta, sigma
+from modinv.action import (BlockExceedsP, RepresentationSpec, _sigma_monomial,
+                           delta, sigma)
 from modinv.builder import (IncompatibleBases, NoSolution, ParityViolation,
-                            RangeViolation, build_suite, connecting_degree,
+                            RangeViolation, _delta_matrix, _dense, _key,
+                            _key_text, _sigma_key, build_suite, connecting_degree,
                             construct_connecting, integral_form,
                             norm_invariant, restricted_delta_matrix,
                             suite_construction_steps, weight_basis)
 from modinv.linalg import det_int
-from modinv.poly import Polynomial, VariableTable
+from modinv.poly import Polynomial, VariableTable, monomial_text
 from modinv.rings import GF, QQ, ZZ, is_prime
+from polyref import exps, weight_of
 
 T3 = VariableTable((3,))
 T4 = VariableTable((4,))
@@ -88,6 +92,30 @@ def test_weight_basis_errors():
         weight_basis("W", -1, 4)
     with pytest.raises(ValueError):
         weight_basis("X", 4, 4)
+
+
+# -- sparse keys --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sparse_sigma_matches_dense(n):
+    # every monomial of degree <= 3 in one block of size n
+    table = VariableTable((n,))
+    for degree in range(4):
+        for key in itertools.combinations_with_replacement(range(1, n + 1), degree):
+            e = exps(n, *key)
+            assert _key(e) == key and _dense(n, key) == e
+            assert sum(key) == weight_of(table, e)
+            assert _key_text(key) == monomial_text(table, e)
+            image = {_dense(n, k): c for _, k, c in _sigma_key(key)}
+            assert image == _sigma_monomial(table, e)
+            for w, k, _ in _sigma_key(key):
+                assert list(k) == sorted(k) and w == weight_of(table, _dense(n, k))
+
+
+def test_delta_matrix_names_a_missing_target():
+    with pytest.raises(IncompatibleBases, match=r"target basis misses x1\*x3"):
+        _delta_matrix(((1, 4),), ((2, 2),))
 
 
 # -- restricted matrices ----------------------------------------------------
@@ -405,7 +433,6 @@ def test_invariance_under_point_action_small_fields():
         spec = RepresentationSpec(p, blocks)
         field = GF(p, k)
         suite = build_suite(spec, "fp")
-        import itertools
         points = itertools.product(field.elements(), repeat=spec.n)
         if field.order ** spec.n > 3000:
             els = list(field.elements())

@@ -1,14 +1,16 @@
 """Differential checks of the builder's elimination loop against a reference.
 
 reference_connecting is the elimination loop as it was before it ran in
-integers: t and the residual are Polynomials over the target ring, and every
-pass builds its matrix with _delta_matrix, solves it over the ring with
-linalg.solve_unique, subtracts delta of the correction and records det_int.
-construct_connecting must give an equal ConnectingInvariant (polynomial
-and every EliminationStep field) over Q for every 3 <= n <= 41 and
-natively over F_p for p in {3, 5, 7, 11, 13} and every n <= p + 3 (and over
-F_9 for n <= 6), and raise the same NoSolution text wherever the reference
-does.
+integers, on dense exponent tuples and none of the builder's own helpers:
+t and the residual are Polynomials over the target ring, every pass reads
+its matrix off action.delta of each dense source monomial (the component
+one weight down, coefficient by coefficient in the target basis), solves it
+over the ring with linalg.solve_unique, subtracts delta of the correction
+and records det_int.  construct_connecting must give an equal
+ConnectingInvariant (polynomial and every EliminationStep field) over Q for
+every 3 <= n <= 41 and natively over F_p for p in {3, 5, 7, 11, 13} and
+every n <= p + 3 (and over F_9 for n <= 6), and raise the same NoSolution
+text wherever the reference does.
 """
 
 import pytest
@@ -16,29 +18,43 @@ import pytest
 from modinv import linalg
 from modinv.action import delta
 from modinv.builder import (ConnectingInvariant, EliminationStep, NoSolution,
-                            _delta_matrix, _designated_family, _exps,
-                            connecting_degree, construct_connecting,
-                            weight_basis)
+                            _designated_family, connecting_degree,
+                            construct_connecting, weight_basis)
 from modinv.poly import Polynomial, VariableTable, monomial_text
-from modinv.rings import GF, QQ
+from modinv.rings import GF, QQ, ZZ
+from polyref import coefficient, exps, weight_components
+
+
+def delta_matrix(source, target, weight, table):
+    """Columns: the weight-`weight` part of delta(m) for each source monomial
+    m, written in the target basis."""
+    rows = [[0] * len(source) for _ in target]
+    for col, e in enumerate(source):
+        part = weight_components(delta(Polynomial.monomial(ZZ, table, e))).get(weight)
+        if part is None:
+            continue
+        assert set(part._terms) <= set(target), "image outside the target span"
+        for row, t in enumerate(target):
+            rows[row][col] = coefficient(part, t)
+    return rows
 
 
 def reference_connecting(n, degree, ring=QQ):
     table = VariableTable((n,))
-    lead = _exps(n, 1, n) if degree == 2 else _exps(n, 1, 1, n)
+    lead = exps(n, 1, n) if degree == 2 else exps(n, 1, 1, n)
     t = Polynomial.monomial(ring, table, lead)
     target_family = "W" if degree == 2 else "S"
     steps = []
     residual = delta(t)
     while not residual.is_zero:
-        components = residual.weight_components()
+        components = weight_components(residual)
         top = max(components)
         d = top + 1
         family = _designated_family(degree, d)
         source = tuple(e for e in weight_basis(family, d, n).monomials if e[n - 1] == 0)
         target = weight_basis(target_family, top, n)
-        matrix = _delta_matrix(source, target.monomials, n)
-        rhs = [components[top].coefficient(e) for e in target.monomials]
+        matrix = delta_matrix(source, target.monomials, top, table)
+        rhs = [coefficient(components[top], e) for e in target.monomials]
         rows = [[ring.from_int(v) for v in row] for row in matrix]
         try:
             solution = linalg.solve_unique(ring, rows, rhs)

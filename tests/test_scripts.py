@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from modinv.builder import build_suite
 from modinv.poly import Polynomial
 
@@ -82,3 +84,29 @@ def test_bench_pairs_summary_records_quartile_distances():
     assert wall["pairs_won"] == 7       # two ties count for neither side
     rss = summary["peak_rss_mib"]
     assert (rss["parent_iqr"], rss["change_iqr"], rss["pairs_won"]) == (0.0, 5.5, 0)
+
+
+def test_compare_outputs_runs_two_commands():
+    if subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
+                      capture_output=True).returncode:
+        pytest.skip("needs a git checkout with a HEAD commit")
+    out = run_script("compare_outputs.py", "--parent", "HEAD", "--no-workloads",
+                     "construct --p 3 --blocks 3", "verify --p 2 --blocks 1 --k 2")
+    assert out.splitlines() == [
+        "identical: construct --p 3 --blocks 3",
+        "identical: verify --p 2 --blocks 1 --k 2",
+        "2 of 2 commands identical",
+    ]
+
+
+def test_compare_outputs_names_what_differs():
+    compare = load_script("compare_outputs")
+    same = ("ab", "", 0)
+    assert compare.differences(same, same) == []
+    assert compare.differences(same, ("cd", "", 1)) == ["stdout", "exit code"]
+    assert compare.differences(same, ("ab", "error: x\n", 0)) == ["stderr"]
+    commands = compare.workload_commands()
+    assert len(commands) == len(set(commands))
+    assert (("construct", "--p", "29", "--blocks", "29", "--ring", "q",
+             "--format", "json"), ()) in commands
+    assert not any("{missing}" in a for args, _ in commands for a in args)
