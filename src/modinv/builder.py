@@ -13,7 +13,7 @@ The loop runs in integers over one common denominator and solves each
 system with its integer adjugate (linalg.IntegerSystem), which one
 fraction-free pass gives together with the determinant.  Inside the loop a
 monomial is a sparse key, the sorted tuple of its 1-based variable indices
-such as (1, n) or (1, 1, n): its weight is sum(key), and sigma of a key,
+such as (1, n) or (1, 1, n): its weight is sum(key), and delta of a key,
 which does not depend on n, is computed once into a table that every f_m
 shares.  A system likewise depends on its weight and family, not on n, so
 it is solved once and shared by every f_m.  Keys become dense exponent
@@ -78,7 +78,6 @@ def _key(exps):
     return tuple(i for i, a in enumerate(exps, start=1) for _ in range(a))
 
 
-@lru_cache(maxsize=None)
 def _key_text(key) -> str:
     """monomial_text of a key over a single block."""
     return "*".join(f"x{i}" if a == 1 else f"x{i}^{a}"
@@ -87,16 +86,22 @@ def _key_text(key) -> str:
 
 @lru_cache(maxsize=None)
 def _names(keys) -> tuple:
+    """Monomial names of a basis, one tuple shared by every step listing it."""
     return tuple(map(_key_text, keys))
 
 
-@lru_cache(maxsize=None)
-def _sigma_key(key) -> tuple:
-    """sigma of a single-block monomial over Z, as (weight, key, int) triples.
+# One tuple object per key met, so that the delta table shares its keys.
+_KEYS = {}
 
-    x1 is fixed and every other x_i becomes x_{i-1} + x_i, so the image
+
+@lru_cache(maxsize=None)
+def _delta_key(key) -> tuple:
+    """delta of a single-block monomial over Z, as (weight, key, int) triples.
+
+    sigma fixes x1 and sends every other x_i to x_{i-1} + x_i, so the image
     does not depend on the block size.  It holds the key itself with
-    coefficient 1 and otherwise only terms of lower weight.
+    coefficient 1, which delta leaves out, and otherwise only terms of
+    lower weight.
     """
     out = {(): 1}
     for i in key:
@@ -107,7 +112,8 @@ def _sigma_key(key) -> tuple:
                 e = tuple(sorted(k + (j,)))
                 nxt[e] = nxt.get(e, 0) + c
         out = nxt
-    return tuple((sum(e), e, c) for e, c in out.items())
+    del out[key]
+    return tuple((sum(e), _KEYS.setdefault(e, e), c) for e, c in out.items())
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +178,7 @@ def _delta_matrix(source, target):
     rows = [[0] * len(source) for _ in target]
     for col, key in enumerate(source):
         below = sum(key) - 1
-        for w, e, c in _sigma_key(key):
+        for w, e, c in _delta_key(key):
             if w != below:
                 continue
             if e not in index:
@@ -280,7 +286,7 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
 
     def subtract_delta(key, c, below):
         """R -= c * delta(key), on weights below `below` only."""
-        for w, e, k in _sigma_key(key):
+        for w, e, k in _delta_key(key):
             if w < below:
                 part = residual.setdefault(w, {})
                 v = part.get(e, 0) - c * k

@@ -11,7 +11,7 @@ from modinv.action import (BlockExceedsP, RepresentationSpec, _sigma_monomial,
                            delta, sigma)
 from modinv.builder import (IncompatibleBases, NoSolution, ParityViolation,
                             RangeViolation, _delta_matrix, _dense, _key,
-                            _key_text, _sigma_key, build_suite, connecting_degree,
+                            _delta_key, _key_text, build_suite, connecting_degree,
                             construct_connecting, integral_form,
                             norm_invariant, restricted_delta_matrix,
                             suite_construction_steps, weight_basis)
@@ -98,7 +98,7 @@ def test_weight_basis_errors():
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_sparse_sigma_matches_dense(n):
+def test_sparse_delta_matches_dense(n):
     # every monomial of degree <= 3 in one block of size n
     table = VariableTable((n,))
     for degree in range(4):
@@ -107,9 +107,10 @@ def test_sparse_sigma_matches_dense(n):
             assert _key(e) == key and _dense(n, key) == e
             assert sum(key) == weight_of(table, e)
             assert _key_text(key) == monomial_text(table, e)
-            image = {_dense(n, k): c for _, k, c in _sigma_key(key)}
-            assert image == _sigma_monomial(table, e)
-            for w, k, _ in _sigma_key(key):
+            image = {_dense(n, k): c for _, k, c in _delta_key(key)}
+            sigma_image = _sigma_monomial(table, e)
+            assert sigma_image.pop(e) == 1 and image == sigma_image
+            for w, k, _ in _delta_key(key):
                 assert list(k) == sorted(k) and w == weight_of(table, _dense(n, k))
 
 
