@@ -39,6 +39,14 @@ def git(*args, cwd=ROOT) -> str:
                            capture_output=True, text=True).stdout.strip()
 
 
+def export(rev: str, dest: Path) -> None:
+    """Extract the committed files of REV into dest."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+
+
 def src_lines(checkout: Path) -> int:
     return sum(len(f.read_text().splitlines())
                for f in sorted((checkout / "src" / "modinv").glob("*.py")))
@@ -100,10 +108,7 @@ def main(argv=None) -> int:
     checkouts = {side: tmp / side for side in revs}
     try:
         for side, rev in revs.items():
-            archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                                     capture_output=True).stdout
-            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-                tar.extractall(checkouts[side])
+            export(rev, checkouts[side])
         result = {
             "revisions": revs,
             "host": {"cpus": os.cpu_count(), "python": platform.python_version()},

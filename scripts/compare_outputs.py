@@ -2,26 +2,24 @@
 """Check that HEAD gives the same output as REV on the benchmark's commands.
 
 The committed files of both commits are exported with `git archive` into a
-temporary directory, as scripts/bench_pairs.py does.  Every distinct command
-line of perfbench/workloads.py (read from this checkout), followed by any
+temporary directory, by scripts/bench_pairs.py's `export`.  Every distinct
+command of perfbench/workloads.py (read from this checkout), followed by any
 extra command lines given, runs once as `python -m modinv ...` in each copy.
 For each command the script compares the sha256 of stdout, the stderr text
 and the exit code, prints one line per command, and exits 0 only if every
 command agrees.  Only the standard library is used.
 
-Usage: python3 scripts/compare_outputs.py --parent REV [--no-workloads]
+Usage: python3 scripts/compare_outputs.py --parent REV
        ["construct --p 101 --blocks 101" ...]
 """
 
 import argparse
 import hashlib
 import importlib.util
-import io
 import os
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -32,36 +30,37 @@ ROOT = Path(__file__).resolve().parent.parent
 MISSING = "missing-directory"
 
 
-def workload_commands() -> list:
-    """Distinct (args, env) pairs of every workload, in first-seen order."""
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load(ROOT / "perfbench" / "workloads.py")
+export = _load(ROOT / "scripts" / "bench_pairs.py").export
+
+
+def workload_commands() -> list:
+    """Distinct commands of every workload, in first-seen order."""
     out = []
-    for workload in module.WORKLOADS.values():
+    for workload in workloads.WORKLOADS.values():
         for c in workload.commands:
-            args = tuple(a.replace(module.MISSING_DIR, MISSING) for a in c.args)
-            if (args, c.env) not in out:
-                out.append((args, c.env))
+            args = tuple(a.replace(workloads.MISSING_DIR, MISSING) for a in c.args)
+            command = workloads.Command(args, c.env)
+            if command not in out:
+                out.append(command)
     return out
 
 
-def export(rev: str, dest: Path) -> None:
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest)
-
-
-def run(checkout: Path, args, env_pairs) -> tuple:
+def run(checkout: Path, command) -> tuple:
     """(stdout sha256, stderr, exit code) of one command in one checkout."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     env.pop("MODINV_THREADS", None)
-    env.update(env_pairs)
-    proc = subprocess.run([sys.executable, "-m", "modinv", *args], cwd=checkout,
-                          env=env, capture_output=True)
+    env.update(command.env)
+    proc = subprocess.run([sys.executable, "-m", "modinv", *command.args],
+                          cwd=checkout, env=env, capture_output=True)
     return (hashlib.sha256(proc.stdout).hexdigest(),
             proc.stderr.decode(errors="replace"), proc.returncode)
 
@@ -75,14 +74,12 @@ def differences(parent: tuple, change: tuple) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="baseline revision")
-    parser.add_argument("--no-workloads", action="store_true",
-                        help="run only the command lines given")
     parser.add_argument("commands", nargs="*", metavar="COMMAND",
                         help="extra modinv command line, e.g. 'construct --p 5 --blocks 5'")
     args = parser.parse_args(argv)
 
-    commands = [] if args.no_workloads else workload_commands()
-    commands += [(tuple(c.split()), ()) for c in args.commands]
+    commands = workload_commands()
+    commands += [workloads.Command(tuple(c.split())) for c in args.commands]
     tmp = Path(tempfile.mkdtemp(prefix="compare-outputs-"))
     try:
         sides = {}
@@ -90,13 +87,12 @@ def main(argv=None) -> int:
             sides[side] = tmp / side
             export(rev, sides[side])
         differing = 0
-        for command, env in commands:
-            text = "".join(f"{k}={v} " for k, v in env) + " ".join(command)
-            diff = differences(run(sides["parent"], command, env),
-                               run(sides["change"], command, env))
+        for command in commands:
+            diff = differences(run(sides["parent"], command),
+                               run(sides["change"], command))
             differing += bool(diff)
             print(f"{'DIFFERS (' + ', '.join(diff) + ')' if diff else 'identical'}: "
-                  f"{text}", flush=True)
+                  f"{command.text}", flush=True)
         print(f"{len(commands) - differing} of {len(commands)} commands identical")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -21,7 +21,7 @@ tuples only when the result Polynomial is built, and the public bases keep
 dense tuples.  Direct sums are handled blockwise.
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -78,16 +78,15 @@ def _key(exps):
     return tuple(i for i, a in enumerate(exps, start=1) for _ in range(a))
 
 
-def _key_text(key) -> str:
-    """monomial_text of a key over a single block."""
-    return "*".join(f"x{i}" if a == 1 else f"x{i}^{a}"
-                    for i, a in Counter(key).items())
-
-
 @lru_cache(maxsize=None)
 def _names(keys) -> tuple:
-    """Monomial names of a basis, one tuple shared by every step listing it."""
-    return tuple(map(_key_text, keys))
+    """Monomial names of keys, one tuple shared by every step listing them.
+
+    A name does not depend on the block size, so the smallest block holding
+    every key names them.
+    """
+    table = VariableTable((max((k[-1] for k in keys), default=1),))
+    return tuple(monomial_text(table, _dense(table.n, k)) for k in keys)
 
 
 # One tuple object per key met, so that the delta table shares its keys.
@@ -182,7 +181,7 @@ def _delta_matrix(source, target):
             if w != below:
                 continue
             if e not in index:
-                raise IncompatibleBases(f"target basis misses {_key_text(e)}")
+                raise IncompatibleBases(f"target basis misses {_names((e,))[0]}")
             rows[index[e]][col] = c
     return rows
 
@@ -324,7 +323,7 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
             y = system.solve(rhs, p)
         except (linalg.InconsistentSystem, linalg.UnderdeterminedSystem) as exc:
             raise NoSolution(
-                f"no invariant {_key_text(lead)} + h with h free of x{n}: "
+                f"no invariant {_names((lead,))[0]} + h with h free of x{n}: "
                 f"weight-{top} residual has no unique preimage in {family}_{d}") from exc
         scale = system.scale % p if p else system.scale
         if scale != 1:

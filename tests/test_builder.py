@@ -11,12 +11,12 @@ from modinv.action import (BlockExceedsP, RepresentationSpec, _sigma_monomial,
                            delta, sigma)
 from modinv.builder import (IncompatibleBases, NoSolution, ParityViolation,
                             RangeViolation, _delta_matrix, _dense, _key,
-                            _delta_key, _key_text, build_suite, connecting_degree,
+                            _delta_key, build_suite, connecting_degree,
                             construct_connecting, integral_form,
                             norm_invariant, restricted_delta_matrix,
                             suite_construction_steps, weight_basis)
 from modinv.linalg import det_int
-from modinv.poly import Polynomial, VariableTable, monomial_text
+from modinv.poly import Polynomial, VariableTable
 from modinv.rings import GF, QQ, ZZ, is_prime
 from polyref import exps, weight_of
 
@@ -106,7 +106,6 @@ def test_sparse_delta_matches_dense(n):
             e = exps(n, *key)
             assert _key(e) == key and _dense(n, key) == e
             assert sum(key) == weight_of(table, e)
-            assert _key_text(key) == monomial_text(table, e)
             image = {_dense(n, k): c for _, k, c in _delta_key(key)}
             sigma_image = _sigma_monomial(table, e)
             assert sigma_image.pop(e) == 1 and image == sigma_image

@@ -86,13 +86,15 @@ def test_bench_pairs_summary_records_quartile_distances():
     assert (rss["parent_iqr"], rss["change_iqr"], rss["pairs_won"]) == (0.0, 5.5, 0)
 
 
-def test_compare_outputs_runs_two_commands():
+def test_compare_outputs_runs_two_commands(monkeypatch, capsys):
     if subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
                       capture_output=True).returncode:
         pytest.skip("needs a git checkout with a HEAD commit")
-    out = run_script("compare_outputs.py", "--parent", "HEAD", "--no-workloads",
-                     "construct --p 3 --blocks 3", "verify --p 2 --blocks 1 --k 2")
-    assert out.splitlines() == [
+    compare = load_script("compare_outputs")
+    monkeypatch.setattr(compare, "workload_commands", lambda: [])
+    assert compare.main(["--parent", "HEAD", "construct --p 3 --blocks 3",
+                         "verify --p 2 --blocks 1 --k 2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
         "identical: construct --p 3 --blocks 3",
         "identical: verify --p 2 --blocks 1 --k 2",
         "2 of 2 commands identical",
@@ -107,6 +109,6 @@ def test_compare_outputs_names_what_differs():
     assert compare.differences(same, ("ab", "error: x\n", 0)) == ["stderr"]
     commands = compare.workload_commands()
     assert len(commands) == len(set(commands))
-    assert (("construct", "--p", "29", "--blocks", "29", "--ring", "q",
-             "--format", "json"), ()) in commands
-    assert not any("{missing}" in a for args, _ in commands for a in args)
+    assert compare.workloads.Command(("construct", "--p", "29", "--blocks", "29",
+                                      "--ring", "q", "--format", "json")) in commands
+    assert not any("{missing}" in a for c in commands for a in c.args)
