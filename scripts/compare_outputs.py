@@ -6,8 +6,11 @@ temporary directory, by scripts/bench_pairs.py's `export`.  Every distinct
 command of perfbench/workloads.py (read from this checkout), followed by any
 extra command lines given, runs once as `python -m modinv ...` in each copy.
 For each command the script compares the sha256 of stdout, the stderr text
-and the exit code, prints one line per command, and exits 0 only if every
-command agrees.  Only the standard library is used.
+and the exit code, and exits 0 only if every command agrees.  Stdout is
+hashed as it arrives, so outputs of hundreds of MB are never held.  The
+line printed for each command also gives each side's wall time and peak
+RSS, from os.wait4, so the same run backs both "output unchanged" and a
+memory figure.  Only the standard library is used.
 
 Usage: python3 scripts/compare_outputs.py --parent REV
        ["construct --p 101 --blocks 101" ...]
@@ -21,6 +24,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
+from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,22 +58,41 @@ def workload_commands() -> list:
     return out
 
 
-def run(checkout: Path, command) -> tuple:
-    """(stdout sha256, stderr, exit code) of one command in one checkout."""
+Result = namedtuple("Result", "stdout stderr code wall_s rss_mib")
+
+
+def run(checkout: Path, command) -> Result:
+    """Stdout sha256, stderr, exit code, wall seconds and peak RSS in MiB
+    of one command in one checkout."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     env.pop("MODINV_THREADS", None)
     env.update(command.env)
-    proc = subprocess.run([sys.executable, "-m", "modinv", *command.args],
-                          cwd=checkout, env=env, capture_output=True)
-    return (hashlib.sha256(proc.stdout).hexdigest(),
-            proc.stderr.decode(errors="replace"), proc.returncode)
+    digest = hashlib.sha256()
+    with tempfile.TemporaryFile() as stderr:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "modinv", *command.args],
+                                cwd=checkout, env=env, stdout=subprocess.PIPE,
+                                stderr=stderr)
+        with proc.stdout:
+            for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+                digest.update(chunk)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        stderr.seek(0)
+        text = stderr.read().decode(errors="replace")
+    return Result(digest.hexdigest(), text, proc.returncode, wall, usage.ru_maxrss / 1024)
 
 
 def differences(parent: tuple, change: tuple) -> list:
     """Names of the parts of two run results that differ."""
     return [name for name, a, b in zip(("stdout", "stderr", "exit code"), parent, change)
             if a != b]
+
+
+def cost(result: Result) -> str:
+    return f"{result.wall_s:.2f} s {result.rss_mib:.1f} MiB"
 
 
 def main(argv=None) -> int:
@@ -88,11 +112,12 @@ def main(argv=None) -> int:
             export(rev, sides[side])
         differing = 0
         for command in commands:
-            diff = differences(run(sides["parent"], command),
-                               run(sides["change"], command))
+            parent, change = run(sides["parent"], command), run(sides["change"], command)
+            diff = differences(parent, change)
             differing += bool(diff)
             print(f"{'DIFFERS (' + ', '.join(diff) + ')' if diff else 'identical'}: "
-                  f"{command.text}", flush=True)
+                  f"{command.text} (parent {cost(parent)}, change {cost(change)})",
+                  flush=True)
         print(f"{len(commands) - differing} of {len(commands)} commands identical")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -66,40 +66,49 @@ class RepresentationSpec(Record, namedtuple("RepresentationSpec", "p blocks")):
 # Action on polynomials.
 
 
-def _sigma_monomial(table: VariableTable, exps: tuple) -> dict:
-    """sigma(x^exps) over Z as {exponent tuple: int}.
+def _sigma_monomial(table: VariableTable, key: tuple) -> dict:
+    """sigma of the monomial with sparse key `key` (poly.grlex_key) over Z,
+    as {key: int}.
 
     Each block's first variable is fixed; every later x_i with exponent a
-    becomes (x_{i-1} + x_i)^a, expanded by binomial coefficients.  The image
-    contains x^exps itself with coefficient 1 and otherwise only terms of
-    lower weight.
+    becomes (x_{i-1} + x_i)^a, expanded by binomial coefficients.  The
+    variables are taken from the first up, and each partial product is a
+    key without its degree: its highest variable is at most x_{i-1}, the one
+    the expansion of x_i may raise.  sigma keeps the degree.  The image
+    contains the monomial itself with coefficient 1 and otherwise only
+    terms of lower weight.
     """
-    out = {exps: 1}
-    for i, a in enumerate(exps):
-        if a and table.positions[i][1] > 1:
-            # x_i still has exponent a in every term: later variables only
-            # move weight onto it after this step
-            nxt = {}
-            for e, c in out.items():
-                for j in range(a + 1):
-                    key = e[:i - 1] + (e[i - 1] + j, a - j) + e[i + 1:]
-                    nxt[key] = nxt.get(key, 0) + c * comb(a, j)
-            out = nxt
-    return out
+    positions = table.positions
+    out = {(): 1}
+    for i, a in zip(key[-2:0:-2], key[:0:-2]):
+        if positions[i][1] == 1:
+            out = {(i, a) + k: c for k, c in out.items()}
+            continue
+        nxt = {}
+        for k, c in out.items():
+            # k times x_{i-1}^j * x_i^(a-j); k's top variable may be x_{i-1}
+            below = k[1] if k and k[0] == i - 1 else 0
+            rest = k[2:] if below else k
+            for j in range(a + 1):
+                e = (((i, a - j) if j < a else ())
+                     + ((i - 1, below + j) if below + j else ()) + rest)
+                nxt[e] = nxt.get(e, 0) + c * comb(a, j)
+        out = nxt
+    degree = key[:1]
+    return {degree + k: c for k, c in out.items()}
 
 
 def _act(f: Polynomial, minus_identity: bool) -> Polynomial:
     """sigma(f), or delta(f) when each term's own monomial is left out."""
     ring = f.ring
-    zero = ring.zero()
     out = {}
-    for exps, c in f._terms.items():
-        for e, k in _sigma_monomial(f.table, exps).items():
-            if minus_identity and e == exps:
+    for key, c in f._terms.items():
+        for e, k in _sigma_monomial(f.table, key).items():
+            if minus_identity and e == key:
                 continue
             v = c if k == 1 else ring.mul(c, ring.from_int(k))
-            out[e] = ring.add(out.get(e, zero), v)
-    return Polynomial(ring, f.table, out)
+            out[e] = ring.add(out[e], v) if e in out else v
+    return Polynomial.from_keys(ring, f.table, out)
 
 
 def sigma(f: Polynomial) -> Polynomial:

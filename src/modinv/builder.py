@@ -16,9 +16,10 @@ monomial is a sparse key, the sorted tuple of its 1-based variable indices
 such as (1, n) or (1, 1, n): its weight is sum(key), and delta of a key,
 which does not depend on n, is computed once into a table that every f_m
 shares.  A system likewise depends on its weight and family, not on n, so
-it is solved once and shared by every f_m.  Keys become dense exponent
-tuples only when the result Polynomial is built, and the public bases keep
-dense tuples.  Direct sums are handled blockwise.
+it is solved once and shared by every f_m.  The result Polynomial is built
+on its own sparse keys, one interned key per monomial across all f_m, and
+the public bases keep dense tuples.  Direct sums are handled blockwise: a
+block's f_m is moved to its offset by shifting variable indices.
 """
 
 from collections import namedtuple
@@ -27,8 +28,8 @@ from functools import lru_cache
 
 from . import linalg
 from .action import BlockExceedsP, RepresentationSpec
-from .poly import (Polynomial, Record, VariableTable, embed, monomial_text,
-                   ring_code)
+from .poly import (Polynomial, Record, VariableTable, embed, key_text,
+                   monomial_text, ring_code)
 from .rings import GF, QQ, ZZ, RationalRing, Ring
 
 
@@ -60,6 +61,11 @@ class WeightSpaceBasis(Record, namedtuple("WeightSpaceBasis", "family d n monomi
     def __len__(self):
         return len(self.monomials)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make checks len(), which here counts monomials
+        return cls(*iterable)
+
     def names(self) -> tuple:
         table = VariableTable((self.n,))
         return tuple(monomial_text(table, e) for e in self.monomials)
@@ -79,6 +85,19 @@ def _key(exps):
 
 
 @lru_cache(maxsize=None)
+def _poly_key(key) -> tuple:
+    """Polynomial's key (poly.grlex_key) of a key: (1, 1, n) gives
+    (3, n - 1, 1, 0, 2).  Cached, so every f_m shares one tuple per monomial."""
+    out = [len(key)]
+    for i in reversed(key):
+        if len(out) > 1 and out[-2] == i - 1:
+            out[-1] += 1
+        else:
+            out += (i - 1, 1)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _names(keys) -> tuple:
     """Monomial names of keys, one tuple shared by every step listing them.
 
@@ -86,7 +105,7 @@ def _names(keys) -> tuple:
     every key names them.
     """
     table = VariableTable((max((k[-1] for k in keys), default=1),))
-    return tuple(monomial_text(table, _dense(table.n, k)) for k in keys)
+    return tuple(key_text(table, _poly_key(k)) for k in keys)
 
 
 # One tuple object per key met, so that the delta table shares its keys.
@@ -345,8 +364,8 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
             det=system.det,
             solution=tuple(ring.render(c) for c in solution),
         ))
-    polynomial = Polynomial(ring, VariableTable((n,)),
-                            {_dense(n, k): c for k, c in terms.items()})
+    polynomial = Polynomial.from_keys(ring, VariableTable((n,)),
+                                      {_poly_key(k): c for k, c in terms.items()})
     return ConnectingInvariant(n, degree, polynomial, tuple(steps))
 
 
@@ -388,9 +407,9 @@ def integral_form(f) -> Polynomial:
         f = f.polynomial
     if not isinstance(f.ring, RationalRing):
         raise ValueError("integral_form expects a rational polynomial")
-    scaled = f.scale(Fraction(f.denominator_lcm()))
-    return Polynomial(ZZ, f.table,
-                      {e: c.numerator for e, c in scaled._terms.items()})
+    scale = f.denominator_lcm()
+    return Polynomial.from_keys(ZZ, f.table,
+                                {k: (c * scale).numerator for k, c in f._terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -407,21 +426,25 @@ class InvariantSuite(Record, namedtuple("InvariantSuite", "spec ring entries")):
     def names(self) -> tuple:
         return tuple(e.name for e in self.entries)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, lazy=False) -> dict:
+        """The suite as JSON data.  With lazy, "entries" is an iterator that
+        builds each entry's data only when it is reached."""
+        entries = map(_entry_json, self.entries)
         return {
             "spec": {"p": self.spec.p, "blocks": list(self.spec.blocks)},
             "ring": ring_code(self.ring),
-            "entries": [
-                {
-                    "name": e.name,
-                    "blockIndex": e.block_index,
-                    "degree": e.degree,
-                    "kind": e.kind,
-                    "polynomial": e.polynomial.to_json_dict(),
-                }
-                for e in self.entries
-            ],
+            "entries": entries if lazy else list(entries),
         }
+
+
+def _entry_json(e: SuiteEntry) -> dict:
+    return {
+        "name": e.name,
+        "blockIndex": e.block_index,
+        "degree": e.degree,
+        "kind": e.kind,
+        "polynomial": e.polynomial.to_json_dict(),
+    }
 
 
 def _entry_name(spec: RepresentationSpec, block: int, kind: str, j: int = 0) -> str:

@@ -12,9 +12,12 @@ built).  All output is byte deterministic for a fixed command line.  verify
 checks that MODINV_THREADS, when set, is an integer (exit 1 otherwise); its
 value changes nothing, as the separation scan runs in this process.
 
-JSON is written by _json_text, as json.dumps(sort_keys=True, indent=2) would.
-Every command imports the verifier too: perfbench/tracer.py wraps the library
-calls below through this module's names.
+Output is written as it is rendered: construct and export write each suite
+entry, and each construction record, as soon as it is made, so no command
+holds its whole document.  JSON comes from _json_chunks, which gives the
+text json.dumps(sort_keys=True, indent=2) would, in pieces.  Every command
+imports the verifier too: perfbench/tracer.py wraps the library calls below
+through this module's names.
 """
 
 import argparse
@@ -49,47 +52,80 @@ def _spec_for(ns) -> RepresentationSpec:
         raise ConfigError(str(exc))
 
 
-def _emit(text: str, out):
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, out):
+    """Write each chunk of text as it comes: to the file `out`, opened only
+    now, or else to sys.stdout (looked up here, so a replaced stream gets
+    the output)."""
+    if not out:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}")
 
 
-def _json_text(data) -> str:
-    """json.dumps(data, sort_keys=True, indent=2) plus a newline, byte for byte.
+def _json_chunks(data):
+    """json.dumps(data, sort_keys=True, indent=2) plus a newline, byte for
+    byte, in pieces.
 
-    json.dumps has a C encoder only for indent=None; this writer takes about
-    half the pure-Python encoder's time.  It accepts exactly what the
-    commands write: dicts with string keys, lists, tuples, strings, ints,
-    bools and None (exact types, not subclasses).
+    Dicts, lists, tuples and maps are walked item by item, and a map is
+    written as a list whose items are made only when they are reached, so
+    no piece is larger than one scalar or one list of ints.  json.dumps has
+    a C encoder only for indent=None; this writer is faster than the
+    pure-Python one.  It accepts exactly what the commands write: dicts
+    with string keys, maps, lists, tuples, strings, ints, bools and None
+    (exact types, not subclasses).
     """
-    return _json_value(data, "\n") + "\n"
+    text = _json_leaf(data, "\n")
+    if text is None:
+        yield from _json_parts(data, "\n")
+    else:
+        yield text
+    yield "\n"
 
 
-def _json_value(v, newline: str) -> str:
+def _json_parts(v, newline: str):
+    """Pieces of a dict, list, tuple or map that _json_leaf leaves open."""
+    inner = newline + "  "
+    if type(v) is dict:
+        opening, closing = "{", "}"
+        items = ((_json_str(k) + ": ", v[k]) for k in sorted(v))
+    else:
+        opening, closing = "[", "]"
+        items = (("", x) for x in v)
+    head = opening + inner
+    for prefix, x in items:
+        text = _json_leaf(x, inner)
+        if text is None:
+            yield head + prefix
+            yield from _json_parts(x, inner)
+        else:
+            yield head + prefix + text
+        head = "," + inner
+    yield opening + closing if head[0] == opening else newline + closing
+
+
+def _json_leaf(v, newline: str):
+    """The text of a scalar, an empty dict, list or tuple, or a list of
+    ints (exponents and matrix rows); None for anything else."""
     t = type(v)
     if t is int:
         return int.__repr__(v)
     if t is str:
         return _json_str(v)
-    inner = newline + "  "
-    sep = "," + inner
-    if t is dict and v:
-        return ("{" + inner + sep.join([_json_str(k) + ": " + _json_value(v[k], inner)
-                                        for k in sorted(v)]) + newline + "}")
-    if (t is list or t is tuple) and v:
-        if all(type(x) is int for x in v):      # exponents and matrix rows
-            items = map(int.__repr__, v)
-        else:
-            items = [_json_value(x, inner) for x in v]
-        return "[" + inner + sep.join(items) + newline + "]"
-    if t is dict or t is list or t is tuple:        # empty
-        return "{}" if t is dict else "[]"
+    if t is dict or t is list or t is tuple:
+        if not v:
+            return "{}" if t is dict else "[]"
+        if t is dict or not all(type(x) is int for x in v):
+            return None
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(map(int.__repr__, v)) + newline + "]"
+    if t is map:
+        return None
     if v is None or t is bool:
         return "null" if v is None else "true" if v else "false"
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
@@ -99,10 +135,10 @@ def _cmd_construct(ns) -> int:
     spec = _spec_for(ns)
     suite = build_suite(spec, ns.ring)
     if ns.fmt == "json":
-        _emit(_json_text(suite.to_json_dict()), ns.out)
+        _emit(_json_chunks(suite.to_json_dict(lazy=True)), ns.out)
     else:
-        lines = [f"{e.name} = {e.polynomial.render_text()}" for e in suite.entries]
-        _emit("\n".join(lines) + "\n", ns.out)
+        _emit((f"{e.name} = {e.polynomial.render_text()}\n" for e in suite.entries),
+              ns.out)
     return 0
 
 
@@ -150,7 +186,7 @@ def _cmd_verify(ns) -> int:
             ],
             "strict": ns.strict,
         }
-        _emit(_json_text(data), ns.out)
+        _emit(_json_chunks(data), ns.out)
     else:
         lines = [report.render()]
         if constancy is None:
@@ -167,7 +203,7 @@ def _cmd_verify(ns) -> int:
                 lines.append(f"lifting     n={n} FAILED: "
                              f"({render_point(field, w[0])}) ~ "
                              f"({render_point(field, w[1])})")
-        _emit("\n".join(lines) + "\n", ns.out)
+        _emit(("\n".join(lines) + "\n",), ns.out)
     if ns.strict and failed:
         return 2
     return 0
@@ -176,14 +212,14 @@ def _cmd_verify(ns) -> int:
 def _cmd_export(ns) -> int:
     spec = _spec_for(ns)
     suite = build_suite(spec, ns.ring)
-    construction = [{**item, "steps": [s._asdict() for s in item["steps"]]}
-                    for item in suite_construction_steps(spec)]
+    construction = map(lambda item: {**item, "steps": [s._asdict() for s in item["steps"]]},
+                       suite_construction_steps(spec))
     bundle = {
         "config": {"p": spec.p, "blocks": list(spec.blocks), "ring": ns.ring},
-        "suite": suite.to_json_dict(),
+        "suite": suite.to_json_dict(lazy=True),
         "construction": construction,
     }
-    _emit(_json_text(bundle), ns.out)
+    _emit(_json_chunks(bundle), ns.out)
     return 0
 
 

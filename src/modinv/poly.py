@@ -1,15 +1,20 @@
 """Sparse multivariate polynomials over the exact coefficient rings.
 
 A VariableTable fixes the block structure and the flat variable order
-x_1 < x_2 < ... < x_n; polynomials are stored as maps from exponent tuples to
-nonzero raw coefficients.  The canonical term order is graded lexicographic
-with the *last* variable heaviest, iterated in descending order, which is
-also the order used for text and JSON serialization.
+x_1 < x_2 < ... < x_n.  A Polynomial maps sparse monomial keys to nonzero
+raw coefficients.  The key of a monomial (grlex_key) is its total degree
+followed by one (index, exponent) pair per variable that occurs, last
+variable first, so a term costs the same in a table of 3 variables or of
+149, and moving a polynomial into a larger table shifts indices instead of
+padding tuples.  The canonical term order is graded lexicographic with the
+*last* variable heaviest, iterated in descending order; it is the order of
+the keys themselves, and the order used for text and JSON serialization.
+The public interface speaks dense exponent tuples: the constructor,
+monomial, terms(), lead_term() and the JSON `exps` lists.
 """
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import compress
 from math import lcm
 
 from .rings import (ExtensionField, IntegerRing, PrimeField, RationalRing, Ring,
@@ -92,22 +97,63 @@ class VariableTable(Record, namedtuple("VariableTable", "blocks")):
         return tuple(f"x{b + 1}_{j}" for b, j in self.positions)
 
 
-def grlex_key(exps):
-    """Sort key for the canonical order: total degree, then lex with the
-    last variable heaviest.  Descending sort by this key is canonical."""
-    return (sum(exps), tuple(exps[::-1]))
+def grlex_key(exps) -> tuple:
+    """Sparse key of a dense exponent tuple, under which a Polynomial keeps
+    the term: the total degree, then (index, exponent) for each variable
+    that occurs, 0-based and last variable first.  x1^2*x5 has the key
+    (3, 4, 1, 0, 2) in a table of any size.
+
+    Keys compare as the canonical order does: total degree, then lex with
+    the last variable heaviest.  Descending key order is canonical.
+    """
+    out = [sum(exps)]
+    for i in range(len(exps) - 1, -1, -1):
+        if exps[i]:
+            out += (i, exps[i])
+    return tuple(out)
+
+
+def _powers(key):
+    """(index, exponent) of each variable of a key, last variable first."""
+    return zip(key[1::2], key[2::2])
+
+
+def _key_mul(a, b) -> tuple:
+    """Key of the product of two monomials."""
+    powers = dict(_powers(a))
+    for i, e in _powers(b):
+        powers[i] = powers.get(i, 0) + e
+    out = [a[0] + b[0]]
+    for i in sorted(powers, reverse=True):
+        out += (i, powers[i])
+    return tuple(out)
+
+
+def _dense(n, key) -> list:
+    """Exponent list over n variables of a key."""
+    out = [0] * n
+    for i, e in _powers(key):
+        out[i] = e
+    return out
+
+
+def key_text(table: VariableTable, key) -> str:
+    """Name of the monomial with this key, first variable first: 'x1^2*x3'."""
+    names = table.names
+    return "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
+                    for i, e in zip(key[-2:0:-2], key[:0:-2]))
 
 
 def monomial_text(table: VariableTable, exps) -> str:
-    names = table.names
-    return "*".join(names[i] if exps[i] == 1 else f"{names[i]}^{exps[i]}"
-                    for i in compress(range(len(exps)), exps))
+    return key_text(table, grlex_key(exps))
 
 
 class Polynomial:
-    """Immutable sparse polynomial: ring, table, and exponent->coefficient map."""
+    """Immutable sparse polynomial: ring, table, and key->coefficient map."""
 
     def __init__(self, ring: Ring, table: VariableTable, terms: dict):
+        """terms maps dense exponent tuples to raw coefficients; zeros are
+        dropped."""
         zero = ring.zero()
         clean = {}
         n = table.n
@@ -115,7 +161,7 @@ class Polynomial:
             if len(exps) != n:
                 raise DimensionMismatch(f"exponent tuple {exps} for {n} variables")
             if c != zero:
-                clean[tuple(exps)] = c
+                clean[grlex_key(exps)] = c
         self.ring = ring
         self.table = table
         self._terms = clean
@@ -124,12 +170,25 @@ class Polynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def from_keys(cls, ring, table, terms: dict):
+        """Polynomial whose terms map sparse keys (see grlex_key) to raw
+        coefficients.  It keeps `terms` as its own map, without a copy:
+        zero coefficients are deleted from it, and nothing may change it
+        afterwards."""
+        zero = ring.zero()
+        for key in [k for k, c in terms.items() if c == zero]:
+            del terms[key]
+        f = cls.__new__(cls)
+        f.ring, f.table, f._terms, f._hash = ring, table, terms, None
+        return f
+
+    @classmethod
     def zero(cls, ring, table):
-        return cls(ring, table, {})
+        return cls.from_keys(ring, table, {})
 
     @classmethod
     def constant(cls, ring, table, value):
-        return cls(ring, table, {(0,) * table.n: value})
+        return cls.from_keys(ring, table, {(0,): value})
 
     @classmethod
     def variable(cls, ring, table, i: int):
@@ -150,22 +209,24 @@ class Polynomial:
     def __bool__(self):
         return bool(self._terms)
 
+    def _sorted_keys(self) -> list:
+        return sorted(self._terms, reverse=True)
+
     def terms(self):
         """Term list [(exps, coeff)] in the canonical descending order."""
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        n, terms = self.table.n, self._terms
+        return [(tuple(_dense(n, k)), terms[k]) for k in self._sorted_keys()]
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
+        return max(self._terms)[0] if self._terms else -1
 
     def lead_term(self):
         """(exps, coeff) maximal in the canonical order; None for zero."""
         if not self._terms:
             return None
-        exps = max(self._terms, key=grlex_key)
-        return exps, self._terms[exps]
+        key = max(self._terms)
+        return tuple(_dense(self.table.n, key)), self._terms[key]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -180,40 +241,32 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._check(other)
-        ring = self.ring
+        add = self.ring.add
         out = dict(self._terms)
-        zero = ring.zero()
-        for exps, c in other._terms.items():
-            s = ring.add(out.get(exps, zero), c)
-            if s == zero:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return Polynomial(ring, self.table, out)
+        for k, c in other._terms.items():
+            out[k] = add(out[k], c) if k in out else c
+        return Polynomial.from_keys(self.ring, self.table, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        ring = self.ring
-        return Polynomial(ring, self.table, {e: ring.neg(c) for e, c in self._terms.items()})
+        neg = self.ring.neg
+        return Polynomial.from_keys(self.ring, self.table,
+                                    {k: neg(c) for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(self.ring.from_int(other))
         other = self._check(other)
         ring = self.ring
-        zero = ring.zero()
         out = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = ring.add(out.get(exps, zero), ring.mul(c1, c2))
-                if s == zero:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = s
-        return Polynomial(ring, self.table, out)
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                k = _key_mul(k1, k2)
+                c = ring.mul(c1, c2)
+                out[k] = ring.add(out[k], c) if k in out else c
+        return Polynomial.from_keys(ring, self.table, out)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -222,9 +275,9 @@ class Polynomial:
 
     def scale(self, value):
         """Multiply every coefficient by a raw ring value."""
-        ring = self.ring
-        return Polynomial(ring, self.table,
-                          {e: ring.mul(c, value) for e, c in self._terms.items()})
+        mul = self.ring.mul
+        return Polynomial.from_keys(self.ring, self.table,
+                                    {k: mul(c, value) for k, c in self._terms.items()})
 
     def __pow__(self, e: int):
         if e < 0:
@@ -262,17 +315,15 @@ class Polynomial:
                 raise TableMismatch("substitution image over a different table")
         out = Polynomial.zero(self.ring, self.table)
         power_cache = {}
-        for exps, c in self._terms.items():
+        for key, c in self._terms.items():
             term = Polynomial.constant(self.ring, self.table, c)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if i not in images:
-                    raise MissingImage(f"no image for {self.table.names[i]}")
-                key = (i, e)
-                if key not in power_cache:
-                    power_cache[key] = images[i] ** e
-                term = term * power_cache[key]
+            for power in _powers(key):
+                if power not in power_cache:
+                    i, e = power
+                    if i not in images:
+                        raise MissingImage(f"no image for {self.table.names[i]}")
+                    power_cache[power] = images[i] ** e
+                term = term * power_cache[power]
             out = out + term
         return out
 
@@ -287,18 +338,19 @@ class Polynomial:
         src = self.ring
         same = ring is src or ring == src
         acc = ring.zero()
-        for exps, c in self._terms.items():
+        for key, c in self._terms.items():
             val = c if same else coerce(c, src, ring)
-            for i, e in enumerate(exps):
-                if e:
-                    val = ring.mul(val, ring.pow(coords[i], e))
+            for i, e in _powers(key):
+                val = ring.mul(val, ring.pow(coords[i], e))
             acc = ring.add(acc, val)
         return acc
 
     def change_ring(self, ring: Ring) -> "Polynomial":
-        """Map coefficients along the canonical embedding (zeros are pruned)."""
-        return Polynomial(ring, self.table,
-                          {e: coerce(c, self.ring, ring) for e, c in self._terms.items()})
+        """Map coefficients along the canonical embedding (zeros are pruned).
+        The result shares this polynomial's keys."""
+        src = self.ring
+        return Polynomial.from_keys(ring, self.table,
+                                    {k: coerce(c, src, ring) for k, c in self._terms.items()})
 
     def denominator_lcm(self) -> int:
         """lcm of coefficient denominators of a rational polynomial."""
@@ -315,16 +367,18 @@ class Polynomial:
         """Human-readable form, canonical term order: 'x1*x3 - 1/2*x2^2 + ...'."""
         if not self._terms:
             return "0"
-        ring = self.ring
+        ring, table, terms = self.ring, self.table, self._terms
+        one = ring.one()
         pieces = []
-        for exps, c in self.terms():
+        for key in self._sorted_keys():
+            c = terms[key]
             negative = ring.is_negative(c)
             mag = ring.neg(c) if negative else c
-            mono = monomial_text(self.table, exps)
+            mono = key_text(table, key)
             ctext = ring.render(mag)
             if "," in ctext:
                 ctext = f"({ctext})"
-            if mono and mag == ring.one():
+            if mono and mag == one:
                 body = mono
             elif mono:
                 body = f"{ctext}*{mono}"
@@ -337,15 +391,16 @@ class Polynomial:
         return " ".join(pieces)
 
     def to_json_dict(self) -> dict:
+        ring, n, terms = self.ring, self.table.n, self._terms
         out = {
-            "ring": ring_code(self.ring),
-            "p": getattr(self.ring, "p", None),
+            "ring": ring_code(ring),
+            "p": getattr(ring, "p", None),
             "blocks": list(self.table.blocks),
-            "terms": [{"coeff": self.ring.render(c), "exps": list(e)}
-                      for e, c in self.terms()],
+            "terms": [{"coeff": ring.render(terms[k]), "exps": _dense(n, k)}
+                      for k in self._sorted_keys()],
         }
-        if isinstance(self.ring, ExtensionField):
-            out["k"] = self.ring.k
+        if isinstance(ring, ExtensionField):
+            out["k"] = ring.k
         return out
 
     def __repr__(self):
@@ -368,11 +423,15 @@ def ring_code(ring: Ring) -> str:
 
 
 def embed(f: Polynomial, table: VariableTable, offset: int) -> Polynomial:
-    """Re-index f into a larger table, shifting its variables by `offset`."""
-    n_old = f.table.n
-    if offset < 0 or offset + n_old > table.n:
+    """Re-index f into a larger table, shifting its variables by `offset`.
+    At offset 0 the keys stay as they are, and the result shares f's terms."""
+    if offset < 0 or offset + f.table.n > table.n:
         raise DimensionMismatch("embedding does not fit in the target table")
-    pad_left = (0,) * offset
-    pad_right = (0,) * (table.n - offset - n_old)
-    return Polynomial(f.ring, table,
-                      {pad_left + e + pad_right: c for e, c in f._terms.items()})
+    if not offset:
+        return Polynomial.from_keys(f.ring, table, f._terms)
+    terms = {}
+    for key, c in f._terms.items():
+        shifted = list(key)
+        shifted[1::2] = [i + offset for i in key[1::2]]
+        terms[tuple(shifted)] = c
+    return Polynomial.from_keys(f.ring, table, terms)

@@ -240,13 +240,13 @@ def test_c11_property_bundle():
             comps = weight_components(delta(Polynomial.monomial(ZZ, big, exps)))
             assert set(comps) <= {d - 2, d - 1}
             for w, comp in comps.items():
-                assert set(comp._terms) <= set(weight_basis("W", w, n).monomials)
+                assert {e for e, _ in comp.terms()} <= set(weight_basis("W", w, n).monomials)
     for d in range(3, n + 3):              # degree-3 grading containment
         for exps in weight_basis("S", d, n).monomials:
             comps = weight_components(delta(Polynomial.monomial(ZZ, big, exps)))
             assert set(comps) <= {d - 3, d - 2, d - 1}
             for w, comp in comps.items():
-                assert set(comp._terms) <= set(weight_basis("S", w, n).monomials)
+                assert {e for e, _ in comp.terms()} <= set(weight_basis("S", w, n).monomials)
 
     spec = RepresentationSpec(7, (4,))     # period p, orbit size p on B
     field7 = GF(7)

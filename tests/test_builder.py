@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modinv.action import (BlockExceedsP, RepresentationSpec, _sigma_monomial,
-                           delta, sigma)
+from modinv.action import BlockExceedsP, RepresentationSpec, delta, sigma
 from modinv.builder import (IncompatibleBases, NoSolution, ParityViolation,
-                            RangeViolation, _delta_matrix, _dense, _key,
-                            _delta_key, build_suite, connecting_degree,
+                            RangeViolation, _connecting_rational, _delta_matrix,
+                            _dense, _key, _delta_key, build_suite, connecting_degree,
                             construct_connecting, integral_form,
                             norm_invariant, restricted_delta_matrix,
                             suite_construction_steps, weight_basis)
@@ -107,7 +106,7 @@ def test_sparse_delta_matches_dense(n):
             assert _key(e) == key and _dense(n, key) == e
             assert sum(key) == weight_of(table, e)
             image = {_dense(n, k): c for _, k, c in _delta_key(key)}
-            sigma_image = _sigma_monomial(table, e)
+            sigma_image = dict(sigma(Polynomial.monomial(ZZ, table, e)).terms())
             assert sigma_image.pop(e) == 1 and image == sigma_image
             for w, k, _ in _delta_key(key):
                 assert list(k) == sorted(k) and w == weight_of(table, _dense(n, k))
@@ -275,14 +274,14 @@ def test_connecting_shape_and_invariance(n):
     ci = construct_connecting(n, degree)
     f = ci.polynomial
     assert delta(f).is_zero
-    assert {sum(e) for e in f._terms} == {degree}
+    assert {sum(e) for e, _ in f.terms()} == {degree}
     lead_exps, lead_coeff = f.lead_term()
     expected = [0] * n
     expected[0] = degree - 1
     expected[n - 1] = 1
     assert list(lead_exps) == expected and lead_coeff == F(1)
     # the tail h = f - lead is free of x_n
-    assert [e for e in f._terms if e[n - 1]] == [lead_exps]
+    assert [e for e, _ in f.terms() if e[n - 1]] == [lead_exps]
 
 
 def test_construction_is_deterministic():
@@ -320,12 +319,12 @@ def test_integral_form_golden():
 def test_integral_form_is_invariant_over_z():
     g = integral_form(construct_connecting(5, 2))
     assert delta(g).is_zero
-    assert gcd(*g._terms.values()) == 1
+    assert gcd(*(c for _, c in g.terms())) == 1
 
 
 def test_integral_form_keeps_coefficient_gcd():
     # only denominators are cleared: 4*f3 has integer coefficients with gcd 2
-    assert gcd(*integral_form(GOLDEN_F3.scale(F(4)))._terms.values()) == 2
+    assert gcd(*(c for _, c in integral_form(GOLDEN_F3.scale(F(4))).terms())) == 2
     with pytest.raises(ValueError):
         integral_form(Polynomial(ZZ, T3, {(1, 0, 0): 1}))
 
@@ -338,7 +337,7 @@ def test_norm_invariant_p5():
     for t in range(5):
         assert n.evaluate_raw((1, t), GF(5)) == 0
     assert n.evaluate_raw((0, 1), GF(5)) == 4
-    assert max(e[1] for e in n._terms) == 5
+    assert max(e[1] for e, _ in n.terms()) == 5
 
 
 def test_norm_invariant_mod_p_only():
@@ -403,11 +402,28 @@ def test_suite_entries_embedded_per_block():
     spec = RepresentationSpec(7, (1, 3, 2))
     suite = build_suite(spec, "fp")
     assert suite.names() == ("x1_1", "x2_1", "N(x2_2)", "f2_3", "x3_1", "N(x3_2)")
-    f23 = dict(suite.entries[3].polynomial._terms)
+    f23 = dict(suite.entries[3].polynomial.terms())
     # block 2 occupies flat variables 2..4 (0-based 1..3)
     assert (0, 1, 0, 1, 0, 0) in f23
     for e in suite.entries:
         assert delta(e.polynomial).is_zero
+
+
+def test_suite_shares_the_construction_terms():
+    # one copy of each term: a single-block q suite holds the cached
+    # construction's own term maps, the other rings reuse their keys, and
+    # every f_j shares one key object per monomial
+    spec = RepresentationSpec(11, (9,))
+    q, fp = build_suite(spec, "q"), build_suite(spec, "fp")
+    for j, a, b in zip(range(3, 10), q.entries[2:], fp.entries[2:]):
+        cached = _connecting_rational(j).polynomial._terms
+        assert a.polynomial._terms is cached
+        keys = {k: k for k in cached}
+        assert all(keys[k] is k for k in b.polynomial._terms)
+    f5, f7 = (_connecting_rational(j).polynomial._terms for j in (5, 7))
+    keys = {k: k for k in f7}
+    common = [k for k in f5 if k in keys]
+    assert common and all(keys[k] is k for k in common)
 
 
 def test_suite_json_shape():

@@ -33,7 +33,7 @@ def delta_matrix(source, target, weight, table):
         part = weight_components(delta(Polynomial.monomial(ZZ, table, e))).get(weight)
         if part is None:
             continue
-        assert set(part._terms) <= set(target), "image outside the target span"
+        assert {e for e, _ in part.terms()} <= set(target), "image outside the target span"
         for row, t in enumerate(target):
             rows[row][col] = coefficient(part, t)
     return rows

@@ -1,16 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modinv.action import RepresentationSpec
-from modinv.builder import build_suite
-from modinv.cli import _json_text, main
+from modinv.builder import build_suite, suite_construction_steps
+from modinv.cli import _json_chunks, main
 from modinv.oracle import separation_report
 from modinv.rings import GF
 
@@ -78,6 +80,87 @@ def test_construct_out_file_matches_stdout(tmp_path, capsys):
     code2, out2, _ = run_cli(capsys, *args, "--out", str(target))
     assert code2 == 0 and out2 == ""
     assert target.read_text(encoding="utf-8") == out
+
+
+# -- streamed output -------------------------------------------------------------
+
+
+def whole_document(command, fmt, p, blocks, ring):
+    """The output as the commands built it before they streamed it: the
+    joined text, or json.dumps of the whole data."""
+    spec = RepresentationSpec(p, tuple(int(s) for s in blocks.split(",")))
+    suite = build_suite(spec, ring)
+    if command == "construct" and fmt == "text":
+        return "\n".join(f"{e.name} = {e.polynomial.render_text()}"
+                         for e in suite.entries) + "\n"
+    data = suite.to_json_dict()
+    if command == "export":
+        data = {
+            "config": {"p": p, "blocks": list(spec.blocks), "ring": ring},
+            "suite": data,
+            "construction": [{**item, "steps": [s._asdict() for s in item["steps"]]}
+                             for item in suite_construction_steps(spec)],
+        }
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("blocks", ["5", "4,3,1", "1"])
+@pytest.mark.parametrize("ring", ["q", "z", "fp"])
+@pytest.mark.parametrize("command,fmt", [("construct", "text"), ("construct", "json"),
+                                         ("export", None)])
+def test_streamed_output_is_the_whole_document(capsys, tmp_path, command, fmt,
+                                               ring, blocks):
+    args = [command, "--p", "7", "--blocks", blocks, "--ring", ring]
+    if fmt:
+        args += ["--format", fmt]
+    expected = whole_document(command, fmt, 7, blocks, ring)
+    assert run_cli(capsys, *args) == (0, expected, "")
+    target = tmp_path / "out.txt"
+    assert run_cli(capsys, *args, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == expected.encode("utf-8")
+
+
+def test_json_is_written_without_holding_the_document(tmp_path):
+    args = ["construct", "--p", "29", "--blocks", "29", "--ring", "q", "--format",
+            "json", "--out", str(tmp_path / "suite.json")]
+    assert main(args) == 0          # builds the cached construction
+    size = (tmp_path / "suite.json").stat().st_size
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "suite.json").stat().st_size == size > 10 ** 6
+    assert peak < size / 2
+
+
+def test_output_goes_to_the_current_sys_stdout(monkeypatch):
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["construct", "--p", "5", "--blocks", "3"]) == 0
+    assert stream.getvalue().splitlines()[-1] == "f3 = x1*x3 + 2*x2^2 + 3*x1*x2"
+
+
+def test_out_file_is_opened_after_the_build(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "suite.json"
+    existed = []
+
+    def build(spec, ring):
+        existed.append(target.exists())
+        return build_suite(spec, ring)
+
+    monkeypatch.setattr("modinv.cli.build_suite", build)
+    assert run_cli(capsys, "construct", "--p", "5", "--blocks", "3",
+                   "--out", str(target)) == (0, "", "")
+    assert existed == [False] and target.exists()
+    # the build runs, and only then does opening the file fail
+    missing = tmp_path / "missing" / "x.json"
+    for command in ("construct", "export"):
+        assert run_cli(capsys, command, "--p", "5", "--blocks", "3", "--out",
+                       str(missing)) == (
+            1, "", f"error: cannot write {missing}: No such file or directory\n")
+    assert len(existed) == 3
 
 
 # -- configuration errors --------------------------------------------------------
@@ -374,12 +457,12 @@ JSON_VALUES = st.recursive(
 @example({"b": [], "a": {}, "": [[], {}, ()], "t": (True, False, None, -0, -10 ** 40)})
 @example(["quote \" back \\ nl \n nul \x00 del \x7f \u00e9 \U0001f600", {"\u00e9": 1}])
 def test_json_text_matches_json_dumps(value):
-    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert "".join(_json_chunks(value)) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def test_json_text_refuses_what_json_cannot_write():
     with pytest.raises(TypeError):
-        _json_text({"x": object()})
+        "".join(_json_chunks({"x": object()}))
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,10 @@ from modinv.poly import (DimensionMismatch, MissingImage, Polynomial,
                          TableMismatch, VariableTable, embed, grlex_key,
                          monomial_text)
 from modinv.rings import GF, QQ, ZZ, RingMismatch, coerce
-from polyref import weight_components, weight_of
+from polyref import (dense_add, dense_change_ring, dense_evaluate, dense_json,
+                     dense_mul, dense_neg, dense_pow, dense_render, dense_scale,
+                     dense_substitute, dense_terms, grlex_order,
+                     weight_components, weight_of)
 
 F5 = GF(5)
 T3 = VariableTable((3,))
@@ -110,7 +114,7 @@ def test_evaluate_integer_poly_at_prime_field_point():
 def reference_evaluate(f, coords, ring):
     """Term by term through ring.mul and ring.pow, every coefficient embedded."""
     acc = ring.zero()
-    for exps, c in f._terms.items():
+    for exps, c in f.terms():
         val = coerce(c, f.ring, ring)
         for i, e in enumerate(exps):
             if e:
@@ -143,7 +147,7 @@ def test_large_extension_field_evaluates_through_tables():
     values = list(itertools.islice(field.elements(), 1, 200, 37))
     for coords in itertools.product([field.zero()] + values, repeat=3):
         expected = field.zero()
-        for exps, c in f._terms.items():
+        for exps, c in f.terms():
             val = coerce(c, ZZ, field)
             for x, e in zip(coords, exps):
                 val = field._mul_conv(val, field._pow_conv(x, e))
@@ -266,3 +270,94 @@ def test_change_ring_reduces_coefficients():
     assert F3_RATIONAL.change_ring(F5) == F3_MOD5
     lifted = Polynomial(ZZ, T3, {(1, 0, 1): 5, (1, 1, 0): 1}).change_ring(F5)
     assert lifted == Polynomial(F5, T3, {(1, 1, 0): 1})  # 5 ≡ 0 pruned
+
+
+# -- sparse storage against the dense reference ---------------------------------
+
+DIFF_RINGS = [QQ, GF(7), GF(3, 2)]
+DIFF_TABLES = [VariableTable((5,)), VariableTable((2, 1, 3))]
+
+
+def random_value(rng, ring):
+    """A raw value of ring, zero now and then."""
+    if ring is QQ:
+        return F(rng.randint(-4, 4), rng.randint(1, 4))
+    if getattr(ring, "k", None):
+        return tuple(rng.randrange(ring.p) for _ in range(ring.k))
+    return rng.randrange(ring.p)
+
+
+def random_terms(rng, ring, n, count, top=2):
+    """A dense term map of up to count terms, each variable present with
+    probability 1/3; zero coefficients included."""
+    return {tuple(rng.randint(1, top) if rng.random() < 1 / 3 else 0 for _ in range(n)):
+            random_value(rng, ring) for _ in range(count)}
+
+
+def dense_map(f):
+    return dict(f.terms())
+
+
+@pytest.mark.parametrize("table", DIFF_TABLES, ids=lambda t: str(t.blocks))
+@pytest.mark.parametrize("ring", DIFF_RINGS, ids=repr)
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_polynomial_matches_dense_reference(ring, table, seed):
+    rng = random.Random(seed)
+    n = table.n
+    a, b = (dict(random_terms(rng, ring, n, rng.randint(0, 5))) for _ in range(2))
+    f, g = Polynomial(ring, table, a), Polynomial(ring, table, b)
+    zero = ring.zero()
+    assert dense_map(f) == {e: c for e, c in a.items() if c != zero}
+    a, b = dense_map(f), dense_map(g)
+    # terms() lists the reference's terms in the dense grlex order
+    assert f.terms() == dense_terms(a)
+    assert [e for e, _ in g.terms()] == sorted(b, key=grlex_order, reverse=True)
+    assert dense_map(f + g) == dense_add(ring, a, b)
+    assert dense_map(-f) == dense_neg(ring, a)
+    assert dense_map(f - g) == dense_add(ring, a, dense_neg(ring, b))
+    assert dense_map(f * g) == dense_mul(ring, a, b)
+    assert dense_map(f ** 2) == dense_pow(ring, n, a, 2)
+    value = random_value(rng, ring)
+    assert dense_map(f.scale(value)) == dense_scale(ring, a, value)
+    images = [random_terms(rng, ring, n, 2, top=1) for _ in range(n)]
+    substituted = f.substitute({i: Polynomial(ring, table, m) for i, m in enumerate(images)})
+    assert dense_map(substituted) == dense_substitute(
+        ring, n, a, [dense_map(Polynomial(ring, table, m)) for m in images])
+    for _ in range(5):
+        point = tuple(random_value(rng, ring) for _ in range(n))
+        assert f.evaluate_raw(point, ring) == dense_evaluate(ring, a, point, ring)
+    target = GF(7) if ring is QQ else ring
+    assert dense_map(f.change_ring(target)) == dense_change_ring(ring, a, target)
+    assert f.render_text() == dense_render(ring, table, a)
+    assert f.to_json_dict() == dense_json(ring, table, a)
+    # equality and hash follow the terms, whatever order they were given in
+    items = list(a.items())
+    rng.shuffle(items)
+    again = Polynomial(ring, table, dict(items))
+    assert again == f and hash(again) == hash(f)
+    assert (f == g) == (a == b)
+    assert f != f + Polynomial.monomial(ring, table, (3,) * n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 101])
+def test_sparse_key_order_is_the_dense_grlex_order(n):
+    # the keys Polynomial stores compare as the dense grlex key did
+    rng = random.Random(n)
+    exps = [tuple(rng.choice((0, 0, 0, 0, 1, 1, 2, 3, 10 ** 20)) for _ in range(n))
+            for _ in range(400)]
+    assert sorted(exps, key=grlex_key) == sorted(exps, key=grlex_order)
+    for a, b in zip(exps, exps[1:]):
+        assert (grlex_key(a) < grlex_key(b)) == (grlex_order(a) < grlex_order(b))
+        assert (grlex_key(a) == grlex_key(b)) == (a == b)
+
+
+def test_sparse_keys_survive_huge_exponents_and_shifts():
+    table = VariableTable((2, 3))
+    p = 10 ** 18 + 3
+    f = Polynomial(ZZ, table, {(0, p, 0, 0, 0): 1, (p - 1, 1, 0, 0, 0): -1})
+    assert f.render_text() == f"x1_2^{p} - x1_1^{p - 1}*x1_2"
+    assert f.degree() == p and f.lead_term() == ((0, p, 0, 0, 0), 1)
+    wide = VariableTable((4, 2, 3))
+    moved = embed(f, wide, 4)
+    assert moved.terms() == [((0,) * 4 + e, c) for e, c in f.terms()]
+    assert embed(f, wide, 0).terms() == [(e + (0,) * 4, c) for e, c in f.terms()]

@@ -6,7 +6,8 @@ from collections import namedtuple
 import pytest
 
 from modinv.action import BlockExceedsP, RepresentationSpec
-from modinv.builder import build_suite, construct_connecting, weight_basis
+from modinv.builder import (WeightSpaceBasis, build_suite, construct_connecting,
+                            weight_basis)
 from modinv.oracle import separation_report
 from modinv.poly import VariableTable
 from modinv.rings import GF
@@ -65,6 +66,15 @@ def test_cached_properties_do_not_affect_equality():
     assert repr(VariableTable([4])) == "VariableTable(blocks=(4,))"
     assert weight_basis("W", 5, 5).names() == ("x1*x4", "x2*x3")
     assert len(weight_basis("W", 5, 5)) == 2
+
+
+def test_replace_on_a_basis_keeps_its_length():
+    # namedtuple's _make checks len(), which a basis answers with its size
+    basis = weight_basis("W", 7, 9)
+    moved = basis._replace(n=10)
+    assert moved == WeightSpaceBasis("W", 7, 10, basis.monomials)
+    assert len(moved) == len(basis) == 3
+    assert instances()[2]._replace() == instances()[2]
 
 
 def test_validation_errors_are_unchanged():

@@ -1,7 +1,9 @@
 """The scripts under scripts/ run against the library as it stands."""
 
+import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,11 +96,25 @@ def test_compare_outputs_runs_two_commands(monkeypatch, capsys):
     monkeypatch.setattr(compare, "workload_commands", lambda: [])
     assert compare.main(["--parent", "HEAD", "construct --p 3 --blocks 3",
                          "verify --p 2 --blocks 1 --k 2"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "identical: construct --p 3 --blocks 3",
-        "identical: verify --p 2 --blocks 1 --k 2",
-        "2 of 2 commands identical",
-    ]
+    lines = capsys.readouterr().out.splitlines()
+    cost = r"\d+\.\d\d s \d+\.\d MiB"
+    for line, command in zip(lines, ["construct --p 3 --blocks 3",
+                                     "verify --p 2 --blocks 1 --k 2"]):
+        assert re.fullmatch(rf"identical: {command} \(parent {cost}, change {cost}\)", line)
+    assert lines[2:] == ["2 of 2 commands identical"]
+    # stdout is hashed in pieces: an output of many 64 KiB reads, an exit
+    # code and stderr come back as a whole run gives them
+    command = compare.workloads.Command(tuple("export --p 17 --blocks 17".split()))
+    result = compare.run(ROOT, command)
+    whole = subprocess.run([sys.executable, "-m", "modinv", *command.args], cwd=ROOT,
+                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                           capture_output=True)
+    assert len(whole.stdout) > 4 << 16
+    assert result[:3] == (hashlib.sha256(whole.stdout).hexdigest(), "", 0)
+    assert result.wall_s > 0 and result.rss_mib > 1
+    failed = compare.run(ROOT, compare.workloads.Command(("verify", "--p", "6",
+                                                          "--blocks", "2")))
+    assert failed[1:3] == ("error: p must be prime, got 6\n", 1)
 
 
 def test_compare_outputs_names_what_differs():
