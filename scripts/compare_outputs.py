@@ -6,11 +6,12 @@ temporary directory, by scripts/bench_pairs.py's `export`.  Every distinct
 command of perfbench/workloads.py (read from this checkout), followed by any
 extra command lines given, runs once as `python -m modinv ...` in each copy.
 For each command the script compares the sha256 of stdout, the stderr text
-and the exit code, and exits 0 only if every command agrees.  Stdout is
-hashed as it arrives, so outputs of hundreds of MB are never held.  The
-line printed for each command also gives each side's wall time and peak
-RSS, from os.wait4, so the same run backs both "output unchanged" and a
-memory figure.  Only the standard library is used.
+and the exit code, and exits 0 only if every command agrees.  Stdout goes
+to a file that is hashed in pieces, so outputs of hundreds of MB are never
+held.  The line printed for each command also gives each side's wall time
+and peak RSS, from os.wait4 in perfbench/spawner.py, so the same run backs
+both "output unchanged" and a memory figure.  Only the standard library is
+used.
 
 Usage: python3 scripts/compare_outputs.py --parent REV
        ["construct --p 101 --blocks 101" ...]
@@ -19,19 +20,20 @@ Usage: python3 scripts/compare_outputs.py --parent REV
 import argparse
 import hashlib
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
-import time
 from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Stands in for the workloads' missing directory: a relative path that no
-# checkout has, so the error text is the same on both sides.
+# Stands in for the workloads' missing directory: a relative path that the
+# commands' working directory lacks, so the error text is the same on both
+# sides.
 MISSING = "missing-directory"
 
 
@@ -58,31 +60,52 @@ def workload_commands() -> list:
     return out
 
 
+# No command may run longer; p = 149 takes under a minute.
+DEADLINE_S = 3600.0
+
 Result = namedtuple("Result", "stdout stderr code wall_s rss_mib")
 
 
-def run(checkout: Path, command) -> Result:
-    """Stdout sha256, stderr, exit code, wall seconds and peak RSS in MiB
-    of one command in one checkout."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
-               PYTHONDONTWRITEBYTECODE="1")
-    env.pop("MODINV_THREADS", None)
-    env.update(command.env)
-    digest = hashlib.sha256()
-    with tempfile.TemporaryFile() as stderr:
-        start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "modinv", *command.args],
-                                cwd=checkout, env=env, stdout=subprocess.PIPE,
-                                stderr=stderr)
-        with proc.stdout:
-            for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+class Runner:
+    """Runs commands through perfbench/spawner.py, a process as small as the
+    benchmark's: a child's peak RSS as wait4 reports it is never below that
+    of the process that started it.  A command's output goes to files in
+    `work`, and its stdout is hashed from there in 64 KiB reads."""
+
+    def __init__(self, work: Path):
+        self.work = work
+        env = dict(os.environ)
+        env.pop("MODINV_THREADS", None)
+        self._spawner = subprocess.Popen(
+            [sys.executable, str(ROOT / "perfbench" / "spawner.py")], env=env, cwd=work,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def close(self):
+        self._spawner.stdin.close()
+        self._spawner.wait()
+        self._spawner.stdout.close()
+
+    def run(self, checkout: Path, command) -> Result:
+        """Stdout sha256, stderr, exit code, wall seconds and peak RSS in
+        MiB of one command in one checkout."""
+        out, err = self.work / "stdout", self.work / "stderr"
+        env = {"PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+               **dict(command.env)}
+        request = {"commands": [{"argv": [sys.executable, "-m", "modinv", *command.args],
+                                 "env": env, "stdout": str(out), "stderr": str(err)}],
+                   "deadline": DEADLINE_S}
+        self._spawner.stdin.write(json.dumps(request) + "\n")
+        self._spawner.stdin.flush()
+        result = json.loads(self._spawner.stdout.readline())["results"][0]
+        if result["killed"]:
+            raise TimeoutError(f"{command.text} ran longer than {DEADLINE_S:.0f} s")
+        digest = hashlib.sha256()
+        with open(out, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
                 digest.update(chunk)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        stderr.seek(0)
-        text = stderr.read().decode(errors="replace")
-    return Result(digest.hexdigest(), text, proc.returncode, wall, usage.ru_maxrss / 1024)
+        out.unlink()
+        return Result(digest.hexdigest(), err.read_text(errors="replace"),
+                      result["status"], result["wall"], result["rss_kib"] / 1024)
 
 
 def differences(parent: tuple, change: tuple) -> list:
@@ -105,6 +128,7 @@ def main(argv=None) -> int:
     commands = workload_commands()
     commands += [workloads.Command(tuple(c.split())) for c in args.commands]
     tmp = Path(tempfile.mkdtemp(prefix="compare-outputs-"))
+    runner = Runner(tmp)
     try:
         sides = {}
         for side, rev in (("parent", args.parent), ("change", "HEAD")):
@@ -112,7 +136,8 @@ def main(argv=None) -> int:
             export(rev, sides[side])
         differing = 0
         for command in commands:
-            parent, change = run(sides["parent"], command), run(sides["change"], command)
+            parent = runner.run(sides["parent"], command)
+            change = runner.run(sides["change"], command)
             diff = differences(parent, change)
             differing += bool(diff)
             print(f"{'DIFFERS (' + ', '.join(diff) + ')' if diff else 'identical'}: "
@@ -120,6 +145,7 @@ def main(argv=None) -> int:
                   flush=True)
         print(f"{len(commands) - differing} of {len(commands)} commands identical")
     finally:
+        runner.close()
         shutil.rmtree(tmp, ignore_errors=True)
     return 1 if differing else 0
 

@@ -102,19 +102,28 @@ def test_compare_outputs_runs_two_commands(monkeypatch, capsys):
                                      "verify --p 2 --blocks 1 --k 2"]):
         assert re.fullmatch(rf"identical: {command} \(parent {cost}, change {cost}\)", line)
     assert lines[2:] == ["2 of 2 commands identical"]
-    # stdout is hashed in pieces: an output of many 64 KiB reads, an exit
-    # code and stderr come back as a whole run gives them
+
+
+def test_compare_outputs_hashes_stdout_in_pieces(tmp_path):
+    # an output of many 64 KiB reads, an exit code and stderr come back as a
+    # whole run gives them, with the command's own time and peak
+    compare = load_script("compare_outputs")
     command = compare.workloads.Command(tuple("export --p 17 --blocks 17".split()))
-    result = compare.run(ROOT, command)
     whole = subprocess.run([sys.executable, "-m", "modinv", *command.args], cwd=ROOT,
                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                            capture_output=True)
     assert len(whole.stdout) > 4 << 16
+    runner = compare.Runner(tmp_path)
+    try:
+        result = runner.run(ROOT, command)
+        failed = runner.run(ROOT, compare.workloads.Command(("verify", "--p", "6",
+                                                             "--blocks", "2")))
+    finally:
+        runner.close()
     assert result[:3] == (hashlib.sha256(whole.stdout).hexdigest(), "", 0)
     assert result.wall_s > 0 and result.rss_mib > 1
-    failed = compare.run(ROOT, compare.workloads.Command(("verify", "--p", "6",
-                                                          "--blocks", "2")))
     assert failed[1:3] == ("error: p must be prime, got 6\n", 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stderr"]
 
 
 def test_compare_outputs_names_what_differs():
