@@ -106,10 +106,14 @@ def grlex_key(exps) -> tuple:
     Keys compare as the canonical order does: total degree, then lex with
     the last variable heaviest.  Descending key order is canonical.
     """
-    out = [sum(exps)]
-    for i in range(len(exps) - 1, -1, -1):
-        if exps[i]:
-            out += (i, exps[i])
+    return _key({i: e for i, e in enumerate(exps) if e})
+
+
+def _key(powers: dict) -> tuple:
+    """Key of the product of x_i^powers[i] over the 0-based indices i."""
+    out = [sum(powers.values())]
+    for i in sorted(powers, reverse=True):
+        out += (i, powers[i])
     return tuple(out)
 
 
@@ -123,10 +127,7 @@ def _key_mul(a, b) -> tuple:
     powers = dict(_powers(a))
     for i, e in _powers(b):
         powers[i] = powers.get(i, 0) + e
-    out = [a[0] + b[0]]
-    for i in sorted(powers, reverse=True):
-        out += (i, powers[i])
-    return tuple(out)
+    return _key(powers)
 
 
 def _dense(n, key) -> list:
@@ -145,6 +146,7 @@ def key_text(table: VariableTable, key) -> str:
 
 
 def monomial_text(table: VariableTable, exps) -> str:
+    """Name of the monomial with dense exponent tuple exps."""
     return key_text(table, grlex_key(exps))
 
 
