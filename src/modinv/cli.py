@@ -55,10 +55,18 @@ def _spec_for(ns) -> RepresentationSpec:
 def _emit(chunks, out):
     """Write each chunk of text as it comes: to the file `out`, opened only
     now, or else to sys.stdout (looked up here, so a replaced stream gets
-    the output)."""
+    the output).  A reader that leaves early, as `| head` does, ends the
+    output quietly, and the exit code stays that of the command."""
     if not out:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the flush at exit would fail again on what is still buffered
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:

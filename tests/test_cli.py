@@ -142,6 +142,21 @@ def test_output_goes_to_the_current_sys_stdout(monkeypatch):
     assert stream.getvalue().splitlines()[-1] == "f3 = x1*x3 + 2*x2^2 + 3*x1*x2"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_reader_leaving_early_ends_output_quietly(fmt):
+    # as `| head` does: the command stops writing and still exits 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "modinv", "construct", "--p", "41",
+                             "--blocks", "41", "--format", fmt],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) in (b"x1 = x1\nN(", b'{\n  "entri')
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_out_file_is_opened_after_the_build(capsys, monkeypatch, tmp_path):
     target = tmp_path / "suite.json"
     existed = []
