@@ -117,12 +117,12 @@ def _delta_key(key) -> tuple:
     """delta of a single-block monomial over Z, as (weight, key, int) triples.
 
     sigma fixes x1 and sends every other x_i to x_{i-1} + x_i, so the image
-    does not depend on the block size: action's expansion computes it in the
-    smallest block holding the key.  It holds the key itself with
+    does not depend on the block size, and action's expansion computes it
+    with x1 as the only first variable.  It holds the key itself with
     coefficient 1, which delta leaves out, and otherwise only terms of
     lower weight.
     """
-    image = _sigma_monomial(VariableTable((max(key, default=1),)), _poly_key(key))
+    image = _sigma_monomial((0,), _poly_key(key))
     del image[_poly_key(key)]
     out = []
     for k, c in image.items():

@@ -80,60 +80,60 @@ def _json_chunks(data):
     """json.dumps(data, sort_keys=True, indent=2) plus a newline, byte for
     byte, in pieces.
 
-    Dicts, lists, tuples and maps are walked item by item, and a map is
-    written as a list whose items are made only when they are reached, so
-    no piece is larger than one scalar or one list of ints.  json.dumps has
-    a C encoder only for indent=None; this writer is faster than the
-    pure-Python one.  It accepts exactly what the commands write: dicts
-    with string keys, maps, lists, tuples, strings, ints, bools and None
-    (exact types, not subclasses).
+    Dicts and maps are walked item by item, and a map is written as a list
+    whose items are made only when they are reached.  A list of dicts, such
+    as a polynomial's terms, is written one item at a time, each whole.
+    json.dumps has a C encoder only for indent=None; this writer takes
+    about half the pure-Python encoder's time.  It accepts exactly what the
+    commands write: dicts with string keys, maps, lists, tuples, strings,
+    ints, bools and None (exact types, not subclasses).
     """
-    text = _json_leaf(data, "\n")
-    if text is None:
-        yield from _json_parts(data, "\n")
-    else:
-        yield text
+    yield from _json_parts(data, "\n")
     yield "\n"
 
 
 def _json_parts(v, newline: str):
-    """Pieces of a dict, list, tuple or map that _json_leaf leaves open."""
-    inner = newline + "  "
-    if type(v) is dict:
-        opening, closing = "{", "}"
+    t = type(v)
+    if t is dict and v:
+        opening, closing, walk = "{", "}", True
         items = ((_json_str(k) + ": ", v[k]) for k in sorted(v))
-    else:
-        opening, closing = "[", "]"
+    elif t is map or ((t is list or t is tuple) and v and type(v[0]) is dict):
+        opening, closing, walk = "[", "]", t is map
         items = (("", x) for x in v)
+    else:
+        yield _json_value(v, newline)
+        return
+    inner = newline + "  "
     head = opening + inner
     for prefix, x in items:
-        text = _json_leaf(x, inner)
-        if text is None:
+        if walk:
             yield head + prefix
             yield from _json_parts(x, inner)
         else:
-            yield head + prefix + text
+            yield head + prefix + _json_value(x, inner)
         head = "," + inner
     yield opening + closing if head[0] == opening else newline + closing
 
 
-def _json_leaf(v, newline: str):
-    """The text of a scalar, an empty dict, list or tuple, or a list of
-    ints (exponents and matrix rows); None for anything else."""
+def _json_value(v, newline: str) -> str:
     t = type(v)
     if t is int:
         return int.__repr__(v)
     if t is str:
         return _json_str(v)
-    if t is dict or t is list or t is tuple:
-        if not v:
-            return "{}" if t is dict else "[]"
-        if t is dict or not all(type(x) is int for x in v):
-            return None
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join(map(int.__repr__, v)) + newline + "]"
-    if t is map:
-        return None
+    inner = newline + "  "
+    sep = "," + inner
+    if t is dict and v:
+        return ("{" + inner + sep.join([_json_str(k) + ": " + _json_value(v[k], inner)
+                                        for k in sorted(v)]) + newline + "}")
+    if (t is list or t is tuple) and v:
+        if all(type(x) is int for x in v):      # exponents and matrix rows
+            items = map(int.__repr__, v)
+        else:
+            items = [_json_value(x, inner) for x in v]
+        return "[" + inner + sep.join(items) + newline + "]"
+    if t is dict or t is list or t is tuple:        # empty
+        return "{}" if t is dict else "[]"
     if v is None or t is bool:
         return "null" if v is None else "true" if v else "false"
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

@@ -111,18 +111,6 @@ def test_evaluate_integer_poly_at_prime_field_point():
     assert f.evaluate_raw((1, 3, 2), F5) == (2 * 2 - 9) % 5
 
 
-def reference_evaluate(f, coords, ring):
-    """Term by term through ring.mul and ring.pow, every coefficient embedded."""
-    acc = ring.zero()
-    for exps, c in f.terms():
-        val = coerce(c, f.ring, ring)
-        for i, e in enumerate(exps):
-            if e:
-                val = ring.mul(val, ring.pow(coords[i], e))
-        acc = ring.add(acc, val)
-    return acc
-
-
 EVAL_FIELDS = [GF(5), GF(7), GF(3121), GF(2, 3), GF(3, 2)]
 
 
