@@ -19,7 +19,7 @@ from collections import namedtuple
 from functools import cached_property
 from math import comb
 
-from .poly import Polynomial, Record, VariableTable
+from .poly import Polynomial, Record, VariableTable, key_powers
 from .rings import Ring, is_prime
 
 
@@ -80,7 +80,7 @@ def _sigma_monomial(table: VariableTable, key: tuple) -> dict:
     """
     positions = table.positions
     out = {(): 1}
-    for i, a in zip(key[-2:0:-2], key[:0:-2]):
+    for i, a in key_powers(key):
         if positions[i][1] == 1:
             out = {(i, a) + k: c for k, c in out.items()}
             continue

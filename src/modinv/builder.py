@@ -29,7 +29,7 @@ from functools import lru_cache
 from . import linalg
 from .action import BlockExceedsP, RepresentationSpec
 from .poly import (Polynomial, Record, VariableTable, embed, key_text,
-                   monomial_text, ring_code)
+                   monomial_text, product_key, ring_code)
 from .rings import GF, QQ, ZZ, RationalRing, Ring
 
 
@@ -86,15 +86,9 @@ def _key(exps):
 
 @lru_cache(maxsize=None)
 def _poly_key(key) -> tuple:
-    """Polynomial's key (poly.grlex_key) of a key: (1, 1, n) gives
-    (3, n - 1, 1, 0, 2).  Cached, so every f_m shares one tuple per monomial."""
-    out = [len(key)]
-    for i in reversed(key):
-        if len(out) > 1 and out[-2] == i - 1:
-            out[-1] += 1
-        else:
-            out += (i - 1, 1)
-    return tuple(out)
+    """Polynomial's key (poly.grlex_key) of a key.  Cached, so every f_m
+    shares one tuple per monomial."""
+    return product_key(i - 1 for i in key)
 
 
 @lru_cache(maxsize=None)
@@ -422,30 +416,26 @@ class SuiteEntry(Record, namedtuple(
     """One suite entry; block_index is 1-based and kind is "linear", "norm"
     or "connecting"."""
 
+    def to_json_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "blockIndex": self.block_index,
+            "degree": self.degree,
+            "kind": self.kind,
+            "polynomial": self.polynomial.to_json_dict(),
+        }
+
 
 class InvariantSuite(Record, namedtuple("InvariantSuite", "spec ring entries")):
     def names(self) -> tuple:
         return tuple(e.name for e in self.entries)
 
-    def to_json_dict(self, lazy=False) -> dict:
-        """The suite as JSON data.  With lazy, "entries" is an iterator that
-        builds each entry's data only when it is reached."""
-        entries = map(_entry_json, self.entries)
+    def to_json_dict(self) -> dict:
         return {
             "spec": {"p": self.spec.p, "blocks": list(self.spec.blocks)},
             "ring": ring_code(self.ring),
-            "entries": entries if lazy else list(entries),
+            "entries": [e.to_json_dict() for e in self.entries],
         }
-
-
-def _entry_json(e: SuiteEntry) -> dict:
-    return {
-        "name": e.name,
-        "blockIndex": e.block_index,
-        "degree": e.degree,
-        "kind": e.kind,
-        "polynomial": e.polynomial.to_json_dict(),
-    }
 
 
 def _entry_name(spec: RepresentationSpec, block: int, kind: str, j: int = 0) -> str:

@@ -26,7 +26,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .action import BlockExceedsP, RepresentationSpec, point_texts, render_point
-from .builder import build_suite, suite_construction_steps
+from .builder import SuiteEntry, build_suite, suite_construction_steps
 from .oracle import (DEFAULT_BUDGET, BudgetExceeded, _check_budget,
                      separation_report, verify_lifting, verify_orbit_constancy)
 from .rings import GF, BoundExceeded
@@ -139,11 +139,18 @@ def _json_value(v, newline: str) -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
+def _suite_json(suite) -> dict:
+    """suite.to_json_dict(), with each entry's data made only when the
+    writer reaches it."""
+    return {**suite._replace(entries=()).to_json_dict(),
+            "entries": map(SuiteEntry.to_json_dict, suite.entries)}
+
+
 def _cmd_construct(ns) -> int:
     spec = _spec_for(ns)
     suite = build_suite(spec, ns.ring)
     if ns.fmt == "json":
-        _emit(_json_chunks(suite.to_json_dict(lazy=True)), ns.out)
+        _emit(_json_chunks(_suite_json(suite)), ns.out)
     else:
         _emit((f"{e.name} = {e.polynomial.render_text()}\n" for e in suite.entries),
               ns.out)
@@ -224,7 +231,7 @@ def _cmd_export(ns) -> int:
                        suite_construction_steps(spec))
     bundle = {
         "config": {"p": spec.p, "blocks": list(spec.blocks), "ring": ns.ring},
-        "suite": suite.to_json_dict(lazy=True),
+        "suite": _suite_json(suite),
         "construction": construction,
     }
     _emit(_json_chunks(bundle), ns.out)

@@ -13,7 +13,7 @@ The public interface speaks dense exponent tuples: the constructor,
 monomial, terms(), lead_term() and the JSON `exps` lists.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property
 from math import lcm
 
@@ -117,9 +117,20 @@ def _key(powers: dict) -> tuple:
     return tuple(out)
 
 
+def product_key(indices) -> tuple:
+    """Key of the product of the variables with these 0-based indices, each
+    taken as often as it is listed: (4, 0, 0) gives x1^2*x5's key."""
+    return _key(Counter(indices))
+
+
 def _powers(key):
     """(index, exponent) of each variable of a key, last variable first."""
     return zip(key[1::2], key[2::2])
+
+
+def key_powers(key):
+    """(index, exponent) of each variable of a key, first variable first."""
+    return zip(key[-2:0:-2], key[:0:-2])
 
 
 def _key_mul(a, b) -> tuple:
@@ -142,7 +153,7 @@ def key_text(table: VariableTable, key) -> str:
     """Name of the monomial with this key, first variable first: 'x1^2*x3'."""
     names = table.names
     return "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
-                    for i, e in zip(key[-2:0:-2], key[:0:-2]))
+                    for i, e in key_powers(key))
 
 
 def monomial_text(table: VariableTable, exps) -> str:
