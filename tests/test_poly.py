@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from modinv.poly import (DimensionMismatch, MissingImage, Polynomial,
                          TableMismatch, VariableTable, embed, grlex_key,
-                         monomial_text)
+                         key_powers, monomial_text, product_key)
 from modinv.rings import GF, QQ, ZZ, RingMismatch, coerce
 from polyref import (dense_add, dense_change_ring, dense_evaluate, dense_json,
                      dense_mul, dense_neg, dense_pow, dense_render, dense_scale,
@@ -337,6 +337,12 @@ def test_sparse_key_order_is_the_dense_grlex_order(n):
     for a, b in zip(exps, exps[1:]):
         assert (grlex_key(a) < grlex_key(b)) == (grlex_order(a) < grlex_order(b))
         assert (grlex_key(a) == grlex_key(b)) == (a == b)
+    for e in exps[:50]:
+        # a key names the same monomial however it is built or walked
+        indices = [i for i, a in enumerate(e) for _ in range(min(a, 3))]
+        rng.shuffle(indices)
+        assert product_key(indices) == grlex_key([min(a, 3) for a in e])
+        assert list(key_powers(grlex_key(e))) == [(i, a) for i, a in enumerate(e) if a]
 
 
 def test_sparse_keys_survive_huge_exponents_and_shifts():
