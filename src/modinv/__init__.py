@@ -7,8 +7,6 @@ from .builder import (ConnectingInvariant, InvariantSuite, NoSolution,
                       SuiteEntry, WeightSpaceBasis, build_suite,
                       construct_connecting, integral_form, norm_invariant,
                       restricted_delta_matrix, weight_basis)
-from .oracle import (BudgetExceeded, SeparationReport, fixed_point_census,
-                     separation_report, verify_lifting, verify_orbit_constancy)
 from .poly import Polynomial, VariableTable
 from .rings import GF, QQ, ZZ, ExtensionField, PrimeField, find_irreducible
 
@@ -23,3 +21,15 @@ __all__ = [
     "restricted_delta_matrix", "separation_report", "sigma",
     "verify_lifting", "verify_orbit_constancy", "weight_basis", "__version__",
 ]
+
+# The verifier is imported on first use of one of its names (PEP 562), so
+# that construct and export never compile it.
+_ORACLE_NAMES = {"BudgetExceeded", "SeparationReport", "fixed_point_census",
+                 "separation_report", "verify_lifting", "verify_orbit_constancy"}
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

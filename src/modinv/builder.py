@@ -9,9 +9,10 @@ component of delta(t) against a designated space of lower monomials; each
 step solves an integer linear system that is provably invertible, so the
 result is exact over the rationals and reduces to any F_p with p >= n.
 
-The loop runs in integers over one common denominator and solves each
-system with its integer adjugate (linalg.IntegerSystem), which one
-fraction-free pass gives together with the determinant.  Inside the loop a
+The loop runs in integers over one common denominator.  Each system is
+eliminated once, fraction-free and on its sparse rows, which also gives its
+determinant, and every solve replays that elimination on its right-hand
+side (linalg.IntegerSystem).  Inside the loop a
 monomial is a sparse key, the sorted tuple of its 1-based variable indices
 such as (1, n) or (1, 1, n): its weight is sum(key), and delta of a key,
 which does not depend on n, is computed once into a table that every f_m
@@ -278,7 +279,7 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
     unsolvable system raises NoSolution.
 
     The loop keeps residual = delta(t) = R/D, with an integer map R and an
-    integer D.  A pass takes y = adj * rhs, so M*y = scale*rhs, subtracts
+    integer D.  A pass takes the integer y with M*y = scale*rhs, subtracts
     g = sum y_i m_i / (scale*D) from t, and moves to
     R <- scale*R - delta(sum y_i m_i) and D <- scale*D; only delta of the
     few-term correction is computed.  Each pass's monomials lie one weight

@@ -15,9 +15,11 @@ value changes nothing, as the separation scan runs in this process.
 Output is written as it is rendered: construct and export write each suite
 entry, and each construction record, as soon as it is made, so no command
 holds its whole document.  JSON comes from _json_chunks, which gives the
-text json.dumps(sort_keys=True, indent=2) would, in pieces.  Every command
-imports the verifier too: perfbench/tracer.py wraps the library calls below
-through this module's names.
+text json.dumps(sort_keys=True, indent=2) would, in pieces.  Only verify
+imports the verifier: its first run binds the three checks it calls into
+this module's names, unless they are bound already, so construct and export
+never compile it, and perfbench/tracer.py can still wrap the library calls
+below through this module's names.
 """
 
 import argparse
@@ -27,9 +29,9 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .action import BlockExceedsP, RepresentationSpec, point_texts, render_point
 from .builder import SuiteEntry, build_suite, suite_construction_steps
-from .oracle import (DEFAULT_BUDGET, BudgetExceeded, _check_budget,
-                     separation_report, verify_lifting, verify_orbit_constancy)
-from .rings import GF, BoundExceeded
+from .rings import DEFAULT_BUDGET, GF, BoundExceeded, BudgetExceeded, check_budget
+
+_VERIFIER_NAMES = ("verify_orbit_constancy", "separation_report", "verify_lifting")
 
 
 class ConfigError(Exception):
@@ -157,6 +159,21 @@ def _cmd_construct(ns) -> int:
     return 0
 
 
+def _bind_verifier():
+    """Bind the checks verify calls into this module, keeping any name that
+    is bound already."""
+    from . import oracle
+    for name in _VERIFIER_NAMES:
+        globals().setdefault(name, getattr(oracle, name))
+
+
+def __getattr__(name):
+    if name in _VERIFIER_NAMES:
+        _bind_verifier()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _cmd_verify(ns) -> int:
     spec = _spec_for(ns)
     if ns.strict and len(spec.blocks) != 1:
@@ -172,7 +189,8 @@ def _cmd_verify(ns) -> int:
         field = GF(spec.p, ns.k)
     except (ValueError, BoundExceeded) as exc:
         raise ConfigError(str(exc))
-    _check_budget(field.order, spec.n, ns.budget)
+    check_budget(field.order, spec.n, ns.budget)
+    _bind_verifier()
     suite = build_suite(spec, "fp")
     constancy = verify_orbit_constancy(suite, field, ns.budget)
     report = separation_report(suite, field, ns.budget)

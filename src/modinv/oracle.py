@@ -52,14 +52,7 @@ from .action import (RepresentationSpec, act_raw, in_b_raw, point_texts,
                      render_point)
 from .builder import InvariantSuite, _connecting_rational
 from .poly import Record
-from .rings import Ring, gc_paused
-
-
-class BudgetExceeded(Exception):
-    """The requested enumeration is larger than the configured budget."""
-
-
-DEFAULT_BUDGET = 10_000_000
+from .rings import DEFAULT_BUDGET, BudgetExceeded, Ring, check_budget, gc_paused
 
 # at most this many smallest representatives are retained per fiber
 _KEEP_REPS = 11
@@ -68,11 +61,6 @@ _MAX_WITNESS_PAIRS = 10
 # value tables are built over runs of first coordinates of at least this
 # many points (or over a single first coordinate, when that is larger)
 _SLAB_POINTS = 1 << 12
-
-
-def _check_budget(q: int, n: int, budget: int):
-    if n > budget.bit_length() or q ** n > budget:     # q^n >= 2^n > budget
-        raise BudgetExceeded(f"{q}^{n} points exceed budget {budget}")
 
 
 def _check_field(spec: RepresentationSpec, ring: Ring):
@@ -191,7 +179,7 @@ def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
     """
     spec = suite.spec
     _check_field(spec, ring)
-    _check_budget(ring.order, spec.n, budget)
+    check_budget(ring.order, spec.n, budget)
     positions = spec.table.positions
     q = ring.order
     witnesses = []
@@ -426,7 +414,7 @@ def separation_report(suite: InvariantSuite, ring: Ring,
     """
     spec = suite.spec
     _check_field(spec, ring)
-    _check_budget(ring.order, spec.n, budget)
+    check_budget(ring.order, spec.n, budget)
     q = ring.order
     factors = _rep_factors(spec.blocks, ring.p, q)
     # with a nontrivial first block, no representative has first coordinate 0
@@ -472,7 +460,7 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
         raise ValueError("brute-force verification needs a finite field")
     if n > ring.characteristic:
         raise ValueError("block size exceeds p")
-    _check_budget(ring.order, n, budget)
+    check_budget(ring.order, n, budget)
     # f_n reads x_n, so its support is the whole block
     _, terms = _support_terms(_connecting_rational(n).polynomial, ring)
     q = ring.order
@@ -499,7 +487,7 @@ def fixed_point_census(spec: RepresentationSpec, ring: Ring,
                        budget: int = DEFAULT_BUDGET) -> dict:
     """Brute-force orbit census; orbits have length 1 (fixed) or p."""
     _check_field(spec, ring)
-    _check_budget(ring.order, spec.n, budget)
+    check_budget(ring.order, spec.n, budget)
     blocks = spec.blocks
     total = ring.order ** spec.n
     in_b = fixed = fixed_b = 0

@@ -37,6 +37,19 @@ class BoundExceeded(Exception):
     """A brute-force search was asked to exceed its configured bound."""
 
 
+class BudgetExceeded(Exception):
+    """The requested enumeration is larger than the configured budget."""
+
+
+DEFAULT_BUDGET = 10_000_000
+
+
+def check_budget(q: int, n: int, budget: int):
+    """Raise BudgetExceeded when the q^n points of a space exceed budget."""
+    if n > budget.bit_length() or q ** n > budget:     # q^n >= 2^n > budget
+        raise BudgetExceeded(f"{q}^{n} points exceed budget {budget}")
+
+
 # Miller-Rabin on the first thirteen primes is exact below the smallest strong
 # pseudoprime to all of them (twelve bases fail at 318665857834031151167461).
 _PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981

@@ -489,3 +489,22 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_only_verify_imports_the_verifier(tmp_path):
+    # construct and export never compile oracle.py; verify binds its checks
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = str(tmp_path / "out")
+    commands = [f"construct --p 5 --blocks 5,2 --ring {ring} --format {fmt} --out {out}"
+                for ring in ("q", "z", "fp") for fmt in ("text", "json")]
+    commands += [f"export --p 5 --blocks 5,2 --ring {ring} --out {out}"
+                 for ring in ("q", "z", "fp")]
+    commands.append(f"verify --p 3 --blocks 3 --out {out}")
+    code = ("import sys; from modinv.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    print(main(argv.split()), 'modinv.oracle' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, *commands], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 False"] * 9 + ["0 True"]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modinv.builder import connecting_degree, construct_connecting
 from modinv.linalg import (InconsistentSystem, IntegerSystem, UnderdeterminedSystem,
                            det_int, solve_unique)
 from modinv.rings import GF, QQ
@@ -88,7 +89,6 @@ def test_solve_unique_singular_and_inconsistent(ring):
     assert solve_unique(ring, tall, [one, two, ring.from_int(3)]) == [one, two]
 
 
-
 def integer_solution(rows, rhs, modulus=0):
     """IntegerSystem's solution as field values, or None when it fails."""
     try:
@@ -101,31 +101,74 @@ def integer_solution(rows, rhs, modulus=0):
     return [Fraction(v, system.scale) for v in y]
 
 
+def assert_matches_solve_unique(rows, rhs, modulus=0):
+    """IntegerSystem agrees with solve_unique over Q, or over F_modulus.
+
+    Mod p a square system fails exactly when its determinant vanishes mod
+    p.  A tall one also fails when the minor of the rows it pivots on over
+    Z vanishes mod p, though other rows may still fix the solution there.
+    """
+    ring = GF(modulus) if modulus else QQ
+    expected = outcome(solve_unique, ring, [[ring.from_int(v) for v in r] for r in rows],
+                       [ring.from_int(v) for v in rhs])
+    expected = expected if isinstance(expected, list) else None
+    got = integer_solution(rows, [v % modulus for v in rhs] if modulus else rhs, modulus)
+    if got is None and expected is not None and len(rows) > len(rows[0]):
+        assert IntegerSystem(rows, len(rows[0])).scale % modulus == 0
+    else:
+        assert got == expected
+
+
+def draw_matrix(data, m, ncols):
+    """Small integer entries: dense, zero half the time, or sparse with at
+    most three nonzeros a row, as in the builder's delta systems."""
+    small = st.one_of(st.just(0), st.integers(-3, 3))
+    if data.draw(st.booleans()):
+        return [[data.draw(small) for _ in range(ncols)] for _ in range(m)]
+    rows = []
+    for _ in range(m):
+        row = [0] * ncols
+        for j in data.draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
+            row[j] = data.draw(st.integers(-3, 3))
+        rows.append(row)
+    return rows
+
+
 @given(st.data())
 def test_integer_system_matches_solve_unique(data):
-    small = st.one_of(st.just(0), st.integers(-3, 3))
-    m = data.draw(st.integers(1, 5))
-    square = data.draw(st.booleans())
-    ncols = m if square else data.draw(st.integers(1, 5))
-    rows = [[data.draw(small) for _ in range(ncols)] for _ in range(m)]
-    rhs = [data.draw(small) for _ in range(m)]
-    expected = outcome(solve_unique, QQ, [[Fraction(v) for v in r] for r in rows],
-                       [Fraction(v) for v in rhs])
-    assert integer_solution(rows, rhs) == (expected if isinstance(expected, list) else None)
-    if square:
-        # mod p a square system fails exactly when its determinant vanishes mod p
-        expected = outcome(solve_unique, F7, [[v % 7 for v in r] for r in rows],
-                           [v % 7 for v in rhs])
-        assert integer_solution(rows, rhs, 7) == (
-            expected if isinstance(expected, list) else None)
+    m = data.draw(st.integers(1, 8))
+    shape = data.draw(st.sampled_from(["square", "tall", "any"]))
+    ncols = m if shape == "square" else data.draw(st.integers(1, m if shape == "tall" else 8))
+    rows = draw_matrix(data, m, ncols)
+    if data.draw(st.booleans()):
+        rhs = [data.draw(st.integers(-3, 3)) for _ in range(m)]
+    else:                               # consistent, also when tall
+        x = [data.draw(st.integers(-3, 3)) for _ in range(ncols)]
+        rhs = [sum(a * v for a, v in zip(r, x)) for r in rows]
+    assert_matches_solve_unique(rows, rhs)
+    assert_matches_solve_unique(rows, rhs, 7)
+
+
+def test_integer_system_late_swap_of_an_updated_row():
+    # Column 0 turns row 1 into zeros; column 1 then swaps it below row 2.
+    # A solve that permuted rhs up front by the final row order would apply
+    # the column-0 update to the wrong entry.  Row 2 also skips column 0's
+    # scaling by 2, which it catches up on when it becomes the pivot.
+    rows = [[2, 1], [4, 2], [0, 3]]
+    system = IntegerSystem(rows, 2)
+    assert (system.det, system.scale) == (None, 6)
+    assert system.solve([3, 6, 3]) == [6, 6]
+    assert system.solve([3, 1, 3], 5) == [1, 1]
+    with pytest.raises(InconsistentSystem):
+        system.solve([3, 7, 3])
+    assert IntegerSystem([[1, 0], [1, 0], [0, 1]], 2).solve([1, 1, 5]) == [1, 5]
 
 
 @given(st.data())
-def test_integer_system_adjugate_and_determinant(data):
-    m = data.draw(st.integers(1, 6))
+def test_integer_system_solves_to_scale_and_determinant(data):
+    m = data.draw(st.integers(1, 8))
     ncols = data.draw(st.integers(1, m))
-    rows = [[data.draw(st.one_of(st.just(0), st.integers(-5, 5))) for _ in range(ncols)]
-            for _ in range(m)]
+    rows = draw_matrix(data, m, ncols)
     try:
         system = IntegerSystem(rows, ncols)
     except UnderdeterminedSystem:
@@ -133,7 +176,27 @@ def test_integer_system_adjugate_and_determinant(data):
         return
     assert system.det == (det_int(rows) if m == ncols else None)
     assert system.scale > 0
-    for k, adj_row in enumerate(system.adjugate):
-        for col in range(ncols):
-            assert sum(v * rows[i][col] for i, v in adj_row) == (
-                system.scale if col == k else 0)
+    x = [data.draw(st.integers(-9, 9)) for _ in range(ncols)]
+    rhs = [sum(a * v for a, v in zip(r, x)) for r in rows]
+    assert system.solve(rhs) == [system.scale * v for v in x]
+
+
+def test_builder_systems_match_solve_unique(monkeypatch):
+    # every distinct system f_3..f_41 meet, with the right-hand sides of
+    # one build, over Q and mod 41 and 43
+    met = {}
+    solve = IntegerSystem.solve
+
+    def record(system, rhs, modulus=0):
+        met.setdefault(system, set()).add(tuple(rhs))
+        return solve(system, rhs, modulus)
+
+    monkeypatch.setattr(IntegerSystem, "solve", record)
+    for n in range(3, 42):
+        construct_connecting(n, connecting_degree(n))
+    monkeypatch.undo()
+    assert (len(met), sum(map(len, met.values()))) == (78, 800)
+    for system, rhss in met.items():
+        for rhs in rhss:
+            for modulus in (0, 41, 43):
+                assert_matches_solve_unique(system.rows, list(rhs), modulus)
