@@ -6,11 +6,13 @@ Three subcommands:
   verify      re-check a suite by exhaustive enumeration over F_{p^k}
   export      dump the suite plus the construction's linear algebra as JSON
 
-Exit codes: 0 success, 1 configuration error, 2 separation witnesses found
-under --strict, 3 enumeration budget exceeded (decided before the suite is
-built).  All output is byte deterministic for a fixed command line.  verify
-checks that MODINV_THREADS, when set, is an integer (exit 1 otherwise); its
-value changes nothing, as the separation scan runs in this process.
+Exit codes: 0 success, 1 configuration error (a failed write to --out or
+to standard output among them, except a reader that leaves early), 2
+separation witnesses found under --strict, 3 enumeration budget exceeded
+(decided before the suite is built).  All output is byte deterministic for
+a fixed command line.  verify checks that MODINV_THREADS, when set, is an
+integer (exit 1 otherwise); its value changes nothing, as the separation
+scan runs in this process.
 
 Output is written as it is rendered: construct and export write each suite
 entry, and each construction record, as soon as it is made, so no command
@@ -58,17 +60,20 @@ def _emit(chunks, out):
     """Write each chunk of text as it comes: to the file `out`, opened only
     now, or else to sys.stdout (looked up here, so a replaced stream gets
     the output).  A reader that leaves early, as `| head` does, ends the
-    output quietly, and the exit code stays that of the command."""
+    output quietly, and the exit code stays that of the command; any other
+    failure to write, such as a full disk, is a configuration error."""
     if not out:
         try:
             for chunk in chunks:
                 sys.stdout.write(chunk)
             sys.stdout.flush()
-        except BrokenPipeError:
+        except OSError as exc:
             # the flush at exit would fail again on what is still buffered
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+            if not isinstance(exc, BrokenPipeError):
+                raise ConfigError(f"cannot write standard output: {exc.strerror}")
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:

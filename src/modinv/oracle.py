@@ -31,10 +31,11 @@ coordinate.
 - Separation enumerates only the representatives of the orbits in B, |B|/p
   of them when some block is nontrivial (see _rep_factors), and looks each
   fiber key, one int, up in the entries' tables; pointsInB is p times their
-  number.  The scan runs in this process: a forked worker would have to
-  ship every fiber it meets back to be merged, which costs about as much
-  as scanning its representatives here.  The scan makes no reference
-  cycles, so it runs with the cyclic garbage collector paused.
+  number.  When an entry is affine in the first coordinate alone, as every
+  built suite's x1 is, no fiber spans two slabs, so fibers are counted and
+  dropped slab by slab; otherwise one map holds them all.  The scan runs in
+  this process and makes no reference cycles, so it runs with the cyclic
+  garbage collector paused.
 - Lifting checks that every row of f_n's table over the last coordinate
   holds q distinct values.
 
@@ -303,11 +304,27 @@ def _lookup(groups, support, lists) -> list:
     return index
 
 
+def _injective_on_first(entries) -> bool:
+    """Whether some entry, as (support, terms), reads the first coordinate
+    alone and is affine in it with a nonzero linear coefficient, and so
+    takes a different value at every first coordinate.  A support [0]
+    entry's terms have exponents (e,), some e > 0, and no zero coefficient."""
+    return any(support == [0] and max(e for _, (e,) in terms) == 1
+               for support, terms in entries)
+
+
 def _scan_fibers(suite: InvariantSuite, ring: Ring, factors):
-    """The fibers of the representatives of B: ({key: first representative},
-    {first representative: representatives} of the _MAX_WITNESS_PAIRS fibers
-    met more than once whose first representatives are smallest; each of
-    them gives a witness pair, so no other fiber can give one).
+    """The fibers of the representatives of B: (their number, {first
+    representative: representatives} of the _MAX_WITNESS_PAIRS fibers met
+    more than once whose first representatives are smallest; each of them
+    gives a witness pair, so no other fiber can give one).
+
+    A map from key to first representative holds one slab's fibers when
+    some entry reads the first coordinate alone and is affine in it with a
+    nonzero linear coefficient (every built suite's x1 is): that entry is
+    injective on the first coordinate, so no fiber spans two slabs, and each
+    slab's fibers are counted and dropped.  Otherwise one map holds every
+    fiber of the scan.
 
     Entries reading the first coordinate are tabulated per slab of first
     coordinates, the others once.  A key is one int, the entries' codes
@@ -323,10 +340,15 @@ def _scan_fibers(suite: InvariantSuite, ring: Ring, factors):
     later_lists = [_distinct(column) for group in later for column in group]
     fixed = {}      # tables of entries that do not read the first coordinate
     per_first = _per_first(factors, q)
+    per_slab = _injective_on_first(entries)
+    count = 0       # fibers of the slabs already dropped
     seen = {}       # key -> its first representative
     shared = {}     # first representative -> the fiber's first _KEEP_REPS
     bound = math.inf    # the largest first representative kept in shared
     for slab in _slabs(range(q), per_first):
+        if per_slab:
+            count += len(seen)
+            seen = {}
         groups = [lead(slab)] + later
         if not groups[0][0]:
             continue    # no point of B starts here
@@ -361,7 +383,7 @@ def _scan_fibers(suite: InvariantSuite, ring: Ring, factors):
                     bound = max(shared)
             if len(kept) < _KEEP_REPS:
                 kept.append(rep)
-    return seen, shared
+    return count + len(seen), shared
 
 
 class SeparationReport(Record, namedtuple("SeparationReport", (
@@ -420,8 +442,7 @@ def separation_report(suite: InvariantSuite, ring: Ring,
     # with a nontrivial first block, no representative has first coordinate 0
     reps = _per_first(factors, q) * (q - (spec.blocks[0] > 1))
     with gc_paused():
-        seen, shared = _scan_fibers(suite, ring, factors)
-    fiber_count = len(seen)
+        fiber_count, shared = _scan_fibers(suite, ring, factors)
     pairs = []
     for kept in sorted(shared.values()):
         for a, b in itertools.combinations(kept, 2):

@@ -504,7 +504,9 @@ class ExtensionField(Ring):
         included.  exp runs through the cycle twice, so a sum of two logs
         needs no reduction.  zech[n] is log(1 + g^n) (zero's log where that
         is 0), so nonzero a and b add to exp[log a + zech[log b - log a]]; a
-        negative index wraps like n mod q - 1."""
+        negative index wraps like n mod q - 1.  The three tables share one
+        int object per value: codes and logs below q are taken from one
+        list, so a large field's tables hold about q ints, not 2q."""
         if self._log is None:
             self._build_tables()
         return self._log, self._exp, self._zech
@@ -556,12 +558,13 @@ class ExtensionField(Ring):
         (low, low_code), (high, high_code) = half_tables(0, half), half_tables(half, k)
         shift = w * half
         mask = (1 << shift) - 1
+        pool = list(range(self.order))  # the one int object for each value
         logs = [0] * self.order     # by code
         exp = [0] * cycle           # by log
         x = 1
-        for i in range(cycle):
+        for i in itertools.islice(pool, cycle):
             lo, hi = x & mask, x >> shift
-            exp[i] = code = low_code[lo] + high_code[hi]
+            exp[i] = code = pool[low_code[lo] + high_code[hi]]
             logs[code] = i
             x = low[lo] + high[hi]
             x -= ((x + bias) & flags) * p >> flag     # reduce, inlined

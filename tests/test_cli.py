@@ -157,6 +157,20 @@ def test_reader_leaving_early_ends_output_quietly(fmt):
     proc.stderr.close()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [["construct", "--p", "7", "--blocks", "5"],
+                                     ["export", "--p", "7", "--blocks", "5"],
+                                     ["verify", "--p", "3", "--blocks", "2"]])
+def test_full_standard_output_is_config_error(command):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "modinv", *command], stdout=full,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write standard output: No space left on device\n"
+
+
 def test_out_file_is_opened_after_the_build(capsys, monkeypatch, tmp_path):
     target = tmp_path / "suite.json"
     existed = []

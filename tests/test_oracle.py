@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -171,6 +172,22 @@ def test_failing_scan_restores_gc(monkeypatch):
     with pytest.raises(RuntimeError, match="scan failed"):
         separation_report(fp_suite(5, (2, 2)), GF(5))
     assert gc.isenabled()
+
+
+def test_separation_holds_one_slab_of_fibers():
+    # x1 tells the slabs apart, so the scan holds one slab's 4096 fibers at
+    # a time, not all 65536
+    field = GF(2, 16)
+    field.mul(field.one(), field.one())     # builds the tables
+    suite = fp_suite(2, (1,))
+    tracemalloc.start()
+    try:
+        report = separation_report(suite, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.fiber_count == report.orbit_count_in_b == 65536
+    assert peak < 2 * 2 ** 20
 
 
 def test_fibers_invariant_under_scaling_and_order():

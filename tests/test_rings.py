@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,19 @@ def test_exp_table_matches_convolution_walk(p, k):
     # zech[n] is the log of 1 + g^n, zero's log where that is zero
     zech, one = field._tables()[2], field.one()
     assert zech == [field._log[field.encode(field.add(one, v))] for v in expected]
+
+
+def test_tables_share_one_int_per_value():
+    tracemalloc.start()
+    try:
+        field = ExtensionField(2, 16)
+        log, exp, zech = field._tables()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 6 * 2 ** 20
+    # a value is one object as a code in exp and as a log in log
+    assert all(exp[log[v]] is v for v in log[1:])
 
 
 def field_cases(q_max):

@@ -21,7 +21,11 @@ F_{p^k} with p odd.
 
 The scan puts a slab's fiber keys in at once when none repeats or was met
 before, and one at a time otherwise; suites whose fibers are met again only
-in later slabs run both ways and must match reference_scan.
+in later slabs run both ways and must match reference_scan.  It drops each
+slab's fibers once counted when an entry is affine in the first coordinate
+alone: every library suite, with one first coordinate per slab, must give
+the report it gives in one slab, and suites whose first entry is x1^2 or
+x1^p must keep one map and match reference_scan, as must c*x1 + d.
 
 reference_lifting is the lifting check as it was before value tables: it
 evaluates the top connecting invariant along the last coordinate, prefix by
@@ -97,7 +101,7 @@ def compositions(n, largest):
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
-def test_scan_matches_reference_on_all_small_specs(p, k):
+def test_scan_matches_reference_on_all_small_specs(monkeypatch, p, k):
     field = GF(p, k)
     n = 1
     while field.order ** n <= 5 ** 5:
@@ -109,7 +113,63 @@ def test_scan_matches_reference_on_all_small_specs(p, k):
                     report.fiber_count, report.witness_pairs) == tuple(expected), blocks
             assert report.separated == (expected[1] == expected[2])
             assert listed_representatives(blocks, field) == minima, blocks
+            # one first coordinate per slab, each slab's fibers dropped
+            # before the next
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_SLAB_POINTS", 1)
+                assert separation_report(suite, field) == report, blocks
         n += 1
+
+
+def first_entry_replaced(suite, field, make):
+    """The suite with its first entry, x1, replaced by make(x1) over field."""
+    entries = list(suite.entries)
+    entries[0] = entries[0]._replace(
+        polynomial=make(Polynomial.variable(field, suite.spec.table, 0)))
+    return suite._replace(entries=tuple(entries))
+
+
+def injective_on_first(suite, field):
+    return oracle._injective_on_first(
+        [oracle._support_terms(e.polynomial, field) for e in suite.entries])
+
+
+@pytest.mark.parametrize("p,k,blocks", [(5, 1, (2,)), (5, 1, (1, 2)), (7, 1, (2,)),
+                                        (7, 1, (1, 2)), (3, 2, (2,)), (3, 2, (1, 2))])
+def test_non_affine_first_entry_keeps_one_fiber_map(monkeypatch, p, k, blocks):
+    # x1^2 takes one value at x1 and -x1, so over F_p fibers span slabs;
+    # x1^p over F_9 is injective but not affine, and the rule looks no
+    # further than affine
+    monkeypatch.setattr(oracle, "_SLAB_POINTS", 1)
+    field = GF(p, k)
+    suite = first_entry_replaced(build_suite(RepresentationSpec(p, blocks), "fp"),
+                                 field, lambda x: x ** (2 if k == 1 else p))
+    assert not injective_on_first(suite, field)
+    report = separation_report(suite, field)
+    *expected, _ = reference_scan(suite, field)
+    assert (report.points_in_b, report.orbit_count_in_b,
+            report.fiber_count, report.witness_pairs) == tuple(expected)
+    if k == 1:      # the first witness pair spans two slabs
+        a, b = report.witness_pairs[0]
+        assert a[0] != b[0]
+
+
+@pytest.mark.parametrize("p,k,blocks", [(5, 1, (2,)), (5, 1, (2, 2)), (7, 1, (1, 2)),
+                                        (3, 2, (2,)), (3, 2, (1, 2))])
+def test_affine_first_entry_drops_each_slab(monkeypatch, p, k, blocks):
+    # c*x1 + d with c not in {0, 1}: over F_9, c and d lie outside F_3
+    monkeypatch.setattr(oracle, "_SLAB_POINTS", 1)
+    field = GF(p, k)
+    c, d = field.elements()[4], field.elements()[-1]
+    suite = first_entry_replaced(
+        build_suite(RepresentationSpec(p, blocks), "fp"), field,
+        lambda x: x * Polynomial.constant(field, x.table, c)
+        + Polynomial.constant(field, x.table, d))
+    assert injective_on_first(suite, field)
+    report = separation_report(suite, field)
+    *expected, _ = reference_scan(suite, field)
+    assert (report.points_in_b, report.orbit_count_in_b,
+            report.fiber_count, report.witness_pairs) == tuple(expected)
 
 
 # F_2 at n = 8, 9 alone would add 6631 bumped suites and about a minute
