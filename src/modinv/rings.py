@@ -505,8 +505,8 @@ class ExtensionField(Ring):
         needs no reduction.  zech[n] is log(1 + g^n) (zero's log where that
         is 0), so nonzero a and b add to exp[log a + zech[log b - log a]]; a
         negative index wraps like n mod q - 1.  The three tables share one
-        int object per value: codes and logs below q are taken from one
-        list, so a large field's tables hold about q ints, not 2q."""
+        int object per value: a log is the object exp holds as a code of
+        the same value, so a large field's tables hold about q ints, not 2q."""
         if self._log is None:
             self._build_tables()
         return self._log, self._exp, self._zech
@@ -558,22 +558,26 @@ class ExtensionField(Ring):
         (low, low_code), (high, high_code) = half_tables(0, half), half_tables(half, k)
         shift = w * half
         mask = (1 << shift) - 1
-        pool = list(range(self.order))  # the one int object for each value
-        logs = [0] * self.order     # by code
         exp = [0] * cycle           # by log
         x = 1
-        for i in itertools.islice(pool, cycle):
+        for i in range(cycle):
             lo, hi = x & mask, x >> shift
-            exp[i] = code = pool[low_code[lo] + high_code[hi]]
-            logs[code] = i
+            exp[i] = low_code[lo] + high_code[hi]
             x = low[lo] + high[hi]
             x -= ((x + bias) & flags) * p >> flag     # reduce, inlined
-        logs[0] = 2 * cycle
+        exp *= 2
+        # each log is the int object exp holds for its value: v is the log of
+        # the code exp[v], and v = q - 1 lands on one's code, whose log is 0.
+        # exp is read in order, so the ints are touched in the order they
+        # were made.
+        logs = [0] * self.order     # by code
+        for v in itertools.islice(exp, cycle):
+            logs[exp[v]] = v
+        logs[exp[0]], logs[0] = 0, 2 * cycle
         # adding 1 adds 1 to the most significant digit, place q/p, mod p
         place = self.order // p
         plus_one = logs[place:] + logs[:place]      # log(1 + a) at a's code
-        self._zech = list(map(plus_one.__getitem__, exp))
-        exp *= 2
+        self._zech = list(map(plus_one.__getitem__, itertools.islice(exp, cycle)))
         exp.extend(itertools.repeat(0, 2 * cycle + 1))
         self._exp, self._log = exp, logs
 
