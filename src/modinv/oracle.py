@@ -319,12 +319,10 @@ def _scan_fibers(suite: InvariantSuite, ring: Ring, factors):
     more than once whose first representatives are smallest; each of them
     gives a witness pair, so no other fiber can give one).
 
-    A map from key to first representative holds one slab's fibers when
-    some entry reads the first coordinate alone and is affine in it with a
-    nonzero linear coefficient (every built suite's x1 is): that entry is
-    injective on the first coordinate, so no fiber spans two slabs, and each
-    slab's fibers are counted and dropped.  Otherwise one map holds every
-    fiber of the scan.
+    When _injective_on_first holds, as for every built suite's x1, no fiber
+    spans two slabs, so the map from key to first representative holds one
+    slab's fibers, counted and dropped before the next; otherwise it holds
+    every fiber of the scan.
 
     Entries reading the first coordinate are tabulated per slab of first
     coordinates, the others once.  A key is one int, the entries' codes

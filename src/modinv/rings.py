@@ -566,10 +566,9 @@ class ExtensionField(Ring):
             x = low[lo] + high[hi]
             x -= ((x + bias) & flags) * p >> flag     # reduce, inlined
         exp *= 2
-        # each log is the int object exp holds for its value: v is the log of
-        # the code exp[v], and v = q - 1 lands on one's code, whose log is 0.
-        # exp is read in order, so the ints are touched in the order they
-        # were made.
+        # each log is exp's int object of the same value, read in the order
+        # the ints were made: v is the log of the code exp[v]; v = q - 1
+        # lands on one's code, whose log is 0
         logs = [0] * self.order     # by code
         for v in itertools.islice(exp, cycle):
             logs[exp[v]] = v
