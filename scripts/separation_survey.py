@@ -18,9 +18,8 @@ import sys
 
 from modinv.action import RepresentationSpec, render_point
 from modinv.builder import build_suite
-from modinv.oracle import (BudgetExceeded, separation_report,
-                           verify_orbit_constancy)
-from modinv.rings import GF
+from modinv.oracle import separation_report, verify_orbit_constancy
+from modinv.rings import GF, BudgetExceeded
 
 
 def survey_specs(primes, max_n, with_decomposable):

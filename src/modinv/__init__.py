@@ -8,7 +8,8 @@ from .builder import (ConnectingInvariant, InvariantSuite, NoSolution,
                       construct_connecting, integral_form, norm_invariant,
                       restricted_delta_matrix, weight_basis)
 from .poly import Polynomial, VariableTable
-from .rings import GF, QQ, ZZ, ExtensionField, PrimeField, find_irreducible
+from .rings import (GF, QQ, ZZ, BudgetExceeded, ExtensionField, PrimeField,
+                    find_irreducible)
 
 __version__ = "0.1.0"
 
@@ -24,8 +25,8 @@ __all__ = [
 
 # The verifier is imported on first use of one of its names (PEP 562), so
 # that construct and export never compile it.
-_ORACLE_NAMES = {"BudgetExceeded", "SeparationReport", "fixed_point_census",
-                 "separation_report", "verify_lifting", "verify_orbit_constancy"}
+_ORACLE_NAMES = {"SeparationReport", "fixed_point_census", "separation_report",
+                 "verify_lifting", "verify_orbit_constancy"}
 
 
 def __getattr__(name):

@@ -367,11 +367,12 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
 
 @lru_cache(maxsize=None)
 def _connecting_rational(n: int) -> ConnectingInvariant:
-    """Cached rational construction; the degree is forced by the parity of n."""
-    return construct_connecting(n, 2 if n % 2 else 3, QQ)
+    """Cached rational construction at connecting_degree(n)."""
+    return construct_connecting(n, connecting_degree(n), QQ)
 
 
 def connecting_degree(n: int) -> int:
+    """Degree of f_n, forced by the parity of n."""
     return 2 if n % 2 else 3
 
 

@@ -33,8 +33,6 @@ from .action import BlockExceedsP, RepresentationSpec, point_texts, render_point
 from .builder import SuiteEntry, build_suite, suite_construction_steps
 from .rings import DEFAULT_BUDGET, GF, BoundExceeded, BudgetExceeded, check_budget
 
-_VERIFIER_NAMES = ("verify_orbit_constancy", "separation_report", "verify_lifting")
-
 
 class ConfigError(Exception):
     pass
@@ -63,6 +61,8 @@ def _emit(chunks, out):
     output quietly, and the exit code stays that of the command; any other
     failure to write, such as a full disk, is a configuration error."""
     if not out:
+        if sys.stdout is None:      # fd 1 was closed when Python started
+            raise ConfigError("cannot write standard output: it is closed")
         try:
             for chunk in chunks:
                 sys.stdout.write(chunk)
@@ -164,21 +164,6 @@ def _cmd_construct(ns) -> int:
     return 0
 
 
-def _bind_verifier():
-    """Bind the checks verify calls into this module, keeping any name that
-    is bound already."""
-    from . import oracle
-    for name in _VERIFIER_NAMES:
-        globals().setdefault(name, getattr(oracle, name))
-
-
-def __getattr__(name):
-    if name in _VERIFIER_NAMES:
-        _bind_verifier()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _cmd_verify(ns) -> int:
     spec = _spec_for(ns)
     if ns.strict and len(spec.blocks) != 1:
@@ -195,7 +180,9 @@ def _cmd_verify(ns) -> int:
     except (ValueError, BoundExceeded) as exc:
         raise ConfigError(str(exc))
     check_budget(field.order, spec.n, ns.budget)
-    _bind_verifier()
+    from . import oracle
+    for name in ("verify_orbit_constancy", "separation_report", "verify_lifting"):
+        globals().setdefault(name, getattr(oracle, name))
     suite = build_suite(spec, "fp")
     constancy = verify_orbit_constancy(suite, field, ns.budget)
     report = separation_report(suite, field, ns.budget)

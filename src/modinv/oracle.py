@@ -33,9 +33,7 @@ coordinate.
   fiber key, one int, up in the entries' tables; pointsInB is p times their
   number.  When an entry is affine in the first coordinate alone, as every
   built suite's x1 is, no fiber spans two slabs, so fibers are counted and
-  dropped slab by slab; otherwise one map holds them all.  The scan runs in
-  this process and makes no reference cycles, so it runs with the cyclic
-  garbage collector paused.
+  dropped slab by slab; otherwise one map holds them all.
 - Lifting checks that every row of f_n's table over the last coordinate
   holds q distinct values.
 
@@ -53,7 +51,7 @@ from .action import (RepresentationSpec, act_raw, in_b_raw, point_texts,
                      render_point)
 from .builder import InvariantSuite, _connecting_rational
 from .poly import Record
-from .rings import DEFAULT_BUDGET, BudgetExceeded, Ring, check_budget, gc_paused
+from .rings import DEFAULT_BUDGET, Ring, check_budget
 
 # at most this many smallest representatives are retained per fiber
 _KEEP_REPS = 11
@@ -439,8 +437,7 @@ def separation_report(suite: InvariantSuite, ring: Ring,
     factors = _rep_factors(spec.blocks, ring.p, q)
     # with a nontrivial first block, no representative has first coordinate 0
     reps = _per_first(factors, q) * (q - (spec.blocks[0] > 1))
-    with gc_paused():
-        fiber_count, shared = _scan_fibers(suite, ring, factors)
+    fiber_count, shared = _scan_fibers(suite, ring, factors)
     pairs = []
     for kept in sorted(shared.values()):
         for a, b in itertools.combinations(kept, 2):
@@ -529,7 +526,6 @@ def fixed_point_census(spec: RepresentationSpec, ring: Ring,
 
 
 __all__ = [
-    "BudgetExceeded", "DEFAULT_BUDGET", "SeparationReport",
-    "fixed_point_census", "separation_report", "verify_lifting",
-    "verify_orbit_constancy",
+    "SeparationReport", "fixed_point_census", "separation_report",
+    "verify_lifting", "verify_orbit_constancy",
 ]

@@ -18,7 +18,7 @@ from functools import cached_property
 from math import lcm
 
 from .rings import (ExtensionField, IntegerRing, PrimeField, RationalRing, Ring,
-                    coerce)
+                    RingMismatch, coerce)
 
 
 class TableMismatch(Exception):
@@ -123,11 +123,6 @@ def product_key(indices) -> tuple:
     return _key(Counter(indices))
 
 
-def _powers(key):
-    """(index, exponent) of each variable of a key, last variable first."""
-    return zip(key[1::2], key[2::2])
-
-
 def key_powers(key):
     """(index, exponent) of each variable of a key, first variable first."""
     return zip(key[-2:0:-2], key[:0:-2])
@@ -135,8 +130,8 @@ def key_powers(key):
 
 def _key_mul(a, b) -> tuple:
     """Key of the product of two monomials."""
-    powers = dict(_powers(a))
-    for i, e in _powers(b):
+    powers = dict(key_powers(a))
+    for i, e in key_powers(b):
         powers[i] = powers.get(i, 0) + e
     return _key(powers)
 
@@ -144,7 +139,7 @@ def _key_mul(a, b) -> tuple:
 def _dense(n, key) -> list:
     """Exponent list over n variables of a key."""
     out = [0] * n
-    for i, e in _powers(key):
+    for i, e in key_powers(key):
         out[i] = e
     return out
 
@@ -178,7 +173,6 @@ class Polynomial:
         self.ring = ring
         self.table = table
         self._terms = clean
-        self._hash = None
 
     # -- constructors -------------------------------------------------------
 
@@ -192,7 +186,7 @@ class Polynomial:
         for key in [k for k, c in terms.items() if c == zero]:
             del terms[key]
         f = cls.__new__(cls)
-        f.ring, f.table, f._terms, f._hash = ring, table, terms, None
+        f.ring, f.table, f._terms = ring, table, terms
         return f
 
     @classmethod
@@ -247,7 +241,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             raise TypeError(f"expected Polynomial, got {type(other).__name__}")
         if other.ring != self.ring:
-            raise _ring_mismatch(self.ring, other.ring)
+            raise RingMismatch(f"{self.ring!r} vs {other.ring!r}")
         if other.table != self.table:
             raise TableMismatch(f"{self.table.blocks} vs {other.table.blocks}")
         return other
@@ -309,9 +303,7 @@ class Polynomial:
                 and other.table == self.table and other._terms == self._terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, self.table, frozenset(self._terms.items())))
-        return self._hash
+        return hash((self.ring, self.table, frozenset(self._terms.items())))
 
     # -- structure ops -------------------------------------------------------
 
@@ -323,14 +315,14 @@ class Polynomial:
         """
         for i, g in images.items():
             if g.ring != self.ring:
-                raise _ring_mismatch(self.ring, g.ring)
+                raise RingMismatch(f"{self.ring!r} vs {g.ring!r}")
             if g.table != self.table:
                 raise TableMismatch("substitution image over a different table")
         out = Polynomial.zero(self.ring, self.table)
         power_cache = {}
         for key, c in self._terms.items():
             term = Polynomial.constant(self.ring, self.table, c)
-            for power in _powers(key):
+            for power in key_powers(key):
                 if power not in power_cache:
                     i, e = power
                     if i not in images:
@@ -353,7 +345,7 @@ class Polynomial:
         acc = ring.zero()
         for key, c in self._terms.items():
             val = c if same else coerce(c, src, ring)
-            for i, e in _powers(key):
+            for i, e in key_powers(key):
                 val = ring.mul(val, ring.pow(coords[i], e))
             acc = ring.add(acc, val)
         return acc
@@ -418,11 +410,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<Polynomial {self.render_text()} over {self.ring!r}>"
-
-
-def _ring_mismatch(a, b):
-    from .rings import RingMismatch
-    return RingMismatch(f"{a!r} vs {b!r}")
 
 
 def ring_code(ring: Ring) -> str:

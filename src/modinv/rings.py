@@ -10,8 +10,6 @@ elements() order, and tabulate polynomials on codes (extend_table), which is
 how the verifier computes.  Nothing here ever rounds.
 """
 
-import contextlib
-import gc
 import itertools
 import operator
 from fractions import Fraction
@@ -68,21 +66,6 @@ def is_prime(n: int) -> bool:
         if pow(b, d, n) != 1 and all(pow(b, d << r, n) != n - 1 for r in range(s)):
             return False
     return True
-
-
-@contextlib.contextmanager
-def gc_paused():
-    """Suspend the cyclic garbage collector, then restore the caller's state.
-
-    Bulk builds of tuples, ints and flat containers make no reference
-    cycles, so the collector's passes over them cost time and free nothing."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +130,7 @@ def _is_irreducible(coeffs, p) -> bool:
     return True
 
 
-def find_irreducible(p: int, k: int, bound: int = IRREDUCIBLE_SEARCH_BOUND) -> tuple:
+def find_irreducible(p: int, k: int) -> tuple:
     """First monic irreducible of degree k over F_p, as a low-degree-first
     coefficient tuple of length k+1.
 
@@ -159,6 +142,7 @@ def find_irreducible(p: int, k: int, bound: int = IRREDUCIBLE_SEARCH_BOUND) -> t
         raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError("degree must be at least 1")
+    bound = IRREDUCIBLE_SEARCH_BOUND
     if k > bound.bit_length() or p ** k > bound:     # p^k >= 2^k > bound
         raise BoundExceeded(f"modulus search over {p}^{k} elements exceeds bound {bound}")
     for idx in range(p ** k):
@@ -619,8 +603,7 @@ class ExtensionField(Ring):
     def elements(self):
         # tuple-lexicographic order, the order of codes, built once
         if self._elements is None:
-            with gc_paused():
-                self._elements = tuple(itertools.product(range(self.p), repeat=self.k))
+            self._elements = tuple(itertools.product(range(self.p), repeat=self.k))
         return self._elements
 
     def __eq__(self, other):

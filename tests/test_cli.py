@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -169,6 +170,22 @@ def test_full_standard_output_is_config_error(command):
                               stderr=subprocess.PIPE, env=env, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr == b"error: cannot write standard output: No space left on device\n"
+
+
+@pytest.mark.parametrize("command", [["construct", "--p", "7", "--blocks", "5"],
+                                     ["export", "--p", "7", "--blocks", "5"],
+                                     ["verify", "--p", "3", "--blocks", "2"]])
+def test_closed_standard_output_is_config_error(command):
+    # with fd 1 closed at start-up, Python sets sys.stdout to None
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "modinv", *command],
+                          preexec_fn=functools.partial(os.close, 1),
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+        "error: cannot write standard output: it is closed"]
 
 
 def test_out_file_is_opened_after_the_build(capsys, monkeypatch, tmp_path):
@@ -360,7 +377,7 @@ def test_verify_strict_exit_two_on_failure(capsys, monkeypatch):
     failing = real._replace(separated=False,
                                   witness_pairs=(((1, 0, 0), (1, 0, 1)),))
     monkeypatch.setattr("modinv.cli.separation_report",
-                        lambda *args, **kwargs: failing)
+                        lambda *args, **kwargs: failing, raising=False)
     code, out, _ = run_cli(capsys, "verify", "--p", "5", "--blocks", "3",
                            "--strict")
     assert code == 2
@@ -515,10 +532,19 @@ def test_only_verify_imports_the_verifier(tmp_path):
     commands += [f"export --p 5 --blocks 5,2 --ring {ring} --out {out}"
                  for ring in ("q", "z", "fp")]
     commands.append(f"verify --p 3 --blocks 3 --out {out}")
-    code = ("import sys; from modinv.cli import main\n"
+    # a wrapper bound before the first verify is the one verify calls, as
+    # perfbench/tracer.py needs
+    code = ("import sys; from modinv import cli\n"
+            "calls = []\n"
+            "def recording(*args):\n"
+            "    from modinv.oracle import separation_report\n"
+            "    calls.append(args)\n"
+            "    return separation_report(*args)\n"
+            "cli.separation_report = recording\n"
             "for argv in sys.argv[1:]:\n"
-            "    print(main(argv.split()), 'modinv.oracle' in sys.modules)")
+            "    print(cli.main(argv.split()), 'modinv.oracle' in sys.modules)\n"
+            "print(len(calls), cli.separation_report is recording)")
     proc = subprocess.run([sys.executable, "-c", code, *commands], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0 False"] * 9 + ["0 True"]
+    assert proc.stdout.splitlines() == ["0 False"] * 9 + ["0 True", "1 True"]

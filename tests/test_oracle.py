@@ -1,17 +1,14 @@
-import gc
 import json
 import tracemalloc
 
 import pytest
 
 from modinv.action import RepresentationSpec, orbit_rep_raw
-from modinv import oracle
 from modinv.builder import build_suite
-from modinv.oracle import (DEFAULT_BUDGET, BudgetExceeded, fixed_point_census,
-                           separation_report, verify_lifting,
+from modinv.oracle import (fixed_point_census, separation_report, verify_lifting,
                            verify_orbit_constancy)
 from modinv.poly import Polynomial
-from modinv.rings import GF, QQ
+from modinv.rings import DEFAULT_BUDGET, GF, QQ, BudgetExceeded
 
 
 def fp_suite(p, blocks):
@@ -141,37 +138,6 @@ def test_report_is_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
     assert (json.dumps(a.to_json_dict(), sort_keys=True)
             == json.dumps(b.to_json_dict(), sort_keys=True))
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-def test_scan_pauses_gc_and_restores_it(monkeypatch, enabled):
-    during = []
-    scan = oracle._scan_fibers
-
-    def recording_scan(*args):
-        during.append(gc.isenabled())
-        return scan(*args)
-
-    monkeypatch.setattr(oracle, "_scan_fibers", recording_scan)
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        separation_report(fp_suite(5, (2, 2)), GF(5))
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert during == [False]
-
-
-def test_failing_scan_restores_gc(monkeypatch):
-    def failing_scan(*args):
-        raise RuntimeError("scan failed")
-
-    monkeypatch.setattr(oracle, "_scan_fibers", failing_scan)
-    assert gc.isenabled()
-    with pytest.raises(RuntimeError, match="scan failed"):
-        separation_report(fp_suite(5, (2, 2)), GF(5))
-    assert gc.isenabled()
 
 
 def test_separation_holds_one_slab_of_fibers():
