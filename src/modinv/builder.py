@@ -380,15 +380,13 @@ def connecting_degree(n: int) -> int:
 # Norms and integral forms.
 
 
-def norm_invariant(p: int, ring: Ring, table: VariableTable = None, offset: int = 0) -> Polynomial:
+def norm_invariant(p: int, ring: Ring, table: VariableTable, offset: int = 0) -> Polynomial:
     """Orbit product of the block's second variable: x1^(p-1)*x2 - x2^p,
-    placed at `offset` within `table` (default: a fresh two-variable table).
+    placed at `offset` within `table`.
 
     Its reduction mod p is invariant; over Q or Z it is the canonical
     integer-coefficient lift of that invariant.
     """
-    if table is None:
-        table = VariableTable((2,))
     lead = [0] * table.n
     lead[offset], lead[offset + 1] = p - 1, 1
     pure = [0] * table.n

@@ -60,7 +60,7 @@ def _emit(chunks, out):
     the output).  A reader that leaves early, as `| head` does, ends the
     output quietly, and the exit code stays that of the command; any other
     failure to write, such as a full disk, is a configuration error."""
-    if not out:
+    if out is None:
         if sys.stdout is None:      # fd 1 was closed when Python started
             raise ConfigError("cannot write standard output: it is closed")
         try:

@@ -5,9 +5,11 @@ prime fields F_p, and small extension fields F_{p^k} with a deterministically
 chosen irreducible modulus.  Values are plain immutable "raw" values
 (Fraction, int, or tuples of residues) that carry no ring; a Ring object does
 the arithmetic on them and renders the textual encodings used in reports and
-JSON.  Finite fields also number their elements by int codes in
-elements() order, and tabulate polynomials on codes (extend_table), which is
-how the verifier computes.  Nothing here ever rounds.
+JSON.  Ring's own methods are Python's arithmetic, which Q and Z use as they
+are, and its pow is square-and-multiply over mul, which F_{p^k} uses.
+Finite fields also number their elements by int codes in elements() order,
+and tabulate polynomials on codes (extend_table), which is how the verifier
+computes.  Nothing here ever rounds.
 """
 
 import itertools
@@ -167,7 +169,8 @@ class Ring:
     Subclasses implement arithmetic on raw values.  Raw values are always
     immutable and hashable and are compared in their natural Python order;
     for finite fields that is the order of ``elements()``, which fixes orbit
-    representatives and the order of reports.
+    representatives and the order of reports.  The defaults are Python's
+    own arithmetic, which is exact on the int and Fraction values of Z and Q.
     """
 
     is_field = False
@@ -175,25 +178,22 @@ class Ring:
     order = None  # number of elements; None when infinite
 
     def zero(self):
-        raise NotImplementedError
+        return 0
 
     def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
+        return 1
 
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return a - b
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def inv(self, a):
         raise NotAField(f"{self!r} has no division")
@@ -215,7 +215,7 @@ class Ring:
         return False
 
     def render(self, a) -> str:
-        raise NotImplementedError
+        return str(a)
 
     def elements(self):
         """Every element in ascending order, as a sequence (finite rings only)."""
@@ -236,18 +236,6 @@ class RationalRing(Ring):
     def from_int(self, n):
         return Fraction(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if not a:
             raise DivisionByZero("1/0 over Q")
@@ -255,9 +243,6 @@ class RationalRing(Ring):
 
     def is_negative(self, a):
         return a < 0
-
-    def render(self, a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)
@@ -272,32 +257,11 @@ class RationalRing(Ring):
 class IntegerRing(Ring):
     """The integers; raw values are int.  Division is refused."""
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def from_int(self, n):
         return int(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def is_negative(self, a):
         return a < 0
-
-    def render(self, a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -324,12 +288,6 @@ class PrimeField(Ring):
         self.p = p
         self.characteristic = p
         self.order = p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def from_int(self, n):
         return n % self.p
@@ -404,7 +362,8 @@ class ExtensionField(Ring):
     rank in elements() order: the residues read as base-p digits, the
     constant one most significant, so codes order like the tuples.  Three
     int tables on codes are built on first use (see _tables); extend_table
-    works on codes through them, and mul, pow and inv convert their tuples.
+    works on codes through them, and mul converts its tuples.  pow and inv
+    are Ring's square-and-multiply over that mul.
     """
 
     is_field = True
@@ -455,19 +414,8 @@ class ExtensionField(Ring):
         return tuple((-x) % p for x in a)
 
     def _mul_conv(self, a, b):
-        p, k, mod = self.p, self.k, self.modulus
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j in range(k):
-                    prod[i - k + j] -= c * mod[j]
-            prod[i] = 0
-        return tuple(c % p for c in prod[:k])
+        prod = _poly_mulmod(a, b, self.modulus, self.p)
+        return tuple(prod) + (0,) * (self.k - len(prod))
 
     def _pow_conv(self, a, e):
         acc = self.one()
@@ -573,15 +521,6 @@ class ExtensionField(Ring):
             raise DivisionByZero(f"1/0 over {self!r}")
         return self.pow(a, self.order - 2)
 
-    def pow(self, a, e):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        code = self.encode(a)
-        if not code:
-            return self.one() if e == 0 else self._zero
-        log, exp, _ = self._tables()
-        return self.decode(exp[log[code] * e % (self.order - 1)])
-
     def extend_table(self, coeffs, xs):
         # on codes, through the tables: see _tables
         log, exp, zech = self._tables()
@@ -643,15 +582,9 @@ def coerce(value, src: Ring, dst: Ring):
     """
     if src == dst:
         return value
-    if isinstance(src, IntegerRing):
-        if isinstance(dst, RationalRing):
-            return Fraction(value)
-        return dst.from_int(value)
-    if isinstance(src, RationalRing):
-        if isinstance(dst, PrimeField):
-            return reduce_fraction(value, dst.p)
-        if isinstance(dst, ExtensionField):
-            return dst.from_int(reduce_fraction(value, dst.p))
-    if isinstance(src, PrimeField) and isinstance(dst, ExtensionField) and dst.p == src.p:
+    if isinstance(src, RationalRing) and dst.characteristic:
+        return dst.from_int(reduce_fraction(value, dst.characteristic))
+    if isinstance(src, IntegerRing) or (
+            isinstance(src, PrimeField) and src.p == dst.characteristic):
         return dst.from_int(value)
     raise RingMismatch(f"no embedding {src!r} -> {dst!r}")

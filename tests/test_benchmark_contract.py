@@ -6,10 +6,14 @@ calls, ...) with recording wrappers and then runs the CLI, so renaming or
 deleting one of them breaks traced benchmark runs, and fusing or renaming
 an oracle stage would silently empty its per-layer metric.  These tests run
 the tracer on two small commands, check that each records its stages' spans,
-and check that every exported name resolves.
+and check that every exported name resolves.  They also run
+perfbench/perop.py, whose failure fails a traced benchmark run, and check
+that the set-up probe of perfbench/run.py (field.mul(one, one)) still builds
+a field's tables, so that setup_s measures the build.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import modinv
-from modinv import builder, oracle
+from modinv import GF, builder, oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +47,23 @@ def test_tracer_runs_cli(tmp_path, argv, expected):
                          ids=["modinv", "builder", "oracle"])
 def test_exported_names_resolve(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_setup_probe_builds_the_field_tables():
+    field = GF(2, 4)
+    assert field._log is None
+    field.mul(field.one(), field.one())
+    assert field._log is not None
+
+
+def test_perop_prints_positive_figures():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "perop.py"),
+         "--workload", "sweep-small", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    figures = json.loads(proc.stdout)
+    assert figures
+    assert {name: v for name, v in figures.items()
+            if not (type(v) in (int, float) and math.isfinite(v) and v > 0)} == {}

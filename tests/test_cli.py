@@ -209,6 +209,15 @@ def test_out_file_is_opened_after_the_build(capsys, monkeypatch, tmp_path):
     assert len(existed) == 3
 
 
+@pytest.mark.parametrize("command", [["construct", "--p", "3", "--blocks", "3"],
+                                     ["export", "--p", "3", "--blocks", "3"],
+                                     ["verify", "--p", "3", "--blocks", "2"]])
+def test_empty_out_path_is_config_error(capsys, command):
+    # only a missing --out means standard output; "" names no file
+    assert run_cli(capsys, *command, "--out", "") == (
+        1, "", "error: cannot write : No such file or directory\n")
+
+
 # -- configuration errors --------------------------------------------------------
 
 

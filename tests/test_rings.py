@@ -44,6 +44,15 @@ def test_division_by_zero():
         QQ.inv(Fraction(0))
     with pytest.raises(DivisionByZero):
         GF(5, 2).inv((0, 0))
+    for field in (GF(3, 2), GF(2, 3)):      # Ring.pow over the table mul
+        zero, one = field.zero(), field.one()
+        assert field.pow(zero, 0) == one
+        with pytest.raises(DivisionByZero):
+            field.pow(zero, -1)
+        for x in field.elements()[1:]:
+            for e in range(1, field.order + 1):
+                assert field.pow(x, -e) == field.pow(field.inv(x), e)
+                assert field.mul(field.pow(x, -e), field._pow_conv(x, e)) == one
 
 
 def test_prime_validation():
@@ -335,6 +344,9 @@ def test_render():
     assert QQ.render(Fraction(3)) == "3"
     assert F5.render(3) == "3"
     assert GF(5, 2).render((3, 1)) == "3,1"
+    assert ZZ.render(-3) == "-3"
+    assert ZZ.is_negative(-1)
+    assert not F5.is_negative(4) and not GF(5, 2).is_negative((4, 4))
 
 
 def test_coerce_paths():
@@ -345,6 +357,13 @@ def test_coerce_paths():
         coerce(2, F5, GF(7))
     with pytest.raises(RingMismatch):
         coerce((1, 0), GF(5, 2), F5)
+    with pytest.raises(RingMismatch):
+        coerce(Fraction(1, 2), QQ, ZZ)
+    with pytest.raises(DenominatorDivisibleByP):
+        coerce(Fraction(1, 5), QQ, GF(5, 2))
+    with pytest.raises(RingMismatch):
+        coerce(2, F5, GF(7, 2))
+    assert coerce(7, ZZ, GF(5, 2)) == (2, 0)
 
 
 def test_extension_field_equality_and_pickle():
