@@ -26,11 +26,12 @@ block's f_m is moved to its offset by shifting variable indices.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import linalg
 from .action import BlockExceedsP, RepresentationSpec
-from .poly import (Polynomial, Record, VariableTable, embed, key_text,
-                   monomial_text, product_key, ring_code)
+from .poly import (Polynomial, Record, VariableTable, _dense, embed, key_text,
+                   product_key, ring_code)
 from .rings import GF, QQ, ZZ, RationalRing, Ring
 
 
@@ -68,16 +69,7 @@ class WeightSpaceBasis(Record, namedtuple("WeightSpaceBasis", "family d n monomi
         return cls(*iterable)
 
     def names(self) -> tuple:
-        table = VariableTable((self.n,))
-        return tuple(monomial_text(table, e) for e in self.monomials)
-
-
-def _dense(n, key):
-    """Exponent tuple over n variables of a sparse key."""
-    out = [0] * n
-    for i in key:
-        out[i - 1] += 1
-    return tuple(out)
+        return _names(tuple(map(_key, self.monomials)))
 
 
 def _key(exps):
@@ -180,7 +172,8 @@ def weight_basis(family: str, d: int, n: int) -> WeightSpaceBasis:
     if family in _S_FAMILIES and d > n + 2:
         raise RangeViolation(f"S-family needs d <= n+2, got d={d}, n={n}")
     return WeightSpaceBasis(family, d, n,
-                            tuple(_dense(n, k) for k in _basis_keys(family, d)))
+                            tuple(tuple(_dense(n, _poly_key(k)))
+                                  for k in _basis_keys(family, d)))
 
 
 def _delta_matrix(source, target):
@@ -246,17 +239,11 @@ def _designated_family(degree: int, d: int) -> str:
     return "Shat" if d % 2 else "Sprime"
 
 
-# Systems met by the elimination loop, keyed by (source keys, target keys):
-# f_{n+2} meets every system f_n meets, so f_3..f_29 solve only 54 systems.
-_SYSTEMS = {}
-
-
+@lru_cache(maxsize=None)
 def _system(source, target) -> linalg.IntegerSystem:
-    system = _SYSTEMS.get((source, target))
-    if system is None:
-        system = _SYSTEMS[source, target] = linalg.IntegerSystem(
-            _delta_matrix(source, target), len(source))
-    return system
+    """The elimination loop's system for source and target keys.  Cached:
+    f_{n+2} meets every system f_n meets, so f_3..f_29 solve only 54."""
+    return linalg.IntegerSystem(_delta_matrix(source, target), len(source))
 
 
 def _ring_value(ring: Ring, num: int, den: int):
@@ -402,7 +389,7 @@ def integral_form(f) -> Polynomial:
         f = f.polynomial
     if not isinstance(f.ring, RationalRing):
         raise ValueError("integral_form expects a rational polynomial")
-    scale = f.denominator_lcm()
+    scale = lcm(*(c.denominator for c in f._terms.values()))
     return Polynomial.from_keys(ZZ, f.table,
                                 {k: (c * scale).numerator for k, c in f._terms.items()})
 
@@ -438,18 +425,9 @@ class InvariantSuite(Record, namedtuple("InvariantSuite", "spec ring entries")):
         }
 
 
-def _entry_name(spec: RepresentationSpec, block: int, kind: str, j: int = 0) -> str:
-    if len(spec.blocks) == 1:
-        if kind == "linear":
-            return "x1"
-        if kind == "norm":
-            return "N(x2)"
-        return f"f{j}"
-    if kind == "linear":
-        return f"x{block}_1"
-    if kind == "norm":
-        return f"N(x{block}_2)"
-    return f"f{block}_{j}"
+def _entry_name(spec: RepresentationSpec, block: int, j: int) -> str:
+    """Name of block's connecting invariant f_j."""
+    return f"f{j}" if len(spec.blocks) == 1 else f"f{block}_{j}"
 
 
 def build_suite(spec: RepresentationSpec, ring: str = "fp") -> InvariantSuite:
@@ -468,11 +446,11 @@ def build_suite(spec: RepresentationSpec, ring: str = "fp") -> InvariantSuite:
     for b, size in enumerate(spec.blocks, start=1):
         offset = table.block_offsets[b - 1]
         entries.append(SuiteEntry(
-            _entry_name(spec, b, "linear"), b, 1, "linear",
+            table.names[offset], b, 1, "linear",
             Polynomial.variable(target, table, offset)))
         if size >= 2:
             entries.append(SuiteEntry(
-                _entry_name(spec, b, "norm"), b, spec.p, "norm",
+                f"N({table.names[offset + 1]})", b, spec.p, "norm",
                 norm_invariant(spec.p, target, table, offset)))
         for j in range(3, size + 1):
             f = embed(_connecting_rational(j).polynomial, table, offset)
@@ -483,7 +461,7 @@ def build_suite(spec: RepresentationSpec, ring: str = "fp") -> InvariantSuite:
             else:
                 poly = f.change_ring(target)
             entries.append(SuiteEntry(
-                _entry_name(spec, b, "connecting", j), b, connecting_degree(j),
+                _entry_name(spec, b, j), b, connecting_degree(j),
                 "connecting", poly))
     return InvariantSuite(spec, target, tuple(entries))
 
@@ -496,7 +474,7 @@ def suite_construction_steps(spec: RepresentationSpec) -> list:
             ci = _connecting_rational(j)
             out.append({
                 "blockIndex": b,
-                "name": _entry_name(spec, b, "connecting", j),
+                "name": _entry_name(spec, b, j),
                 "n": ci.n,
                 "degree": ci.degree,
                 "steps": ci.steps,

@@ -4,41 +4,13 @@ Everything here is an independent check on the symbolic construction:
 suites are re-evaluated over an exhaustively enumerated field and compared
 along the group action, and separation is decided by comparing invariant
 fibers against the orbits inside the open set B where every nontrivial
-block has a nonzero leading coordinate.
+block has a nonzero leading coordinate.  Every entry point checks q^n, the
+size of the whole space, against an explicit budget before starting.
 
-Support closure.  An entry's support is, in each block, every coordinate up
-to the last one it reads.  The action maps the first l coordinates of a
-block among themselves, so an entry's value at sigma v depends only on v
-restricted to its support, for any polynomial.
-
-Codes.  Every check computes on the fields' int codes (ring.encode): the
-rank of an element in elements() order, the residue itself over F_p.  Codes
-order like the elements, so smallest points and representatives are the
-same; tuples are built only to decode witnesses.
-
-Value tables.  Each entry is evaluated once per point of a product of code
-lists over its support, in row-major order: its terms are split by the
-exponent of the last coordinate and the coefficients are tabulated over the
-earlier coordinates the same way (the field's extend_table does the
-univariate step).  Tables are built one slab of first coordinates at a
-time, so memory stays near q^(n-1) values; the action fixes the first
-coordinate.
-
-- Constancy compares each table value at v with the one at sigma v, reached
-  by index arithmetic.  An entry's smallest violating point is its smallest
-  violating sub-point padded with zeros; the witness is the least of these,
-  named by the first entry that differs there.
-- Separation enumerates only the representatives of the orbits in B, |B|/p
-  of them when some block is nontrivial (see _rep_factors), and looks each
-  fiber key, one int, up in the entries' tables; pointsInB is p times their
-  number.  When an entry is affine in the first coordinate alone, as every
-  built suite's x1 is, no fiber spans two slabs, so fibers are counted and
-  dropped slab by slab; otherwise one map holds them all.
-- Lifting checks that every row of f_n's table over the last coordinate
-  holds q distinct values.
-
-Every entry point checks q^n, the size of the whole space, against an
-explicit budget before starting.
+README.md, "What `verify` costs", describes how the checks compute: on int
+codes (ring.encode), over each entry's support closure, through value
+tables built one slab of first coordinates at a time, and what constancy,
+separation and lifting each scan.
 """
 
 import itertools

@@ -15,7 +15,6 @@ monomial, terms(), lead_term() and the JSON `exps` lists.
 
 from collections import Counter, namedtuple
 from functools import cached_property
-from math import lcm
 
 from .rings import (ExtensionField, IntegerRing, PrimeField, RationalRing, Ring,
                     RingMismatch, coerce)
@@ -356,15 +355,6 @@ class Polynomial:
         src = self.ring
         return Polynomial.from_keys(ring, self.table,
                                     {k: coerce(c, src, ring) for k, c in self._terms.items()})
-
-    def denominator_lcm(self) -> int:
-        """lcm of coefficient denominators of a rational polynomial."""
-        if not isinstance(self.ring, RationalRing):
-            raise ValueError("denominator_lcm is defined for rational polynomials")
-        out = 1
-        for c in self._terms.values():
-            out = lcm(out, c.denominator)
-        return out
 
     # -- serialization -------------------------------------------------------
 

@@ -30,8 +30,10 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv,expected", [
     (("verify", "--p", "3", "--blocks", "3"),
      {"oracle.constancy", "oracle.separation", "oracle.lifting", "builder.connecting"}),
-    (("export", "--p", "5", "--blocks", "5"), {"builder.connecting"}),
-], ids=["verify", "export"])
+    (("export", "--p", "5", "--blocks", "5"), {"builder.connecting", "builder.delta_matrix"}),
+    (("construct", "--p", "7", "--blocks", "7", "--ring", "q", "--format", "json"),
+     {"builder.build_suite", "builder.connecting", "builder.delta_matrix", "poly.render"}),
+], ids=["verify", "export", "construct-json"])
 def test_tracer_runs_cli(tmp_path, argv, expected):
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

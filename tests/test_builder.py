@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from modinv.action import BlockExceedsP, RepresentationSpec, delta, sigma
 from modinv.builder import (IncompatibleBases, NoSolution, ParityViolation,
                             RangeViolation, _connecting_rational, _delta_matrix,
-                            _dense, _key, _delta_key, build_suite, connecting_degree,
+                            _key, _delta_key, build_suite, connecting_degree,
                             construct_connecting, integral_form,
                             norm_invariant, restricted_delta_matrix,
                             suite_construction_steps, weight_basis)
@@ -103,13 +103,13 @@ def test_sparse_delta_matches_dense(n):
     for degree in range(4):
         for key in itertools.combinations_with_replacement(range(1, n + 1), degree):
             e = exps(n, *key)
-            assert _key(e) == key and _dense(n, key) == e
+            assert _key(e) == key
             assert sum(key) == weight_of(table, e)
-            image = {_dense(n, k): c for _, k, c in _delta_key(key)}
+            image = {exps(n, *k): c for _, k, c in _delta_key(key)}
             sigma_image = dict(sigma(Polynomial.monomial(ZZ, table, e)).terms())
             assert sigma_image.pop(e) == 1 and image == sigma_image
             for w, k, _ in _delta_key(key):
-                assert list(k) == sorted(k) and w == weight_of(table, _dense(n, k))
+                assert list(k) == sorted(k) and w == weight_of(table, exps(n, *k))
 
 
 def test_delta_matrix_names_a_missing_target():
@@ -314,6 +314,11 @@ def test_integral_form_golden():
         ZZ, T3, {(1, 0, 1): 2, (0, 2, 0): -1, (1, 1, 0): 1})
     assert integral_form(construct_connecting(4, 3)) == Polynomial(
         ZZ, T4, {(2, 0, 0, 1): 3, (1, 1, 1, 0): -3, (0, 3, 0, 0): 1, (2, 1, 0, 0): -1})
+    # lcm() of no denominators is 1, so zero stays zero
+    assert integral_form(Polynomial.zero(QQ, T3)) == Polynomial.zero(ZZ, T3)
+    # integer coefficients stay as they are: the content 3 is not divided out
+    assert integral_form(qpoly(T3, {(1, 0, 1): 3, (0, 2, 0): -6})) == Polynomial(
+        ZZ, T3, {(1, 0, 1): 3, (0, 2, 0): -6})
 
 
 def test_integral_form_is_invariant_over_z():
@@ -465,10 +470,10 @@ def test_invariance_under_point_action_small_fields():
 def test_denominators_coprime_to_large_primes(n):
     # coefficient denominators divide products of 2 and (d-3) with d <= n+2
     ci = construct_connecting(n, connecting_degree(n))
-    lcm = ci.polynomial.denominator_lcm()
+    denominators = lcm(*(c.denominator for _, c in ci.polynomial.terms()))
     for q in (11, 13):
         if q >= n:
-            assert lcm % q != 0
+            assert denominators % q != 0
 
 
 if __name__ == "__main__":

@@ -6,9 +6,13 @@
   other than its own definition: in its module, another module, a script,
   a test or perfbench (which reaches names such as builder._delta_matrix).
   A string equal to the name counts, as monkeypatch.setattr takes one.
+- Every method of a src/modinv class, dunders aside, is referenced the same
+  way, or overrides a name of a base class, which the base calls
+  (namedtuple's _make, argparse's error).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -81,3 +85,22 @@ def test_every_private_name_is_referenced():
                 private += [f"{path.name}:{name}" for name in sorted(defined)
                             if name.startswith("_") and not name.startswith("__")]
     assert [entry for entry in private if entry.split(":")[1] not in referenced] == []
+
+
+def test_every_method_is_referenced_or_overrides():
+    referenced = set()
+    for path in CHECKED + sorted((ROOT / "perfbench").glob("*.py")):
+        for stmt in _tree(path).body:
+            referenced |= _references(stmt) - _defined(stmt)
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in _tree(path).body:
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            cls = getattr(importlib.import_module(f"modinv.{path.stem}"), stmt.name)
+            dead += [f"{path.name}:{stmt.name}.{node.name}" for node in stmt.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not (node.name.startswith("__") and node.name.endswith("__"))
+                     and node.name not in referenced
+                     and not any(node.name in vars(base) for base in cls.__mro__[1:])]
+    assert dead == []
