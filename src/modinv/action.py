@@ -12,7 +12,8 @@ Points are plain tuples of raw field values, one per variable, and the
 functions on them take the block sizes and the field alongside the tuple:
 act_raw, orbit_raw, in_b_raw (membership of the open set B where every
 nontrivial block has a nonzero leading coordinate), the orbit
-representative, and point_texts and render_point, the one point renderer.
+representative, and the one point renderer: point_texts gives each
+coordinate's text and join_point joins them, as render_point does.
 """
 
 from collections import namedtuple
@@ -131,12 +132,16 @@ def point_texts(ring: Ring, coords) -> list:
     return [ring.render(c) for c in coords]
 
 
-def render_point(ring: Ring, coords) -> str:
-    """Comma-separated coordinates; F_{p^k} values are parenthesised."""
-    texts = point_texts(ring, coords)
+def join_point(texts) -> str:
+    """Comma-separated coordinate texts; F_{p^k} values are parenthesised."""
     if any("," in t for t in texts):
         texts = [f"({t})" for t in texts]
     return ",".join(texts)
+
+
+def render_point(ring: Ring, coords) -> str:
+    """The text of a point: join_point of its point_texts."""
+    return join_point(point_texts(ring, coords))
 
 
 def act_raw(blocks, ring: Ring, coords: tuple) -> tuple:

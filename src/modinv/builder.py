@@ -32,7 +32,7 @@ from . import linalg
 from .action import BlockExceedsP, RepresentationSpec
 from .poly import (Polynomial, Record, VariableTable, _dense, embed, key_text,
                    product_key, ring_code)
-from .rings import GF, QQ, ZZ, RationalRing, Ring
+from .rings import GF, QQ, ZZ, RationalRing, Ring, coerce
 
 
 class ParityViolation(Exception):
@@ -246,14 +246,6 @@ def _system(source, target) -> linalg.IntegerSystem:
     return linalg.IntegerSystem(_delta_matrix(source, target), len(source))
 
 
-def _ring_value(ring: Ring, num: int, den: int):
-    """num/den as a raw value of ring: a Fraction, or reduced mod p."""
-    p = ring.characteristic
-    if p:
-        return ring.from_int(num * pow(den, -1, p))
-    return Fraction(num, den)
-
-
 def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInvariant:
     """Run the elimination loop for a single block of size n.
 
@@ -333,7 +325,7 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
                 for e, v in part.items():
                     part[e] = v * scale % p if p else v * scale
         denominator = denominator * scale % p if p else denominator * scale
-        solution = [_ring_value(ring, v, denominator) for v in y]
+        solution = [coerce(Fraction(v, denominator), QQ, ring) for v in y]
         for e, v, c in zip(source, y, solution):
             if v:
                 terms[e] = ring.neg(c)

@@ -7,12 +7,13 @@ Three subcommands:
   export      dump the suite plus the construction's linear algebra as JSON
 
 Exit codes: 0 success, 1 configuration error (a failed write to --out or
-to standard output among them, except a reader that leaves early), 2
-separation witnesses found under --strict, 3 enumeration budget exceeded
-(decided before the suite is built).  All output is byte deterministic for
-a fixed command line.  verify checks that MODINV_THREADS, when set, is an
-integer (exit 1 otherwise); its value changes nothing, as the separation
-scan runs in this process.
+to standard output among them, except a reader that leaves early) or out
+of memory (after any output already written), 2 a failed check under
+--strict, 3 enumeration budget exceeded (decided before the suite is
+built).  All output is byte deterministic for a fixed command line.
+verify checks that MODINV_THREADS, when set, is an integer (exit 1
+otherwise); its value changes nothing, as the separation scan runs in this
+process.
 
 Output is written as it is rendered: construct and export write each suite
 entry, and each construction record, as soon as it is made, so no command
@@ -29,7 +30,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .action import BlockExceedsP, RepresentationSpec, point_texts, render_point
+from .action import BlockExceedsP, RepresentationSpec, join_point, point_texts
 from .builder import SuiteEntry, build_suite, suite_construction_steps
 from .rings import DEFAULT_BUDGET, GF, BoundExceeded, BudgetExceeded, check_budget
 
@@ -186,52 +187,39 @@ def _cmd_verify(ns) -> int:
     suite = build_suite(spec, "fp")
     constancy = verify_orbit_constancy(suite, field, ns.budget)
     report = separation_report(suite, field, ns.budget)
-    lift_sizes = sorted({s for s in spec.blocks if s >= 3})
-    lifting = [(n, verify_lifting(n, field, ns.budget)) for n in lift_sizes]
-    failed = (constancy is not None or not report.separated
-              or any(w is not None for _, w in lifting))
-    if ns.fmt == "json":
-        data = {
-            "constancy": {
-                "ok": constancy is None,
-                "witness": None if constancy is None else {
-                    "entry": constancy[0],
-                    "point": point_texts(field, constancy[1]),
-                },
-            },
-            "separation": report.to_json_dict(),
-            "lifting": [
-                {
-                    "n": n,
-                    "ok": w is None,
-                    "witness": None if w is None else [
-                        point_texts(field, w[0]), point_texts(field, w[1])],
-                }
-                for n, w in lifting
-            ],
-            "strict": ns.strict,
-        }
-        _emit(_json_chunks(data), ns.out)
-    else:
-        lines = [report.render()]
-        if constancy is None:
-            lines.append("constancy   ok")
-        else:
-            lines.append(f"constancy   FAILED: {constancy[0]} at "
-                         f"({render_point(field, constancy[1])})")
-        lines.append(f"separation  {report.fiber_count}/{report.orbit_count_in_b}"
-                     " orbits separated")
-        for n, w in lifting:
-            if w is None:
-                lines.append(f"lifting     n={n} ok")
-            else:
-                lines.append(f"lifting     n={n} FAILED: "
-                             f"({render_point(field, w[0])}) ~ "
-                             f"({render_point(field, w[1])})")
-        _emit(("\n".join(lines) + "\n",), ns.out)
-    if ns.strict and failed:
-        return 2
-    return 0
+    lifting = {n: verify_lifting(n, field, ns.budget)
+               for n in sorted({s for s in spec.blocks if s >= 3})}
+    data = {
+        "constancy": {"ok": constancy is None, "witness": constancy and {
+            "entry": constancy[0], "point": point_texts(field, constancy[1])}},
+        "separation": report.to_json_dict(),
+        "lifting": [{"n": n, "ok": w is None,
+                     "witness": w and [point_texts(field, v) for v in w]}
+                    for n, w in lifting.items()],
+        "strict": ns.strict,
+    }
+    _emit(_json_chunks(data) if ns.fmt == "json" else (_verify_text(data),), ns.out)
+    failed = not (data["constancy"]["ok"] and data["separation"]["separated"]
+                  and all(item["ok"] for item in data["lifting"]))
+    return 2 if ns.strict and failed else 0
+
+
+def _verify_text(data: dict) -> str:
+    """verify's text report, rendered from its JSON record."""
+    from .oracle import render_separation
+    separation, witness = data["separation"], data["constancy"]["witness"]
+    lines = [
+        render_separation(separation),
+        "constancy   " + (f"FAILED: {witness['entry']} at ({join_point(witness['point'])})"
+                          if witness else "ok"),
+        f"separation  {separation['fiberCount']}/{separation['orbitCountInB']}"
+        " orbits separated",
+    ]
+    for item in data["lifting"]:
+        status = "ok" if item["ok"] else "FAILED: " + " ~ ".join(
+            f"({join_point(texts)})" for texts in item["witness"])
+        lines.append(f"lifting     n={item['n']} {status}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_export(ns) -> int:
@@ -307,6 +295,10 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        pass    # reported below, once the frames the exception holds are freed
+    print("error: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

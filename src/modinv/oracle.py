@@ -19,15 +19,15 @@ import operator
 from collections import namedtuple
 from math import prod
 
-from .action import (RepresentationSpec, act_raw, in_b_raw, point_texts,
-                     render_point)
+from .action import RepresentationSpec, act_raw, in_b_raw, join_point, point_texts
 from .builder import InvariantSuite, _connecting_rational
 from .poly import Record
 from .rings import DEFAULT_BUDGET, Ring, check_budget
 
-# at most this many smallest representatives are retained per fiber
-_KEEP_REPS = 11
 _MAX_WITNESS_PAIRS = 10
+# at most this many smallest representatives are retained per fiber: the
+# first fiber alone pairs its first with each of the next _MAX_WITNESS_PAIRS
+_KEEP_REPS = _MAX_WITNESS_PAIRS + 1
 
 # value tables are built over runs of first coordinates of at least this
 # many points (or over a single first coordinate, when that is larger)
@@ -76,8 +76,6 @@ def _table(ring: Ring, terms, lists) -> list:
     if not lists:
         # monomials are distinct on the support, so at most one term is left
         return [terms[0][0] if terms else 0]
-    if not terms:
-        return [0] * prod(len(values) for values in lists)
     split = {}
     for c, exps in terms:
         split.setdefault(exps[-1], []).append((c, exps[:-1]))
@@ -93,13 +91,14 @@ def _slabs(firsts, per_first: int) -> list:
     return [firsts[i:i + step] for i in range(0, len(firsts), step)]
 
 
-def _unrank(q: int, index: int, count: int) -> tuple:
-    """The codes at a row-major index of range(q)^count."""
-    out = []
-    for _ in range(count):
-        index, r = divmod(index, q)
-        out.append(r)
-    return tuple(reversed(out))
+def _point(ring: Ring, groups, rank: int) -> tuple:
+    """The point at a row-major rank of the product of coordinate groups,
+    each a list of equally long columns of codes."""
+    parts = []
+    for group in reversed(groups):
+        rank, r = divmod(rank, len(group[0]))
+        parts.append([column[r] for column in group])
+    return tuple(ring.decode(c) for part in reversed(parts) for c in part)
 
 
 # ---------------------------------------------------------------------------
@@ -158,24 +157,22 @@ def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
         support, terms = _support_terms(entry.polynomial, ring)
         if all(positions[i][1] == 1 for i in support):
             continue        # the action fixes every coordinate it reads
-        rest = [range(q)] * (len(support) - 1)
-        per_first = q ** len(rest)
-        for slab in _slabs(range(q), per_first):
-            values = _table(ring, terms, [slab] + rest)
+        for slab in _slabs(range(q), q ** (len(support) - 1)):
+            grid = [slab] + [range(q)] * (len(support) - 1)
+            values = _table(ring, terms, grid)
             index = _sigma_index(positions, support, ring.p, q, slab)
             if list(map(values.__getitem__, index)) == values:
                 continue
             at = next(u for u, i in enumerate(index) if values[u] != values[i])
-            head, tail = divmod(at, per_first)
-            point = [0] * spec.n
-            for i, c in zip(support, (slab[head],) + _unrank(q, tail, len(rest))):
+            point = [ring.zero()] * spec.n
+            for i, c in zip(support, _point(ring, [[column] for column in grid], at)):
                 point[i] = c
             witnesses.append((tuple(point), entry.name))
             break
     if not witnesses:
         return None
     point, name = min(witnesses, key=operator.itemgetter(0))
-    return name, tuple(map(ring.decode, point))
+    return name, point
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +235,7 @@ def _decode(factors, ring: Ring, rep: int) -> tuple:
     """The point of a representative kept as its rank (see _scan_fibers)."""
     lead, later = factors
     head, pos = divmod(rep, _per_first(factors, ring.order))
-    parts = []
-    for group in reversed([lead(range(head, head + 1))] + later):
-        pos, r = divmod(pos, len(group[0]))
-        parts.append([column[r] for column in group])
-    return tuple(ring.decode(c) for part in reversed(parts) for c in part)
+    return _point(ring, [lead(range(head, head + 1))] + later, pos)
 
 
 def _distinct(column):
@@ -375,22 +368,22 @@ class SeparationReport(Record, namedtuple("SeparationReport", (
         }
 
     def render(self) -> str:
-        k = getattr(self.ring, "k", 1)
-        field = f"F_{self.ring.p}" if k == 1 else f"F_{self.ring.p}^{k}"
-        lines = [
-            f"p={self.spec.p} blocks={list(self.spec.blocks)} field={field}",
-            f"  totalPoints    {self.total_points}",
-            f"  pointsInB      {self.points_in_b}",
-            f"  orbitCountInB  {self.orbit_count_in_b}",
-            f"  fiberCount     {self.fiber_count}",
-            f"  separated      {'yes' if self.separated else 'no'}",
-        ]
-        if self.witness_pairs:
-            lines.append("  witnessPairs")
-            for a, b in self.witness_pairs:
-                lines.append(f"    ({render_point(self.ring, a)}) ~ "
-                             f"({render_point(self.ring, b)})")
-        return "\n".join(lines)
+        return render_separation(self.to_json_dict())
+
+
+def render_separation(data: dict) -> str:
+    """The text report of a SeparationReport's to_json_dict()."""
+    field = data["field"]
+    name = f"F_{field['p']}" if field["k"] == 1 else f"F_{field['p']}^{field['k']}"
+    lines = [f"p={data['spec']['p']} blocks={data['spec']['blocks']} field={name}"]
+    lines += [f"  {key:<15}{data[key]}"
+              for key in ("totalPoints", "pointsInB", "orbitCountInB", "fiberCount")]
+    lines.append(f"  separated      {'yes' if data['separated'] else 'no'}")
+    if data["witnessPairs"]:
+        lines.append("  witnessPairs")
+        lines += [f"    ({join_point(a)}) ~ ({join_point(b)})"
+                  for a, b in data["witnessPairs"]]
+    return "\n".join(lines)
 
 
 def separation_report(suite: InvariantSuite, ring: Ring,
@@ -410,14 +403,8 @@ def separation_report(suite: InvariantSuite, ring: Ring,
     # with a nontrivial first block, no representative has first coordinate 0
     reps = _per_first(factors, q) * (q - (spec.blocks[0] > 1))
     fiber_count, shared = _scan_fibers(suite, ring, factors)
-    pairs = []
-    for kept in sorted(shared.values()):
-        for a, b in itertools.combinations(kept, 2):
-            pairs.append((_decode(factors, ring, a), _decode(factors, ring, b)))
-            if len(pairs) == _MAX_WITNESS_PAIRS:
-                break
-        if len(pairs) == _MAX_WITNESS_PAIRS:
-            break
+    pairs = [pair for kept in sorted(shared.values())
+             for pair in itertools.combinations(kept, 2)][:_MAX_WITNESS_PAIRS]
     return SeparationReport(
         spec=spec,
         ring=ring,
@@ -426,7 +413,8 @@ def separation_report(suite: InvariantSuite, ring: Ring,
         orbit_count_in_b=reps,
         fiber_count=fiber_count,
         separated=fiber_count == reps,
-        witness_pairs=tuple(pairs),
+        witness_pairs=tuple((_decode(factors, ring, a), _decode(factors, ring, b))
+                            for a, b in pairs),
     )
 
 
@@ -452,21 +440,19 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
     # f_n reads x_n, so its support is the whole block
     _, terms = _support_terms(_connecting_rational(n).polynomial, ring)
     q = ring.order
-    rest = [range(q)] * (n - 1)
-    rows = q ** (n - 2)     # per first coordinate
-    for slab in _slabs(range(1, q), rows * q):
-        values = _table(ring, terms, [slab] + rest)
+    for slab in _slabs(range(1, q), q ** (n - 1)):
+        grid = [slab] + [range(q)] * (n - 1)
+        values = _table(ring, terms, grid)
         for start in range(0, len(values), q):
             row = values[start:start + q]
             if len(set(row)) == q:
                 continue
-            head, tail = divmod(start // q, rows)
-            prefix = (slab[head],) + _unrank(q, tail, n - 2)
             seen = {}
             for last, val in enumerate(row):
                 if val in seen:
-                    return (tuple(map(ring.decode, prefix + (seen[val],))),
-                            tuple(map(ring.decode, prefix + (last,))))
+                    groups = [[column] for column in grid]
+                    return (_point(ring, groups, start + seen[val]),
+                            _point(ring, groups, start + last))
                 seen[val] = last
     return None
 
@@ -498,6 +484,6 @@ def fixed_point_census(spec: RepresentationSpec, ring: Ring,
 
 
 __all__ = [
-    "SeparationReport", "fixed_point_census", "separation_report",
-    "verify_lifting", "verify_orbit_constancy",
+    "SeparationReport", "fixed_point_census", "render_separation",
+    "separation_report", "verify_lifting", "verify_orbit_constancy",
 ]

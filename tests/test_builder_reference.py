@@ -122,3 +122,13 @@ def test_negative_controls_raise_the_same_text(n, degree):
     with pytest.raises(NoSolution) as info:
         construct_connecting(n, degree)
     assert f"NoSolution: {info.value}" == ref
+
+
+def test_fp_loop_may_end_before_the_rational_one():
+    # the F_p loop stops once the residual vanishes mod p: f_9 over F_17
+    # records weights 10..5 where the rational loop needs 10..3, and both
+    # give the same polynomial mod 17
+    fp, q = (construct_connecting(9, 2, ring) for ring in (GF(17), QQ))
+    assert [s.weight for s in fp.steps] == list(range(10, 4, -1))
+    assert [s.weight for s in q.steps] == list(range(10, 2, -1))
+    assert fp.polynomial == q.polynomial.change_ring(GF(17))

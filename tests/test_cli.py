@@ -395,6 +395,59 @@ def test_verify_strict_exit_two_on_failure(capsys, monkeypatch):
     assert code == 0  # same failure without --strict only reports
 
 
+# a witness over F_5 and one over F_25, whose values render with a comma
+_WITNESSES = {
+    1: ((1, 0, 2), (1, 4, 0), (1, 4, 3), "1,0,2", "1,4,0", "1,4,3"),
+    2: (((1, 0), (0, 0), (2, 1)), ((1, 0), (4, 4), (0, 0)), ((1, 0), (4, 4), (3, 2)),
+        "(1,0),(0,0),(2,1)", "(1,0),(4,4),(0,0)", "(1,0),(4,4),(3,2)"),
+}
+
+
+def _verify_with(capsys, monkeypatch, k, constancy, lifting, *extra):
+    monkeypatch.setattr("modinv.cli.verify_orbit_constancy",
+                        lambda *args, **kwargs: constancy, raising=False)
+    monkeypatch.setattr("modinv.cli.verify_lifting",
+                        lambda *args, **kwargs: lifting, raising=False)
+    return run_cli(capsys, "verify", "--p", "5", "--blocks", "3", "--k", str(k),
+                   *extra)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_verify_reports_a_constancy_failure(capsys, monkeypatch, k):
+    point, _, _, text, _, _ = _WITNESSES[k]
+    failure = ("f3", point)
+    code, out, err = _verify_with(capsys, monkeypatch, k, failure, None)
+    assert (code, err) == (0, "")
+    assert f"constancy   FAILED: f3 at ({text})\n" in out
+    assert "lifting     n=3 ok\n" in out
+    code, out, _ = _verify_with(capsys, monkeypatch, k, failure, None,
+                                "--format", "json")
+    data = json.loads(out)
+    assert data["constancy"] == {"ok": False, "witness": {
+        "entry": "f3", "point": [GF(5, k).render(c) for c in point]}}
+    assert data["lifting"] == [{"n": 3, "ok": True, "witness": None}]
+    code, _, _ = _verify_with(capsys, monkeypatch, k, failure, None, "--strict")
+    assert code == 2
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_verify_reports_a_lifting_failure(capsys, monkeypatch, k):
+    _, a, b, _, text_a, text_b = _WITNESSES[k]
+    code, out, err = _verify_with(capsys, monkeypatch, k, None, (a, b))
+    assert (code, err) == (0, "")
+    assert "constancy   ok\n" in out
+    assert f"lifting     n=3 FAILED: ({text_a}) ~ ({text_b})\n" in out
+    code, out, _ = _verify_with(capsys, monkeypatch, k, None, (a, b),
+                                "--format", "json")
+    field = GF(5, k)
+    data = json.loads(out)
+    assert data["constancy"] == {"ok": True, "witness": None}
+    assert data["lifting"] == [{"n": 3, "ok": False, "witness": [
+        [field.render(c) for c in a], [field.render(c) for c in b]]}]
+    code, _, _ = _verify_with(capsys, monkeypatch, k, None, (a, b), "--strict")
+    assert code == 2
+
+
 # -- export -------------------------------------------------------------------------
 
 
@@ -493,6 +546,22 @@ def test_help_exits_zero(capsys):
         main(["construct", "--help"])
     assert exc.value.code == 0
     assert "--blocks" in capsys.readouterr().out
+
+
+def test_out_of_memory_is_one_error_line():
+    # 80 MiB of address space holds the interpreter and the imports, but not
+    # the p = 149 construction (about 177 MiB resident without a limit)
+    resource = pytest.importorskip("resource")
+    limit = 80 << 20
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "modinv", "construct", "--p", "149", "--blocks", "149"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
 
 # -- JSON writer and start-up ----------------------------------------------------

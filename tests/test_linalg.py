@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from modinv.builder import connecting_degree, construct_connecting
 from modinv.linalg import (InconsistentSystem, IntegerSystem, UnderdeterminedSystem,
                            det_int, solve_unique)
-from modinv.rings import GF, QQ
+from modinv.rings import GF, QQ, ZZ
 
 F7 = GF(7)
 F9 = GF(3, 2)
@@ -200,3 +200,13 @@ def test_builder_systems_match_solve_unique(monkeypatch):
         for rhs in rhss:
             for modulus in (0, 41, 43):
                 assert_matches_solve_unique(system.rows, list(rhs), modulus)
+
+
+def test_public_error_paths():
+    assert det_int([]) == 1
+    with pytest.raises(ValueError, match="not square"):
+        det_int([[1, 2]])
+    with pytest.raises(ValueError, match="needs a field"):
+        solve_unique(ZZ, [[1]], [1])
+    with pytest.raises(ValueError, match="rhs length"):
+        solve_unique(QQ, [[1], [2]], [Fraction(1)])

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from modinv.poly import (DimensionMismatch, MissingImage, Polynomial,
                          TableMismatch, VariableTable, embed, grlex_key,
-                         key_powers, monomial_text, product_key)
-from modinv.rings import GF, QQ, ZZ, RingMismatch, coerce
+                         key_powers, monomial_text, product_key, ring_code)
+from modinv.rings import GF, QQ, ZZ, Ring, RingMismatch, coerce
 from polyref import (dense_add, dense_change_ring, dense_evaluate, dense_json,
                      dense_mul, dense_neg, dense_pow, dense_render, dense_scale,
                      dense_substitute, dense_terms, grlex_order,
@@ -355,3 +355,24 @@ def test_sparse_keys_survive_huge_exponents_and_shifts():
     moved = embed(f, wide, 4)
     assert moved.terms() == [((0,) * 4 + e, c) for e, c in f.terms()]
     assert embed(f, wide, 0).terms() == [(e + (0,) * 4, c) for e, c in f.terms()]
+
+
+def test_public_error_paths():
+    x1 = Polynomial.variable(QQ, T3, 0)
+    with pytest.raises(DimensionMismatch, match="exponent tuple"):
+        Polynomial(QQ, T3, {(1, 0): F(1)})
+    assert Polynomial.zero(QQ, T3).lead_term() is None
+    with pytest.raises(TypeError, match="expected Polynomial, got int"):
+        x1 + 3
+    assert x1 * 3 == 3 * x1 == qpoly(T3, {(1, 0, 0): 3})
+    with pytest.raises(TypeError):
+        2.5 * x1
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        x1 ** -1
+    with pytest.raises(RingMismatch):
+        x1.substitute({0: Polynomial.variable(F5, T3, 0)})
+    with pytest.raises(TableMismatch):
+        x1.substitute({0: Polynomial.variable(QQ, T4, 0)})
+    assert repr(x1 * 3) == "<Polynomial 3*x1 over QQ>"
+    with pytest.raises(ValueError, match="no code for"):
+        ring_code(Ring())

@@ -387,3 +387,13 @@ def test_extension_field_equality_and_pickle():
     cold.mul(cold.one(), cold.one())
     assert cold._tables() == used._tables()
     assert decoded_tables(cold)[0] == reference_exp(used)
+
+
+def test_public_error_paths():
+    with pytest.raises(ValueError, match="p must be prime"):
+        find_irreducible(4, 2)
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        find_irreducible(5, 0)
+    with pytest.raises(TypeError, match="QQ is not finite"):
+        QQ.elements()
+    assert hash(ZZ) == hash(ZZ) != hash(QQ)
