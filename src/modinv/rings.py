@@ -13,7 +13,9 @@ computes.  Nothing here ever rounds.
 """
 
 import itertools
+import math
 import operator
+from array import array
 from fractions import Fraction
 
 
@@ -436,9 +438,9 @@ class ExtensionField(Ring):
         included.  exp runs through the cycle twice, so a sum of two logs
         needs no reduction.  zech[n] is log(1 + g^n) (zero's log where that
         is 0), so nonzero a and b add to exp[log a + zech[log b - log a]]; a
-        negative index wraps like n mod q - 1.  The three tables share one
-        int object per value: a log is the object exp holds as a code of
-        the same value, so a large field's tables hold about q ints, not 2q."""
+        negative index wraps like n mod q - 1.  The tables are arrays of C
+        ints (typecode "i"), which hold them: find_irreducible refuses p^k
+        above 2^20, so every table value is at most 2(q - 1) < 2^21."""
         if self._log is None:
             self._build_tables()
         return self._log, self._exp, self._zech
@@ -446,7 +448,8 @@ class ExtensionField(Ring):
     def _build_tables(self):
         # g generates exactly when g^((q-1)/r) != 1 for every prime r | q - 1
         cycle = self.order - 1
-        primes = [r for r in range(2, cycle + 1) if cycle % r == 0 and is_prime(r)]
+        primes = [r for d in range(1, math.isqrt(cycle) + 1) if cycle % d == 0
+                  for r in {d, cycle // d} if is_prime(r)]
         one = self.one()
         for code in range(1, self.order):
             g = self.decode(code)
@@ -458,7 +461,8 @@ class ExtensionField(Ring):
         # and one reached p exactly when adding 2^(w-1) - p sets its top bit;
         # reduce takes p off there.  The images of the low and the high half
         # of the residues are tabulated, so each next power of g is one
-        # reduced sum of two table entries.
+        # reduced sum of two table entries; above bit w*k, the same sum adds
+        # up the current power's code from each half's share.
         p, k, half = self.p, self.k, self.k // 2
         flag = (2 * p - 2).bit_length()     # w - 1, the flag bit of a residue
         w = flag + 1
@@ -468,49 +472,43 @@ class ExtensionField(Ring):
 
         flags = pack([1 << flag] * k)
         bias = pack([(1 << flag) - p] * k)
+        high_bit = w * k
 
         def reduce(x):
             return x - (((x + bias) & flags) * p >> flag)
 
-        def half_tables(lo, hi):
-            """packed residues lo..hi-1 -> (packed image under g, their
-            share of the code)"""
-            images, codes = {0: 0}, {0: 0}
+        def half_table(lo, hi):
+            """packed residues lo..hi-1 -> their packed image under g, plus
+            their share of the code above bit high_bit"""
+            table = {0: 0}
             for i in range(lo, hi):
                 column = pack(self._mul_conv(g, tuple(int(i == j) for j in range(k))))
-                unit, place = 1 << (w * (i - lo)), p ** (k - 1 - i)
-                for key, image in list(images.items()):
-                    code = codes[key]
+                unit, place = 1 << (w * (i - lo)), p ** (k - 1 - i) << high_bit
+                for key, entry in list(table.items()):
                     for d in range(1, p):
-                        image = reduce(image + column)
-                        images[key + d * unit] = image
-                        codes[key + d * unit] = code + d * place
-            return images, codes
+                        entry = reduce(entry + column) + place
+                        table[key + d * unit] = entry
+            return table
 
-        (low, low_code), (high, high_code) = half_tables(0, half), half_tables(half, k)
+        low, high = half_table(0, half), half_table(half, k)
         shift = w * half
-        mask = (1 << shift) - 1
-        exp = [0] * cycle           # by log
+        mask, residues = (1 << shift) - 1, (1 << high_bit) - 1
+        exp = array("i", [0]) * (4 * cycle + 1)     # by log
+        log = array("i", [0]) * self.order          # by code
         x = 1
         for i in range(cycle):
-            lo, hi = x & mask, x >> shift
-            exp[i] = low_code[lo] + high_code[hi]
-            x = low[lo] + high[hi]
+            x = low[x & mask] + high[x >> shift]
             x -= ((x + bias) & flags) * p >> flag     # reduce, inlined
-        exp *= 2
-        # each log is exp's int object of the same value, read in the order
-        # the ints were made: v is the log of the code exp[v]; v = q - 1
-        # lands on one's code, whose log is 0
-        logs = [0] * self.order     # by code
-        for v in itertools.islice(exp, cycle):
-            logs[exp[v]] = v
-        logs[exp[0]], logs[0] = 0, 2 * cycle
+            code = x >> high_bit
+            exp[i], log[code] = code, i
+            x &= residues
+        exp[cycle:2 * cycle] = exp[:cycle]
+        log[0] = 2 * cycle
         # adding 1 adds 1 to the most significant digit, place q/p, mod p
         place = self.order // p
-        plus_one = logs[place:] + logs[:place]      # log(1 + a) at a's code
-        self._zech = list(map(plus_one.__getitem__, itertools.islice(exp, cycle)))
-        exp.extend(itertools.repeat(0, 2 * cycle + 1))
-        self._exp, self._log = exp, logs
+        plus_one = log[place:] + log[:place]        # log(1 + a) at a's code
+        self._zech = array("i", map(plus_one.__getitem__, exp[:cycle]))
+        self._exp, self._log = exp, log
 
     def mul(self, a, b):
         log, exp, _ = self._tables()

@@ -564,6 +564,26 @@ def test_out_of_memory_is_one_error_line():
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
 
+def test_largest_field_verifies_in_bounded_memory():
+    # GF(2^20)'s tables take 4 bytes a value, about 24 MiB in all; with an
+    # int object per value they ran out of 100 MiB of address space
+    resource = pytest.importorskip("resource")
+    limit = 80 << 20
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "modinv", "verify", "--p", "2", "--blocks", "1", "--k", "20",
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads(proc.stdout)
+    separation = report["separation"]
+    assert separation["totalPoints"] == 2 ** 20
+    assert separation["fiberCount"] == separation["orbitCountInB"]
+    assert separation["separated"] and report["lifting"] == []
+
+
 # -- JSON writer and start-up ----------------------------------------------------
 
 TRICKY_TEXT = st.text(st.sampled_from(
