@@ -439,8 +439,8 @@ class ExtensionField(Ring):
         needs no reduction.  zech[n] is log(1 + g^n) (zero's log where that
         is 0), so nonzero a and b add to exp[log a + zech[log b - log a]]; a
         negative index wraps like n mod q - 1.  The tables are arrays of C
-        ints (typecode "i"), which hold them: find_irreducible refuses p^k
-        above 2^20, so every table value is at most 2(q - 1) < 2^21."""
+        ints (typecode "i"); every value fits, because find_irreducible
+        refuses p^k above 2^20, so none exceeds 2(q - 1) < 2^21."""
         if self._log is None:
             self._build_tables()
         return self._log, self._exp, self._zech

@@ -565,8 +565,8 @@ def test_out_of_memory_is_one_error_line():
 
 
 def test_largest_field_verifies_in_bounded_memory():
-    # GF(2^20)'s tables take 4 bytes a value, about 24 MiB in all; with an
-    # int object per value they ran out of 100 MiB of address space
+    # GF(2^20)'s tables take 24 bytes per element, 24 MiB; 80 MiB of address
+    # space holds them beside the interpreter, the imports and the scan
     resource = pytest.importorskip("resource")
     limit = 80 << 20
     env = dict(os.environ)
