@@ -8,9 +8,9 @@ block has a nonzero leading coordinate.  Every entry point checks q^n, the
 size of the whole space, against an explicit budget before starting.
 
 README.md, "What `verify` costs", describes how the checks compute: on int
-codes (ring.encode), over each entry's support closure, through value
-tables built one slab of first coordinates at a time, and what constancy,
-separation and lifting each scan.
+codes (ring.encode), over the coordinates each polynomial reads, through
+value tables built one slab of first coordinates at a time, and what
+constancy (on delta f), separation and lifting each scan.
 """
 
 import itertools
@@ -19,7 +19,8 @@ import operator
 from collections import namedtuple
 from math import prod
 
-from .action import RepresentationSpec, act_raw, in_b_raw, join_point, point_texts
+from .action import (RepresentationSpec, act_raw, delta, in_b_raw, join_point,
+                     point_texts)
 from .builder import InvariantSuite, _connecting_rational
 from .poly import Record
 from .rings import DEFAULT_BUDGET, Ring, check_budget
@@ -46,22 +47,11 @@ def _check_field(spec: RepresentationSpec, ring: Ring):
 
 
 def _support_terms(f, ring: Ring):
-    """(support, terms) of a polynomial: the flat indices of the coordinates
-    up to the last one it reads in each block, and its terms over ring as
-    (coefficient code, exponents on the support).
-
-    The action maps the first l coordinates of a block among themselves, so
-    f(sigma v) depends only on v restricted to the support."""
-    table = f.table
-    read = [0] * len(table.blocks)
+    """(support, terms) of a polynomial: the sorted flat indices of the
+    coordinates it reads over ring, and its terms over ring as
+    (coefficient code, exponents on the support)."""
     terms = f.change_ring(ring).terms()
-    for exps, _ in terms:
-        for i, e in enumerate(exps):
-            if e:
-                b, j = table.positions[i]
-                read[b] = max(read[b], j)
-    support = [offset + j for offset, length in zip(table.block_offsets, read)
-               for j in range(length)]
+    support = sorted({i for exps, _ in terms for i, e in enumerate(exps) if e})
     return support, [(ring.encode(c), tuple(exps[i] for i in support))
                      for exps, c in terms]
 
@@ -105,65 +95,38 @@ def _point(ring: Ring, groups, rank: int) -> tuple:
 # Orbit constancy.
 
 
-def _shift(p: int, q: int, value: int) -> list:
-    """The code permutation x -> x + value: codes are base-p digits, added
-    digit by digit mod p."""
-    perm = [0]
-    place = q
-    while place > 1:
-        place //= p
-        r = value // place % p
-        rotated = list(range(r, p)) + list(range(r))
-        perm = [b * p + y for b in perm for y in rotated]
-    return perm
-
-
-def _sigma_index(positions, support, p: int, q: int, slab) -> list:
-    """Row-major index of sigma v for every v of a support grid whose first
-    coordinate runs over slab (the action fixes it).  A coordinate that is
-    not first in its block moves by its predecessor, the one before it in
-    the support, so its moves repeat with the predecessor's value."""
-    index = list(range(len(slab)))
-    for j in range(1, len(support)):
-        if positions[support[j]][1] == 1:
-            moves = list(range(q))
-        else:
-            moves = [y for v in (slab if j == 1 else range(q)) for y in _shift(p, q, v)]
-        spread = [s * q for s in index for _ in range(q)]
-        index = list(map(operator.add, spread, moves * (len(spread) // len(moves))))
-    return index
-
-
 def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
                            budget: int = DEFAULT_BUDGET):
     """Check f(g.v) == f(v) for every point and entry; None when all hold.
 
-    Each entry is tabulated over its support, one slab of values of the
-    first support coordinate at a time, and every table value is compared with
-    the one at sigma v.  The smallest violating point of an entry is its
-    smallest violating sub-point padded with zeros (zero is the smallest
-    raw value).  On failure returns (entry name, smallest violating point
-    over all entries in row-major order), naming the first entry that
-    differs there: an entry that differs at that point has no smaller
-    violating point, so it is the first entry whose own witness is it.
+    f(sigma v) - f(v) is (delta f)(v), so an entry holds everywhere when
+    delta f, taken over ring, is the zero polynomial, as for every built
+    suite.  Otherwise delta f is tabulated over its support, one slab of
+    values of the first support coordinate at a time, and the entry's
+    smallest violating point is the first nonzero sub-point in row-major
+    order padded with zeros (zero is the smallest raw value).  On failure
+    returns (entry name, smallest violating point over all entries in
+    row-major order), naming the first entry that differs there: an entry
+    that differs at that point has no smaller violating point, so it is
+    the first entry whose own witness is it.
     """
     spec = suite.spec
     _check_field(spec, ring)
     check_budget(ring.order, spec.n, budget)
-    positions = spec.table.positions
     q = ring.order
     witnesses = []
     for entry in suite.entries:
-        support, terms = _support_terms(entry.polynomial, ring)
-        if all(positions[i][1] == 1 for i in support):
-            continue        # the action fixes every coordinate it reads
+        change = delta(entry.polynomial.change_ring(ring))
+        if change.is_zero:
+            continue
+        # sigma keeps degrees, so delta f has no constant term and reads
+        # at least one coordinate
+        support, terms = _support_terms(change, ring)
         for slab in _slabs(range(q), q ** (len(support) - 1)):
             grid = [slab] + [range(q)] * (len(support) - 1)
-            values = _table(ring, terms, grid)
-            index = _sigma_index(positions, support, ring.p, q, slab)
-            if list(map(values.__getitem__, index)) == values:
+            at = next((u for u, v in enumerate(_table(ring, terms, grid)) if v), None)
+            if at is None:
                 continue
-            at = next(u for u, i in enumerate(index) if values[u] != values[i])
             point = [ring.zero()] * spec.n
             for i, c in zip(support, _point(ring, [[column] for column in grid], at)):
                 point[i] = c
@@ -287,8 +250,9 @@ def _scan_fibers(suite: InvariantSuite, ring: Ring, factors):
     slab's fibers, counted and dropped before the next; otherwise it holds
     every fiber of the scan.
 
-    Entries reading the first coordinate are tabulated per slab of first
-    coordinates, the others once.  A key is one int, the entries' codes
+    Entries reading the first group's coordinates (x1, and x2_a when the
+    first block is nontrivial, whose values follow x1's) are tabulated per
+    slab of first coordinates, the others once.  A key is one int, the entries' codes
     as digits in base q, and a representative is kept as its rank, the
     first coordinate's code times the representatives per first coordinate
     plus its position among them; ranks order like the points.  A slab's
@@ -322,7 +286,7 @@ def _scan_fibers(suite: InvariantSuite, ring: Ring, factors):
                 table = _table(ring, terms, grid)
                 if j:
                     table = [v * q ** j for v in table]
-                if not support or support[0] != 0:
+                if not support or support[0] >= len(groups[0]):
                     fixed[j] = table
             column = list(map(table.__getitem__, _lookup(groups, support, grid)))
             keys = column if keys is None else list(map(operator.add, keys, column))
@@ -437,8 +401,9 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
     if n > ring.characteristic:
         raise ValueError("block size exceeds p")
     check_budget(ring.order, n, budget)
-    # f_n reads x_n, so its support is the whole block
-    _, terms = _support_terms(_connecting_rational(n).polynomial, ring)
+    # the grid spans the whole block, so terms keep every exponent
+    terms = [(ring.encode(c), exps) for exps, c in
+             _connecting_rational(n).polynomial.change_ring(ring).terms()]
     q = ring.order
     for slab in _slabs(range(1, q), q ** (n - 1)):
         grid = [slab] + [range(q)] * (n - 1)

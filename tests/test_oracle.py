@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from modinv import oracle
 from modinv.action import RepresentationSpec, orbit_rep_raw
 from modinv.builder import build_suite
 from modinv.oracle import (fixed_point_census, separation_report, verify_lifting,
@@ -34,6 +35,20 @@ def test_constancy_holds_for_built_suites():
     assert verify_orbit_constancy(fp_suite(5, (2, 2)), GF(5)) is None
     assert verify_orbit_constancy(fp_suite(3, (3,)), GF(3, 2)) is None
     assert verify_orbit_constancy(fp_suite(7, (4,)), GF(7)) is None
+
+
+@pytest.mark.parametrize("p,k,blocks", [
+    (2, 1, (2, 1, 2)), (2, 2, (2, 2)), (3, 1, (3,)), (3, 1, (1, 3, 2)),
+    (3, 2, (3,)), (3, 2, (2, 1)), (5, 1, (5,)), (5, 1, (4, 2)), (5, 2, (2,)),
+    (7, 1, (7,)), (7, 2, (3,))])
+def test_built_suites_never_tabulate_in_constancy(monkeypatch, p, k, blocks):
+    # delta f is the zero polynomial for every built entry, so no point of
+    # the space is evaluated
+    def refuse(*_):
+        raise AssertionError("constancy tabulated a built entry")
+
+    monkeypatch.setattr(oracle, "_table", refuse)
+    assert verify_orbit_constancy(fp_suite(p, blocks), GF(p, k)) is None
 
 
 def test_constancy_detects_doctored_entry():

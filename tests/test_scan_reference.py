@@ -8,12 +8,15 @@ report field, and the representatives _rep_factors lists must be exactly
 those orbit minima, on every spec with q^n <= 5^5 for p in {2, 3, 5} and
 k <= 2, with blocks in every order.
 
-reference_constancy is the constancy check as it was before each orbit was
-walked once: it compares every entry at every point with its value at the
-point's image.  It must return the same result, None or (entry, point), on
-every spec with q^n <= 5^4 and, for n <= 7, on every suite with one entry
-bumped by one variable or by a quadratic that breaks invariance away from
-the orbit's smallest point.  Suites whose bumped entry reads another block,
+reference_constancy is the constancy check done pointwise: it compares
+every entry at every point with its value at the point's image, where the
+oracle decides on delta f = f o sigma - f and tabulates delta f only when
+it is not the zero polynomial.  It must return the same result, None or
+(entry, point), on every spec with q^n <= 5^4 and, for n <= 7, on every
+suite with one entry bumped by one variable or by a quadratic that breaks
+invariance away from the orbit's smallest point.  A bump by x_i^q - x_i
+makes delta f nonzero but zero on F_q, so the entry holds; a bump by x_i^q
+fails wherever x_{i-1} != 0.  Suites whose bumped entry reads another block,
 or a coordinate beyond the ones before it, must give the same constancy
 result and separation report as both references, and so must entries
 bumped by sums of several terms with coefficients outside F_p, over
@@ -25,7 +28,10 @@ in later slabs run both ways and must match reference_scan.  It drops each
 slab's fibers once counted when an entry is affine in the first coordinate
 alone: every library suite, with one first coordinate per slab, must give
 the report it gives in one slab, and suites whose first entry is x1^2 or
-x1^p must keep one map and match reference_scan, as must c*x1 + d.
+x1^p must keep one map and match reference_scan, as must c*x1 + d.  An
+entry that reads x2 but not x1 must match it too, with one first
+coordinate per slab, although the values x2 takes among representatives
+over F_{p^k} change with x1.
 
 reference_lifting is the lifting check as it was before value tables: it
 evaluates the top connecting invariant along the last coordinate, prefix by
@@ -40,7 +46,7 @@ from bisect import insort
 
 import pytest
 
-from modinv.action import RepresentationSpec, act_raw, in_b_raw, orbit_raw
+from modinv.action import RepresentationSpec, act_raw, delta, in_b_raw, orbit_raw
 from modinv import oracle
 from modinv.builder import build_suite
 from modinv.oracle import separation_report, verify_lifting, verify_orbit_constancy
@@ -224,6 +230,53 @@ def test_constancy_matches_reference_on_all_small_specs(p, k):
         n += 1
 
 
+@pytest.mark.parametrize("p,k,blocks", [(3, 1, (3,)), (5, 1, (2, 2)), (3, 2, (3,)),
+                                        (2, 2, (1, 2))])
+def test_constancy_tabulates_nonzero_delta(p, k, blocks):
+    # delta(x_i^q - x_i) = x_{i-1}^q - x_{i-1} is a nonzero polynomial that
+    # vanishes on F_q, so the bumped entry still holds; delta(x_i^q) =
+    # x_{i-1}^q, which fails wherever x_{i-1} != 0
+    field = GF(p, k)
+    suite = build_suite(RepresentationSpec(p, blocks), "fp")
+    table = suite.spec.table
+    q = field.order
+    for i in range(table.n):
+        if table.positions[i][1] == 1:
+            continue
+        for index, entry in enumerate(suite.entries):
+            x = Polynomial.variable(entry.polynomial.ring, table, i)
+            for bump, holds in ((x ** q - x, True), (x ** q, False)):
+                entries = list(suite.entries)
+                entries[index] = entry._replace(polynomial=entry.polynomial + bump)
+                doctored = suite._replace(entries=tuple(entries))
+                witness = verify_orbit_constancy(doctored, field)
+                if holds:
+                    assert witness is None, (i, entry.name)
+                    assert not delta(entries[index].polynomial.change_ring(field)).is_zero
+                else:
+                    assert witness is not None
+                    assert witness == reference_constancy(doctored, field), (i, entry.name)
+
+
+@pytest.mark.parametrize("p,k,blocks", [(3, 2, (2,)), (3, 2, (3,)), (2, 2, (2, 2)),
+                                        (2, 3, (2,)), (5, 1, (2,))])
+def test_entry_reading_second_coordinate_alone(monkeypatch, p, k, blocks):
+    # x1 and x2^2 + x2: the second entry does not read x1, but over F_{p^k}
+    # the values x2 takes among representatives change with x1, so its
+    # table must be built again in every slab
+    monkeypatch.setattr(oracle, "_SLAB_POINTS", 1)
+    field = GF(p, k)
+    suite = build_suite(RepresentationSpec(p, blocks), "fp")
+    x2 = Polynomial.variable(field, suite.spec.table, 1)
+    first = suite.entries[0]
+    doctored = suite._replace(entries=(
+        first, first._replace(name="g", polynomial=x2 * x2 + x2)))
+    report = separation_report(doctored, field)
+    *expected, _ = reference_scan(doctored, field)
+    assert (report.points_in_b, report.orbit_count_in_b,
+            report.fiber_count, report.witness_pairs) == tuple(expected)
+
+
 def indicator(field, table, point):
     """The polynomial that is 1 at point and 0 elsewhere."""
     one = Polynomial.constant(field, table, field.one())
@@ -304,7 +357,7 @@ def cross_bumps(suite):
     """Every suite with one entry f replaced by f + x_i*x_j, where x_i and
     x_j lie in different blocks or x_j is at least two places after x_i in
     its block: the entry then reads another block, or a coordinate beyond
-    the ones before it, and its support must be closed up to cover them."""
+    the ones before it."""
     table = suite.spec.table
     ring = suite.entries[0].polynomial.ring
     x = [Polynomial.variable(ring, table, i) for i in range(table.n)]
