@@ -251,14 +251,14 @@ def _scan_fibers(suite: InvariantSuite, ring: Ring, factors):
     every fiber of the scan.
 
     Entries reading the first group's coordinates (x1, and x2_a when the
-    first block is nontrivial, whose values follow x1's) are tabulated per
-    slab of first coordinates, the others once.  A key is one int, the entries' codes
-    as digits in base q, and a representative is kept as its rank, the
-    first coordinate's code times the representatives per first coordinate
-    plus its position among them; ranks order like the points.  A slab's
-    keys go into the fibers at once when none repeats or was met before;
-    otherwise one at a time.  Representatives are met in ascending order,
-    so each fiber keeps its first _KEEP_REPS, sorted."""
+    first block is nontrivial: its values follow x1's) are tabulated per
+    slab of first coordinates, the others once.  A key is one int, the
+    entries' codes as digits in base q, and a representative is kept as its
+    rank, the first coordinate's code times the representatives per first
+    coordinate plus its position among them; ranks order like the points.
+    A slab's keys go into the fibers at once when none repeats or was met
+    before; otherwise one at a time.  Representatives are met in ascending
+    order, so each fiber keeps its first _KEEP_REPS, sorted."""
     lead, later = factors
     q = ring.order
     entries = [_support_terms(e.polynomial, ring) for e in suite.entries]
