@@ -6,7 +6,9 @@ variable and sends every later one to itself plus its predecessor; the same
 substitution defines the action on polynomials.  delta = sigma - id is the
 difference operator whose kernel is the invariant ring.  Both are computed
 in closed form, term by term: sigma of a monomial is a product of binomials
-(x_{i-1} + x_i)^a, expanded over Z and scaled by the term's coefficient.
+(x_{i-1} + x_i)^a, expanded over Z (in characteristic p, mod p and only
+where the binomial coefficient does not vanish) and scaled by the term's
+coefficient.
 
 Points are plain tuples of raw field values, one per variable, and the
 functions on them take the block sizes and the field alongside the tuple:
@@ -67,17 +69,34 @@ class RepresentationSpec(Record, namedtuple("RepresentationSpec", "p blocks")):
 # Action on polynomials.
 
 
-def _sigma_monomial(table: VariableTable, key: tuple) -> dict:
+def _binomials(a: int, p: int) -> list:
+    """(j, comb(a, j)) for j = 0..a, or, when p > 0, reduced mod p and only
+    for the j whose base-p digits are each at most a's: by Lucas's theorem
+    comb(a, j) is the product of the digits' binomials mod p, and vanishes
+    for every other j."""
+    if not p:
+        return [(j, comb(a, j)) for j in range(a + 1)]
+    out, place = [(0, 1)], 1
+    while a:
+        a, digit = divmod(a, p)
+        out = [(j + i * place, c * comb(digit, i) % p)
+               for i in range(digit + 1) for j, c in out]
+        place *= p
+    return out
+
+
+def _sigma_monomial(table: VariableTable, key: tuple, p: int = 0) -> dict:
     """sigma of the monomial with sparse key `key` (poly.grlex_key) over Z,
-    as {key: int}.
+    or mod p when p > 0, as {key: int}.
 
     Each block's first variable is fixed; every later x_i with exponent a
-    becomes (x_{i-1} + x_i)^a, expanded by binomial coefficients.  The
-    variables are taken from the first up, and each partial product is a
-    key without its degree: its highest variable is at most x_{i-1}, the one
-    the expansion of x_i may raise.  sigma keeps the degree.  The image
-    contains the monomial itself with coefficient 1 and otherwise only
-    terms of lower weight.
+    becomes (x_{i-1} + x_i)^a, expanded by binomial coefficients (mod p,
+    only those that do not vanish).  The variables are taken from the first
+    up, and each partial product is a key without its degree: its highest
+    variable is at most x_{i-1}, the one the expansion of x_i may raise.
+    sigma keeps the degree.  The image contains the monomial itself with
+    coefficient 1 and otherwise only terms of lower weight; mod p, some of
+    those may sum to 0.
     """
     positions = table.positions
     out = {(): 1}
@@ -85,15 +104,17 @@ def _sigma_monomial(table: VariableTable, key: tuple) -> dict:
         if positions[i][1] == 1:
             out = {(i, a) + k: c for k, c in out.items()}
             continue
+        binomials = _binomials(a, p)
         nxt = {}
         for k, c in out.items():
             # k times x_{i-1}^j * x_i^(a-j); k's top variable may be x_{i-1}
             below = k[1] if k and k[0] == i - 1 else 0
             rest = k[2:] if below else k
-            for j in range(a + 1):
+            for j, b in binomials:
                 e = (((i, a - j) if j < a else ())
                      + ((i - 1, below + j) if below + j else ()) + rest)
-                nxt[e] = nxt.get(e, 0) + c * comb(a, j)
+                v = nxt.get(e, 0) + c * b
+                nxt[e] = v % p if p else v
         out = nxt
     degree = key[:1]
     return {degree + k: c for k, c in out.items()}
@@ -104,7 +125,7 @@ def _act(f: Polynomial, minus_identity: bool) -> Polynomial:
     ring = f.ring
     out = {}
     for key, c in f._terms.items():
-        for e, k in _sigma_monomial(f.table, key).items():
+        for e, k in _sigma_monomial(f.table, key, ring.characteristic).items():
             if minus_identity and e == key:
                 continue
             v = c if k == 1 else ring.mul(c, ring.from_int(k))

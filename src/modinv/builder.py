@@ -231,12 +231,83 @@ class ConnectingInvariant(Record, namedtuple(
     free of x_n, together with the elimination-step records."""
 
 
+@lru_cache(maxsize=None)
+def _matrix(system: linalg.IntegerSystem) -> tuple:
+    """A system's dense rows, made once and shared by every record of it."""
+    return system.rows
+
+
+class _Steps:
+    """ConnectingInvariant.steps: one EliminationStep per pass, made on first
+    access and then kept.  A pass keeps only its weight and system: its keys
+    follow from n, the degree and the weight (_pass_keys), and its solution
+    is read back off the polynomial, whose coefficient at each source key is
+    the negated solution (zero where the key is absent).  It indexes,
+    compares and hashes as the tuple of its records, and len() makes none."""
+
+    __slots__ = ("_degree", "_polynomial", "_passes", "_records")
+
+    def __init__(self, degree: int, polynomial: Polynomial, passes: tuple):
+        self._degree, self._polynomial, self._passes = degree, polynomial, passes
+        self._records = None
+
+    def _made(self) -> tuple:
+        if self._records is None:
+            f = self._polynomial
+            ring, terms, zero = f.ring, f._terms, f.ring.zero()
+            records = []
+            for d, system in self._passes:
+                family, source, target = _pass_keys(f.table.n, self._degree, d)
+                records.append(EliminationStep(
+                    weight=d,
+                    family=family,
+                    source=_names(source),
+                    target=_names(target),
+                    matrix=_matrix(system),
+                    det=system.det,
+                    solution=tuple(ring.render(ring.neg(terms.get(_poly_key(e), zero)))
+                                   for e in source),
+                ))
+            self._records = tuple(records)
+            self._passes = self._polynomial = None
+        return self._records
+
+    def __len__(self):
+        return len(self._passes if self._records is None else self._records)
+
+    def __getitem__(self, i):
+        return self._made()[i]
+
+    def __iter__(self):
+        return iter(self._made())
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Steps)):
+            return self._made() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._made())
+
+    def __repr__(self):
+        return repr(self._made())
+
+
 def _designated_family(degree: int, d: int) -> str:
     if degree == 2:
         return "W" if d % 2 else "Wprime"
     if d <= 4:
         return "S"
     return "Shat" if d % 2 else "Sprime"
+
+
+def _pass_keys(n: int, degree: int, d: int) -> tuple:
+    """Family, source keys and target keys of the pass that solves for
+    weight d.  The sources are kept free of x_n, so that the tail stays
+    inside the first n-1 variables."""
+    family = _designated_family(degree, d)
+    source = tuple(k for k in _basis_keys(family, d) if k[-1] < n)
+    return family, source, _basis_keys("W" if degree == 2 else "S", d - 1)
 
 
 @lru_cache(maxsize=None)
@@ -265,7 +336,9 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
     above its residual, below every earlier pass's, so t's coefficients are
     just the negated solutions.  Over F_p every integer is reduced mod p,
     and a scale divisible by p has no unique solution.  Monomials are
-    sparse keys throughout; the Polynomial is built once, at the end.
+    sparse keys throughout; the Polynomial is built once, at the end.  A
+    pass keeps only what its step record is made from, and the records are
+    made when steps is first read (_Steps).
     """
     if degree not in (2, 3):
         raise ValueError("degree must be 2 or 3")
@@ -275,7 +348,6 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
         raise ValueError("construction needs a field (use integral_form for Z output)")
     p = ring.characteristic
     lead = (1, n) if degree == 2 else (1, 1, n)
-    target_family = "W" if degree == 2 else "S"
 
     def subtract_delta(key, c, below):
         """R -= c * delta(key), on weights below `below` only."""
@@ -296,7 +368,7 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
     denominator = 1
     residual = {}                       # weight -> {key: int}
     subtract_delta(lead, -1, n + degree - 1)
-    steps = []
+    passes = []
     prev_top = None
     while residual:
         top = max(residual)
@@ -304,10 +376,7 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
             raise AssertionError("elimination failed to lower the top weight")
         prev_top = top
         d = top + 1
-        family = _designated_family(degree, d)
-        # keep the tail inside the first n-1 variables
-        source = tuple(k for k in _basis_keys(family, d) if k[-1] < n)
-        target = _basis_keys(target_family, top)
+        family, source, target = _pass_keys(n, degree, d)
         comp = residual.pop(top)
         rhs = [comp.get(e, 0) for e in target]
         if len(comp) != sum(1 for v in rhs if v):
@@ -325,23 +394,14 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
                 for e, v in part.items():
                     part[e] = v * scale % p if p else v * scale
         denominator = denominator * scale % p if p else denominator * scale
-        solution = [coerce(Fraction(v, denominator), QQ, ring) for v in y]
-        for e, v, c in zip(source, y, solution):
+        for e, v in zip(source, y):
             if v:
-                terms[e] = ring.neg(c)
+                terms[e] = ring.neg(coerce(Fraction(v, denominator), QQ, ring))
                 subtract_delta(e, v, top)
-        steps.append(EliminationStep(
-            weight=d,
-            family=family,
-            source=_names(source),
-            target=_names(target),
-            matrix=system.rows,
-            det=system.det,
-            solution=tuple(ring.render(c) for c in solution),
-        ))
+        passes.append((d, system))
     polynomial = Polynomial.from_keys(ring, VariableTable((n,)),
                                       {_poly_key(k): c for k, c in terms.items()})
-    return ConnectingInvariant(n, degree, polynomial, tuple(steps))
+    return ConnectingInvariant(n, degree, polynomial, _Steps(degree, polynomial, tuple(passes)))
 
 
 @lru_cache(maxsize=None)

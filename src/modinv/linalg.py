@@ -109,17 +109,17 @@ class IntegerSystem:
     and each pivot row as it stood when chosen: an upper triangular U whose
     diagonal is the pivots.  Attributes:
 
-    rows   the matrix, as a tuple of integer tuples
     det    determinant of the matrix when it is square, else None
     scale  |D| > 0, where D, the last pivot, is +-det of the pivot rows
 
+    Only the sparse rows of the matrix are kept; `rows` rebuilds it dense.
     Raises UnderdeterminedSystem when the rank is below the column count.
     """
 
     def __init__(self, rows, ncols: int):
-        self.rows = tuple(tuple(r) for r in rows)
-        self._sparse = tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in self.rows)
-        m = len(self.rows)
+        self._sparse = tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in rows)
+        self._ncols = ncols
+        m = len(self._sparse)
         work = [dict(r) for r in self._sparse]
         level = [0] * m         # how many pivots each work row has seen
         pivots = [1]            # pivots[k]: prev at column k
@@ -155,6 +155,12 @@ class IntegerSystem:
         self._pivots = tuple(pivots)
         self._steps = tuple(steps)
         self._upper = tuple(upper)
+
+    @property
+    def rows(self) -> tuple:
+        """The matrix, as a tuple of integer tuples."""
+        return tuple(tuple(row.get(j, 0) for j in range(self._ncols))
+                     for row in map(dict, self._sparse))
 
     def solve(self, rhs, modulus: int = 0) -> list:
         """y with rows * y == scale * rhs, so that y / scale solves the system.

@@ -392,7 +392,11 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
 
     This is the step that lets separating sets grow one variable at a time.
     Returns None, or a pair of points agreeing except in the last coordinate
-    on which the invariant collides.
+    on which the invariant collides.  When one term of the invariant over
+    ring reads x_n, linearly and beside no coordinate but x1, the invariant
+    is c*x1^j*x_n + h(x1..x_{n-1}), a bijection of x_n wherever x1 != 0, and
+    None is returned from the terms alone, as for every f_n; otherwise the
+    invariant is tabulated.
     """
     if n < 3:
         raise ValueError("connecting invariants start at block size 3")
@@ -401,9 +405,12 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
     if n > ring.characteristic:
         raise ValueError("block size exceeds p")
     check_budget(ring.order, n, budget)
+    terms = _connecting_rational(n).polynomial.change_ring(ring).terms()
+    reading = [exps for exps, _ in terms if exps[-1]]
+    if len(reading) == 1 and reading[0][-1] == 1 and not any(reading[0][1:-1]):
+        return None
     # the grid spans the whole block, so terms keep every exponent
-    terms = [(ring.encode(c), exps) for exps, c in
-             _connecting_rational(n).polynomial.change_ring(ring).terms()]
+    terms = [(ring.encode(c), exps) for exps, c in terms]
     q = ring.order
     for slab in _slabs(range(1, q), q ** (n - 1)):
         grid = [slab] + [range(q)] * (n - 1)

@@ -15,7 +15,6 @@ computes.  Nothing here ever rounds.
 import itertools
 import math
 import operator
-from array import array
 from fractions import Fraction
 
 
@@ -446,6 +445,7 @@ class ExtensionField(Ring):
         return self._log, self._exp, self._zech
 
     def _build_tables(self):
+        from array import array         # only fields that tabulate load it
         # g generates exactly when g^((q-1)/r) != 1 for every prime r | q - 1
         cycle = self.order - 1
         primes = [r for d in range(1, math.isqrt(cycle) + 1) if cycle % d == 0

@@ -1,15 +1,16 @@
 import itertools
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modinv.action import (BlockExceedsP, RepresentationSpec, act_raw, delta,
-                           in_b_raw, orbit_raw, orbit_rep_raw,
-                           render_point, sigma)
+from modinv.action import (BlockExceedsP, RepresentationSpec, _binomials,
+                           _sigma_monomial, act_raw, delta, in_b_raw, orbit_raw,
+                           orbit_rep_raw, render_point, sigma)
 from modinv.builder import norm_invariant, weight_basis
-from modinv.poly import Polynomial, VariableTable
+from modinv.poly import Polynomial, VariableTable, grlex_key
 from modinv.rings import GF, QQ, ZZ
 from polyref import weight_components
 
@@ -136,6 +137,31 @@ def test_delta_of_norms_matches_substitution(ring, p, _):
                 reference = sigma_by_substitution(f)
                 assert sigma(f) == reference
                 assert delta(f) == reference - f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_binomials_mod_p_are_the_nonvanishing_ones(p):
+    for a in range(3 * p * p):
+        assert _binomials(a, p) == [(j, comb(a, j) % p) for j in range(a + 1)
+                                    if comb(a, j) % p]
+    assert _binomials(7, 0) == [(j, comb(7, j)) for j in range(8)]
+    assert _binomials(3137, 3137) == [(0, 1), (3137, 1)]
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), GF(2, 2)], ids=repr)
+@given(data=st.data())
+def test_sigma_mod_p_is_the_integer_expansion_reduced(ring, data):
+    # exponents up to p^2 + p - 1, so that binomials vanish on two digits
+    p = ring.characteristic
+    table = VariableTable(data.draw(st.sampled_from([(3,), (1, 2), (2, 1), (1, 1, 1)])))
+    exps = tuple(data.draw(st.lists(st.integers(0, p * p + p - 1),
+                                    min_size=table.n, max_size=table.n)))
+    key = grlex_key(exps)
+    reduced = {e: c % p for e, c in _sigma_monomial(table, key).items() if c % p}
+    assert {e: c for e, c in _sigma_monomial(table, key, p).items() if c} == reduced
+    f = Polynomial.monomial(ZZ, table, exps)
+    assert delta(f.change_ring(ring)) == delta(f).change_ring(ring)
+    assert sigma(f.change_ring(ring)) == sigma(f).change_ring(ring)
 
 
 def test_act_raw_examples():

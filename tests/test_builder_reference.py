@@ -10,18 +10,21 @@ and records det_int.  construct_connecting must give an equal
 ConnectingInvariant (polynomial and every EliminationStep field) over Q for
 every 3 <= n <= 41 and natively over F_p for p in {3, 5, 7, 11, 13} and
 every n <= p + 3 (and over F_9 for n <= 6), and raise the same NoSolution
-text wherever the reference does.
+text wherever the reference does.  Its step records are made only when
+steps is read: building f_3..f_41 and the p = 29 suite over Q renders no
+rational and keeps no dense matrix, and the records read afterwards still
+equal the reference's.
 """
 
 import pytest
 
-from modinv import linalg
-from modinv.action import delta
+from modinv import builder, linalg
+from modinv.action import RepresentationSpec, delta
 from modinv.builder import (ConnectingInvariant, EliminationStep, NoSolution,
-                            _designated_family, connecting_degree,
+                            _designated_family, build_suite, connecting_degree,
                             construct_connecting, weight_basis)
 from modinv.poly import Polynomial, VariableTable, monomial_text
-from modinv.rings import GF, QQ, ZZ
+from modinv.rings import GF, QQ, ZZ, RationalRing
 from polyref import coefficient, exps, weight_components
 
 
@@ -132,3 +135,35 @@ def test_fp_loop_may_end_before_the_rational_one():
     assert [s.weight for s in fp.steps] == list(range(10, 4, -1))
     assert [s.weight for s in q.steps] == list(range(10, 2, -1))
     assert fp.polynomial == q.polynomial.change_ring(GF(17))
+
+
+def test_construction_makes_no_step_record(monkeypatch):
+    # construct and verify never read steps: while f_3..f_41 and the p = 29
+    # suite over Q are built, rendering a rational fails and no system keeps
+    # its dense rows; the records read afterwards are the reference's
+    systems = []
+    init = linalg.IntegerSystem.__init__
+
+    def recording(self, rows, ncols):
+        init(self, rows, ncols)
+        systems.append(self)
+
+    def refuse(ring, value):
+        raise AssertionError(f"rendered {value!r} during construction")
+
+    monkeypatch.setattr(linalg.IntegerSystem, "__init__", recording)
+    monkeypatch.setattr(RationalRing, "render", refuse)
+    builder._connecting_rational.cache_clear()
+    builder._system.cache_clear()
+    built = [builder._connecting_rational(n) for n in range(3, 42)]
+    build_suite(RepresentationSpec(29, (29,)), "q")
+    assert [len(ci.steps) for ci in built] == [2 * ((n - 1) // 2) for n in range(3, 42)]
+    monkeypatch.undo()
+    assert len(systems) == 78
+    for system in systems:
+        assert "rows" not in vars(system) and system.rows not in vars(system).values()
+    for ci in built:
+        ref = reference_connecting(ci.n, ci.degree)
+        assert ci.steps == ref.steps and ref.steps == ci.steps
+        assert ci == ref and hash(ci) == hash(ref)
+        assert ci.steps[-1] == ref.steps[-1] and ci.steps[1:] == ref.steps[1:]

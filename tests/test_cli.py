@@ -550,7 +550,7 @@ def test_help_exits_zero(capsys):
 
 def test_out_of_memory_is_one_error_line():
     # 80 MiB of address space holds the interpreter and the imports, but not
-    # the p = 149 construction (about 177 MiB resident without a limit)
+    # the p = 149 construction (about 120 MiB resident without a limit)
     resource = pytest.importorskip("resource")
     limit = 80 << 20
     env = dict(os.environ)
@@ -562,6 +562,23 @@ def test_out_of_memory_is_one_error_line():
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
+def test_construction_fits_without_step_records():
+    # construct --p 101 --blocks 101 needs about 52 MiB of address space
+    # (48 MiB resident) when it makes no step record, and about 69 MiB
+    # (65 MiB resident) when it renders every record and keeps dense rows
+    resource = pytest.importorskip("resource")
+    limit = 60 << 20
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "modinv", "construct", "--p", "101", "--blocks", "101"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 101 and lines[-1].startswith("f101 = x1*x101 ")
 
 
 def test_largest_field_verifies_in_bounded_memory():
@@ -618,6 +635,19 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_array_loads_only_with_field_tables():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = ("import sys; import modinv.cli; from modinv import GF; "
+            "print('array' in sys.modules); GF(29).mul(1, 1); print('array' in sys.modules); "
+            "field = GF(3, 2); field.mul(field.one(), field.one()); "
+            "print('array' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def test_only_verify_imports_the_verifier(tmp_path):
