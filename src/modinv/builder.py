@@ -304,9 +304,12 @@ def _designated_family(degree: int, d: int) -> str:
 def _pass_keys(n: int, degree: int, d: int) -> tuple:
     """Family, source keys and target keys of the pass that solves for
     weight d.  The sources are kept free of x_n, so that the tail stays
-    inside the first n-1 variables."""
+    inside the first n-1 variables; where that drops no key, they are the
+    cached basis itself, one tuple for every cache keyed on it."""
     family = _designated_family(degree, d)
-    source = tuple(k for k in _basis_keys(family, d) if k[-1] < n)
+    source = _basis_keys(family, d)
+    if any(k[-1] >= n for k in source):
+        source = tuple(k for k in source if k[-1] < n)
     return family, source, _basis_keys("W" if degree == 2 else "S", d - 1)
 
 
