@@ -85,7 +85,7 @@ def _binomials(a: int, p: int) -> list:
     return out
 
 
-def _sigma_monomial(table: VariableTable, key: tuple, p: int = 0) -> dict:
+def _sigma_monomial(table: VariableTable, key: tuple, p: int) -> dict:
     """sigma of the monomial with sparse key `key` (poly.grlex_key) over Z,
     or mod p when p > 0, as {key: int}.
 
