@@ -148,16 +148,9 @@ def find_irreducible(p: int, k: int) -> tuple:
     bound = IRREDUCIBLE_SEARCH_BOUND
     if k > bound.bit_length() or p ** k > bound:     # p^k >= 2^k > bound
         raise BoundExceeded(f"modulus search over {p}^{k} elements exceeds bound {bound}")
-    for idx in range(p ** k):
-        coeffs = []
-        rest = idx
-        for _ in range(k):
-            coeffs.append(rest % p)
-            rest //= p
-        candidate = tuple(coeffs) + (1,)
-        if _is_irreducible(candidate, p):
-            return candidate
-    raise AssertionError("unreachable: irreducibles of every degree exist")
+    # product runs its last digit fastest, hence [::-1]; some candidate is irreducible
+    candidates = (c[::-1] + (1,) for c in itertools.product(range(p), repeat=k))
+    return next(f for f in candidates if _is_irreducible(f, p))
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +430,11 @@ class ExtensionField(Ring):
         included.  exp runs through the cycle twice, so a sum of two logs
         needs no reduction.  zech[n] is log(1 + g^n) (zero's log where that
         is 0), so nonzero a and b add to exp[log a + zech[log b - log a]]; a
-        negative index wraps like n mod q - 1.  The tables are arrays of C
-        ints (typecode "i"); every value fits, because find_irreducible
-        refuses p^k above 2^20, so none exceeds 2(q - 1) < 2^21."""
+        negative index wraps like n mod q - 1.  Each table is an array of
+        the narrowest typecode that holds its values: "B", "H" or "i" for
+        exp's codes below q, and the same for the logs up to 2(q - 1) in
+        log and zech; since find_irreducible refuses p^k above 2^20, a C int
+        holds any of them."""
         if self._log is None:
             self._build_tables()
         return self._log, self._exp, self._zech
@@ -493,8 +488,10 @@ class ExtensionField(Ring):
         low, high = half_table(0, half), half_table(half, k)
         shift = w * half
         mask, residues = (1 << shift) - 1, (1 << high_bit) - 1
-        exp = array("i", [0]) * (4 * cycle + 1)     # by log
-        log = array("i", [0]) * self.order          # by code
+        code_type, log_type = ("B" if top < 1 << 8 else "H" if top < 1 << 16 else "i"
+                               for top in (cycle, 2 * cycle))
+        exp = array(code_type, [0]) * (4 * cycle + 1)     # by log
+        log = array(log_type, [0]) * self.order          # by code
         x = 1
         for i in range(cycle):
             x = low[x & mask] + high[x >> shift]
@@ -502,12 +499,15 @@ class ExtensionField(Ring):
             code = x >> high_bit
             exp[i], log[code] = code, i
             x &= residues
-        exp[cycle:2 * cycle] = exp[:cycle]
+        powers = memoryview(exp)[:cycle]
+        memoryview(exp)[cycle:2 * cycle] = powers
         log[0] = 2 * cycle
         # adding 1 adds 1 to the most significant digit, place q/p, mod p
         place = self.order // p
-        plus_one = log[place:] + log[:place]        # log(1 + a) at a's code
-        self._zech = array("i", map(plus_one.__getitem__, exp[:cycle]))
+        plus_one = array(log_type, [0]) * self.order    # log(1 + a) at a's code
+        rotated, logs = memoryview(plus_one), memoryview(log)
+        rotated[:-place], rotated[-place:] = logs[place:], logs[:place]
+        self._zech = array(log_type, map(plus_one.__getitem__, powers))
         self._exp, self._log = exp, log
 
     def mul(self, a, b):

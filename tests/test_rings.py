@@ -186,6 +186,10 @@ SMALL_EXTENSIONS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 8)
                     if p ** k <= 3 ** 5]
 
 
+# the values below each typecode's bound fit in it
+TYPECODE_BOUNDS = {"B": 1 << 8, "H": 1 << 16, "i": 1 << 31}
+
+
 def decoded_tables(field):
     """The int tables read back as elements: (the powers of the generator
     in log order, {element: log}), after checking their layout."""
@@ -196,6 +200,10 @@ def decoded_tables(field):
     assert exp[cycle:2 * cycle] == exp[:cycle]          # the cycle twice
     assert not any(exp[2 * cycle:])                     # then zeros
     assert all(type(v) is int for table in (log, exp, zech) for v in table)
+    for table in (log, exp, zech):      # each in the narrowest array that holds it
+        assert type(table) is array
+        top = max(table)
+        assert table.typecode == next(t for t, bound in TYPECODE_BOUNDS.items() if top < bound)
     return ([field.decode(c) for c in exp[:cycle]],
             {field.decode(c): i for c, i in enumerate(log) if c})
 
@@ -233,9 +241,10 @@ def reference_exp(field):
 
 
 # beyond the small fields: the largest table, odd k with odd and even p
-# (an unequal split of the packed residues) and the widest residues
+# (an unequal split of the packed residues) and the widest residues; codes
+# first need "H" at 17^2 and "i" at 257^2, logs "H" at 2^8 and "i" at 2^16
 EXP_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for k in range(2, 10)
-              if p ** k <= 5 ** 4] + [(2, 16), (2, 15), (3, 7), (251, 2)]
+              if p ** k <= 5 ** 4] + [(2, 16), (2, 15), (3, 7), (251, 2), (257, 2)]
 
 
 @pytest.mark.parametrize("p,k", EXP_FIELDS)
@@ -257,12 +266,14 @@ def test_tables_are_int_arrays():
     try:
         field = ExtensionField(2, 16)
         tables = field._tables()
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 4 bytes a value: q + 4(q - 1) + 1 + (q - 1) values, about 1.5 MiB
-    assert all(type(t) is array and t.typecode == "i" for t in tables)
-    assert held < 2 * 2 ** 20
+    # 2 bytes a power (4(q - 1) + 1 of them) and 4 a log (q and q - 1 of
+    # them), about 1.0 MiB, built beside one more table of q logs; as C ints
+    # throughout, with slices copied, they held 1.51 MiB and peaked at 2.06
+    assert [t.typecode for t in tables] == ["i", "H", "i"]
+    assert held < 1.1 * 2 ** 20 and peak < 1.4 * 2 ** 20
 
 
 def field_cases(q_max):
@@ -302,7 +313,8 @@ def test_code_kernels_on_every_pair(p, k):
         assert [field.pow(x, e) for x in elements] == expected, e
 
 
-@pytest.mark.parametrize("p,k", [(2, 16), (3, 10), (7, 5), (251, 2), (2, 20)])
+@pytest.mark.parametrize("p,k", [(17, 2), (2, 16), (3, 10), (7, 5), (251, 2), (257, 2),
+                                 (2, 20)])
 def test_code_kernels_on_sampled_pairs(p, k):
     field = GF(p, k)
     rng = random.Random(p ** k)
