@@ -10,8 +10,11 @@ and the exit code, and exits 0 only if every command agrees.  Stdout goes
 to a file that is hashed in pieces, so outputs of hundreds of MB are never
 held.  The line printed for each command also gives each side's wall time
 and peak RSS, from os.wait4 in perfbench/spawner.py, so the same run backs
-both "output unchanged" and a memory figure.  Only the standard library is
-used.
+both "output unchanged" and a memory figure.  At the end, one line per
+workload (and one for the extra command lines) gives each side's largest
+peak RSS over its commands, the figure the benchmark's `peak_rss_mib` takes
+for one pass; a command two workloads share counts for both.  Only the
+standard library is used.
 
 Usage: python3 scripts/compare_outputs.py --parent REV
        ["construct --p 101 --blocks 101" ...]
@@ -48,13 +51,17 @@ workloads = _load(ROOT / "perfbench" / "workloads.py")
 export = _load(ROOT / "scripts" / "bench_pairs.py").export
 
 
+def _runnable(c):
+    """A workload command with MISSING for the missing directory."""
+    return workloads.Command(tuple(a.replace(workloads.MISSING_DIR, MISSING)
+                                   for a in c.args), c.env)
+
+
 def workload_commands() -> list:
     """Distinct commands of every workload, in first-seen order."""
     out = []
     for workload in workloads.WORKLOADS.values():
-        for c in workload.commands:
-            args = tuple(a.replace(workloads.MISSING_DIR, MISSING) for a in c.args)
-            command = workloads.Command(args, c.env)
+        for command in map(_runnable, workload.commands):
             if command not in out:
                 out.append(command)
     return out
@@ -126,7 +133,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     commands = workload_commands()
-    commands += [workloads.Command(tuple(c.split())) for c in args.commands]
+    extra = [workloads.Command(tuple(c.split())) for c in args.commands]
+    commands += extra
+    groups = {name: set(map(_runnable, w.commands)) for name, w in workloads.WORKLOADS.items()}
+    groups["command line"] = set(extra)
+    peaks = {}      # group -> [parent, change]: the largest peak RSS of its commands
     tmp = Path(tempfile.mkdtemp(prefix="compare-outputs-"))
     runner = Runner(tmp)
     try:
@@ -140,9 +151,15 @@ def main(argv=None) -> int:
             change = runner.run(sides["change"], command)
             diff = differences(parent, change)
             differing += bool(diff)
+            for name, members in groups.items():
+                if command in members:
+                    peak = peaks.setdefault(name, [0.0, 0.0])
+                    peak[:] = max(peak[0], parent.rss_mib), max(peak[1], change.rss_mib)
             print(f"{'DIFFERS (' + ', '.join(diff) + ')' if diff else 'identical'}: "
                   f"{command.text} (parent {cost(parent)}, change {cost(change)})",
                   flush=True)
+        for name, (parent, change) in peaks.items():
+            print(f"largest peak RSS, {name}: parent {parent:.3f} MiB, change {change:.3f} MiB")
         print(f"{len(commands) - differing} of {len(commands)} commands identical")
     finally:
         runner.close()

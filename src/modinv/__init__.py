@@ -2,14 +2,14 @@
 of a cyclic group of prime order in characteristic p, with brute-force
 verification over small finite fields."""
 
+import importlib
+
 from .action import BlockExceedsP, RepresentationSpec, delta, sigma
-from .builder import (ConnectingInvariant, InvariantSuite, NoSolution,
-                      SuiteEntry, WeightSpaceBasis, build_suite,
-                      construct_connecting, integral_form, norm_invariant,
-                      restricted_delta_matrix, weight_basis)
+from .builder import (ConnectingInvariant, NoSolution, WeightSpaceBasis,
+                      construct_connecting, restricted_delta_matrix, weight_basis)
 from .poly import Polynomial, VariableTable
-from .rings import (GF, QQ, ZZ, BudgetExceeded, ExtensionField, PrimeField,
-                    find_irreducible)
+from .rings import GF, QQ, ZZ, BudgetExceeded, PrimeField
+from .suite import InvariantSuite, SuiteEntry, build_suite, integral_form, norm_invariant
 
 __version__ = "0.1.0"
 
@@ -23,14 +23,17 @@ __all__ = [
     "verify_lifting", "verify_orbit_constancy", "weight_basis", "__version__",
 ]
 
-# The verifier is imported on first use of one of its names (PEP 562), so
-# that construct and export never compile it.
-_ORACLE_NAMES = {"SeparationReport", "fixed_point_census", "separation_report",
-                 "verify_lifting", "verify_orbit_constancy"}
+# Names imported from their module on first use (PEP 562), so that construct
+# and export never compile the verifier, and only k >= 2 compiles F_{p^k}.
+_LAZY = {
+    "fixed_point_census": "oracle", "verify_lifting": "oracle",
+    "verify_orbit_constancy": "oracle", "SeparationReport": "separation",
+    "separation_report": "separation", "ExtensionField": "extension",
+    "find_irreducible": "extension",
+}
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-        return getattr(oracle, name)
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

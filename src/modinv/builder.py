@@ -19,20 +19,23 @@ which does not depend on n, is computed once into a table that every f_m
 shares.  A system likewise depends on its weight and family, not on n, so
 it is solved once and shared by every f_m.  The result Polynomial is built
 on its own sparse keys, one interned key per monomial across all f_m, and
-the public bases keep dense tuples.  Direct sums are handled blockwise: a
-block's f_m is moved to its offset by shifting variable indices.
+the public bases keep dense tuples.
+
+The suites themselves, with the norms, the integral forms and the direct
+sums (a block's f_m moved to its offset by shifting variable indices), are
+built in suite.py, whose public names resolve here too.  The split keeps
+each module's compile small: CPython holds a whole module's tokens and
+syntax tree while it compiles it, and every command compiles both.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import linalg
-from .action import BlockExceedsP, RepresentationSpec
-from .poly import (Polynomial, Record, VariableTable, _dense, embed, key_text,
-                   product_key, ring_code)
-from .rings import GF, QQ, ZZ, RationalRing, Ring, coerce
+from .action import BlockExceedsP
+from .poly import Polynomial, Record, VariableTable, _dense, key_text, product_key
+from .rings import QQ, Ring, coerce
 
 
 class ParityViolation(Exception):
@@ -418,123 +421,17 @@ def connecting_degree(n: int) -> int:
     return 2 if n % 2 else 3
 
 
-# ---------------------------------------------------------------------------
-# Norms and integral forms.
+# The suites are built in suite.py, on top of this module; its public names
+# resolve here too, on first use, as that module imports this one.
+_SUITE_NAMES = {"InvariantSuite", "SuiteEntry", "build_suite", "integral_form",
+                "norm_invariant", "suite_construction_steps"}
 
 
-def norm_invariant(p: int, ring: Ring, table: VariableTable, offset: int = 0) -> Polynomial:
-    """Orbit product of the block's second variable: x1^(p-1)*x2 - x2^p,
-    placed at `offset` within `table`.
-
-    Its reduction mod p is invariant; over Q or Z it is the canonical
-    integer-coefficient lift of that invariant.
-    """
-    lead = [0] * table.n
-    lead[offset], lead[offset + 1] = p - 1, 1
-    pure = [0] * table.n
-    pure[offset + 1] = p
-    terms = {tuple(lead): ring.one(), tuple(pure): ring.neg(ring.one())}
-    return Polynomial(ring, table, terms)
-
-
-def integral_form(f) -> Polynomial:
-    """Clear denominators of a rational polynomial by the lcm of its
-    coefficient denominators."""
-    if isinstance(f, ConnectingInvariant):
-        f = f.polynomial
-    if not isinstance(f.ring, RationalRing):
-        raise ValueError("integral_form expects a rational polynomial")
-    scale = lcm(*(c.denominator for c in f._terms.values()))
-    return Polynomial.from_keys(ZZ, f.table,
-                                {k: (c * scale).numerator for k, c in f._terms.items()})
-
-
-# ---------------------------------------------------------------------------
-# Suites.
-
-
-class SuiteEntry(Record, namedtuple(
-        "SuiteEntry", "name block_index degree kind polynomial")):
-    """One suite entry; block_index is 1-based and kind is "linear", "norm"
-    or "connecting"."""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "blockIndex": self.block_index,
-            "degree": self.degree,
-            "kind": self.kind,
-            "polynomial": self.polynomial.to_json_dict(),
-        }
-
-
-class InvariantSuite(Record, namedtuple("InvariantSuite", "spec ring entries")):
-    def names(self) -> tuple:
-        return tuple(e.name for e in self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "spec": {"p": self.spec.p, "blocks": list(self.spec.blocks)},
-            "ring": ring_code(self.ring),
-            "entries": [e.to_json_dict() for e in self.entries],
-        }
-
-
-def _entry_name(spec: RepresentationSpec, block: int, j: int) -> str:
-    """Name of block's connecting invariant f_j."""
-    return f"f{j}" if len(spec.blocks) == 1 else f"f{block}_{j}"
-
-
-def build_suite(spec: RepresentationSpec, ring: str = "fp") -> InvariantSuite:
-    """Blockwise invariant suite for a representation.
-
-    Per block of size s: the fixed leading variable; for s >= 2 the norm of
-    the second variable; for each 3 <= j <= s the connecting invariant f_j.
-    ring selects the coefficient domain: "q" (rationals, as constructed),
-    "z" (denominators cleared), or "fp" (reduced mod p).
-    """
-    if ring not in ("q", "z", "fp"):
-        raise ValueError(f"ring must be q, z, or fp, got {ring!r}")
-    target = {"q": QQ, "z": ZZ, "fp": GF(spec.p)}[ring]
-    table = spec.table
-    entries = []
-    for b, size in enumerate(spec.blocks, start=1):
-        offset = table.block_offsets[b - 1]
-        entries.append(SuiteEntry(
-            table.names[offset], b, 1, "linear",
-            Polynomial.variable(target, table, offset)))
-        if size >= 2:
-            entries.append(SuiteEntry(
-                f"N({table.names[offset + 1]})", b, spec.p, "norm",
-                norm_invariant(spec.p, target, table, offset)))
-        for j in range(3, size + 1):
-            f = embed(_connecting_rational(j).polynomial, table, offset)
-            if ring == "q":
-                poly = f
-            elif ring == "z":
-                poly = integral_form(f)
-            else:
-                poly = f.change_ring(target)
-            entries.append(SuiteEntry(
-                _entry_name(spec, b, j), b, connecting_degree(j),
-                "connecting", poly))
-    return InvariantSuite(spec, target, tuple(entries))
-
-
-def suite_construction_steps(spec: RepresentationSpec) -> list:
-    """Elimination-step records for every connecting invariant of a suite."""
-    out = []
-    for b, size in enumerate(spec.blocks, start=1):
-        for j in range(3, size + 1):
-            ci = _connecting_rational(j)
-            out.append({
-                "blockIndex": b,
-                "name": _entry_name(spec, b, j),
-                "n": ci.n,
-                "degree": ci.degree,
-                "steps": ci.steps,
-            })
-    return out
+def __getattr__(name):
+    if name in _SUITE_NAMES:
+        from . import suite
+        return getattr(suite, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -19,10 +19,11 @@ Output is written as it is rendered: construct and export write each suite
 entry, and each construction record, as soon as it is made, so no command
 holds its whole document.  JSON comes from _json_chunks, which gives the
 text json.dumps(sort_keys=True, indent=2) would, in pieces.  Only verify
-imports the verifier: its first run binds the three checks it calls into
-this module's names, unless they are bound already, so construct and export
-never compile it, and perfbench/tracer.py can still wrap the library calls
-below through this module's names.
+imports the verifier (oracle.py and separation.py): its first run binds the
+three checks it calls into this module's names, unless they are bound
+already, so construct and export never compile it, and perfbench/tracer.py
+can still wrap the library calls below through this module's names.  Only
+verify --k 2 and up compiles the F_{p^k} code (extension.py, through GF).
 """
 
 import argparse
@@ -31,8 +32,8 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .action import BlockExceedsP, RepresentationSpec, join_point, point_texts
-from .builder import SuiteEntry, build_suite, suite_construction_steps
 from .rings import DEFAULT_BUDGET, GF, BoundExceeded, BudgetExceeded, check_budget
+from .suite import SuiteEntry, build_suite, suite_construction_steps
 
 
 class ConfigError(Exception):
@@ -206,7 +207,7 @@ def _cmd_verify(ns) -> int:
 
 def _verify_text(data: dict) -> str:
     """verify's text report, rendered from its JSON record."""
-    from .oracle import render_separation
+    from .separation import render_separation
     separation, witness = data["separation"], data["constancy"]["witness"]
     lines = [
         render_separation(separation),

@@ -16,8 +16,7 @@ monomial, terms(), lead_term() and the JSON `exps` lists.
 from collections import Counter, namedtuple
 from functools import cached_property
 
-from .rings import (ExtensionField, IntegerRing, PrimeField, RationalRing, Ring,
-                    RingMismatch, coerce)
+from .rings import IntegerRing, RationalRing, Ring, RingMismatch, coerce
 
 
 class TableMismatch(Exception):
@@ -394,7 +393,7 @@ class Polynomial:
             "terms": [{"coeff": ring.render(terms[k]), "exps": _dense(n, k)}
                       for k in self._sorted_keys()],
         }
-        if isinstance(ring, ExtensionField):
+        if hasattr(ring, "k"):      # F_{p^k}
             out["k"] = ring.k
         return out
 
@@ -407,7 +406,7 @@ def ring_code(ring: Ring) -> str:
         return "q"
     if isinstance(ring, IntegerRing):
         return "z"
-    if isinstance(ring, (PrimeField, ExtensionField)):
+    if ring.characteristic:     # F_p or F_{p^k}
         return "fp"
     raise ValueError(f"no code for {ring!r}")
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import modinv
-from modinv import GF, builder, oracle
+from modinv import GF, builder, extension, oracle, separation, suite
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,8 +45,9 @@ def test_tracer_runs_cli(tmp_path, argv, expected):
     assert expected <= names
 
 
-@pytest.mark.parametrize("module", [modinv, builder, oracle],
-                         ids=["modinv", "builder", "oracle"])
+@pytest.mark.parametrize("module", [modinv, builder, oracle, separation, suite, extension],
+                         ids=["modinv", "builder", "oracle", "separation", "suite",
+                              "extension"])
 def test_exported_names_resolve(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 

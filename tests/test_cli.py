@@ -653,7 +653,8 @@ def test_array_loads_only_with_field_tables():
 
 
 def test_only_verify_imports_the_verifier(tmp_path):
-    # construct and export never compile oracle.py; verify binds its checks
+    # construct and export never compile oracle.py; verify binds its checks.
+    # Only verify --k 2 and up compiles the F_{p^k} code, extension.py.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     out = str(tmp_path / "out")
@@ -662,6 +663,7 @@ def test_only_verify_imports_the_verifier(tmp_path):
     commands += [f"export --p 5 --blocks 5,2 --ring {ring} --out {out}"
                  for ring in ("q", "z", "fp")]
     commands.append(f"verify --p 3 --blocks 3 --out {out}")
+    commands.append(f"verify --p 3 --blocks 2,2 --k 2 --out {out}")
     # a wrapper bound before the first verify is the one verify calls, as
     # perfbench/tracer.py needs
     code = ("import sys; from modinv import cli\n"
@@ -672,9 +674,54 @@ def test_only_verify_imports_the_verifier(tmp_path):
             "    return separation_report(*args)\n"
             "cli.separation_report = recording\n"
             "for argv in sys.argv[1:]:\n"
-            "    print(cli.main(argv.split()), 'modinv.oracle' in sys.modules)\n"
+            "    print(cli.main(argv.split()), 'modinv.oracle' in sys.modules,\n"
+            "          'modinv.extension' in sys.modules)\n"
             "print(len(calls), cli.separation_report is recording)")
     proc = subprocess.run([sys.executable, "-c", code, *commands], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0 False"] * 9 + ["0 True", "1 True"]
+    assert proc.stdout.splitlines() == (["0 False False"] * 9
+                                        + ["0 True False", "0 True True", "2 True"])
+
+
+# Peak traced memory while compiling each modinv module, in a child that
+# compiles every module from source: CPython holds a module's tokens and
+# syntax tree until its compile ends, on top of all that is already loaded.
+COMPILE_PEAKS = """\
+import sys, tracemalloc
+from importlib.machinery import SourceFileLoader
+tracemalloc.start()
+peaks = [0]
+source_to_code = SourceFileLoader.source_to_code
+def measured(self, data, path, *args, **kwargs):
+    tracemalloc.reset_peak()
+    code = source_to_code(self, data, path, *args, **kwargs)
+    if "modinv" in path:
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    return code
+SourceFileLoader.source_to_code = measured
+from modinv.cli import main
+code = main(sys.argv[1:])
+print(code, max(peaks) // 1024)
+"""
+
+
+@pytest.mark.parametrize("argv,bound_kib", [
+    ("verify --p 3 --blocks 2,2 --k 2", 2300),
+    ("construct --p 29 --blocks 29 --ring q --format json", 1550),
+], ids=["verify-k2", "construct-29"])
+def test_no_module_compile_peaks_above_its_bound(tmp_path, argv, bound_kib):
+    # Before oracle.py, builder.py and rings.py were split, the largest peaks
+    # were about 2455 KiB (oracle.py) and 1660 KiB (builder.py); after it,
+    # 2110 KiB (extension.py) and 1415 KiB (cli.py), on CPython 3.11.
+    cache = tmp_path / "pycache"
+    cache.mkdir()
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(cache))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = [*argv.split(), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", COMPILE_PEAKS, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0 and peak_kib < bound_kib
+    assert list(cache.iterdir()) == []

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modinv.extension import ExtensionField, _is_irreducible, _poly_rem, find_irreducible
 from modinv.rings import (GF, QQ, ZZ, BoundExceeded, DenominatorDivisibleByP,
-                          DivisionByZero, ExtensionField, NotAField,
-                          PrimeField, RingMismatch, coerce, find_irreducible,
-                          is_prime, reduce_fraction)
-from modinv.rings import _is_irreducible, _poly_rem
+                          DivisionByZero, NotAField, PrimeField, RingMismatch,
+                          coerce, is_prime, reduce_fraction)
 
 F5 = GF(5)
 

@@ -1,7 +1,7 @@
 """Differential checks of the oracle's scans against brute-force references.
 
 reference_scan is the separation scan as it was before representatives were
-decided in closed form by oracle._rep_factors: it walks the whole orbit of
+decided in closed form by separation._rep_factors: it walks the whole orbit of
 every point of B and keeps the point only when it is the orbit's minimum,
 inserting it into its fiber in sorted order.  The two must agree on every
 report field, and the representatives _rep_factors lists must be exactly
@@ -50,7 +50,7 @@ from bisect import insort
 import pytest
 
 from modinv.action import RepresentationSpec, act_raw, delta, in_b_raw, orbit_raw
-from modinv import oracle
+from modinv import oracle, separation
 from modinv.builder import build_suite
 from modinv.oracle import separation_report, verify_lifting, verify_orbit_constancy
 from modinv.poly import Polynomial
@@ -89,12 +89,12 @@ def reference_scan(suite, ring):
 
 
 def listed_representatives(blocks, field):
-    """Every point oracle._rep_factors lists, in the order of their ranks."""
+    """Every point separation._rep_factors lists, in the order of their ranks."""
     q = field.order
-    factors = oracle._rep_factors(blocks, field.p, q)
+    factors = separation._rep_factors(blocks, field.p, q)
     lead, _ = factors
-    per_first = oracle._per_first(factors, q)
-    return [oracle._decode(factors, field, u * per_first + r)
+    per_first = separation._per_first(factors, q)
+    return [separation._decode(factors, field, u * per_first + r)
             for u in range(q) if lead(range(u, u + 1))[0]
             for r in range(per_first)]
 
@@ -139,7 +139,7 @@ def first_entry_replaced(suite, field, make):
 
 
 def injective_on_first(suite, field):
-    return oracle._injective_on_first(
+    return separation._injective_on_first(
         [oracle._support_terms(e.polynomial, field) for e in suite.entries])
 
 

@@ -101,7 +101,10 @@ def test_compare_outputs_runs_two_commands(monkeypatch, capsys):
     for line, command in zip(lines, ["construct --p 3 --blocks 3",
                                      "verify --p 2 --blocks 1 --k 2"]):
         assert re.fullmatch(rf"identical: {command} \(parent {cost}, change {cost}\)", line)
-    assert lines[2:] == ["2 of 2 commands identical"]
+    peak = r"\d+\.\d\d\d MiB"
+    assert re.fullmatch(rf"largest peak RSS, command line: parent {peak}, change {peak}",
+                        lines[2])
+    assert lines[3:] == ["2 of 2 commands identical"]
 
 
 def test_compare_outputs_hashes_stdout_in_pieces(tmp_path):
