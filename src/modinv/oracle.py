@@ -12,8 +12,9 @@ codes (ring.encode), over the coordinates each polynomial reads, through
 value tables built one slab of first coordinates at a time, and what
 constancy (on delta f), separation and lifting each scan.  This module
 holds the value tables, constancy, lifting and the census; the separation
-scan is in separation.py, which reads the tables from here.  So that no
-one compile holds both, verify compiles the two modules apart.
+scan is in separation.py, which reads the tables from here.  They are two
+modules so that no one compile holds both: CPython keeps a whole module's
+tokens and syntax tree while it compiles it.
 """
 
 import itertools

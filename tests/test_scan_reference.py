@@ -1,9 +1,9 @@
 """Differential checks of the oracle's scans against brute-force references.
 
-reference_scan is the separation scan as it was before representatives were
-decided in closed form by separation._rep_factors: it walks the whole orbit of
-every point of B and keeps the point only when it is the orbit's minimum,
-inserting it into its fiber in sorted order.  The two must agree on every
+reference_scan is the separation scan as it was before representatives
+were decided in closed form by separation._rep_factors: it walks the whole
+orbit of every point of B and keeps the point only when it is the orbit's
+minimum, inserting it into its fiber in sorted order.  The two must agree on every
 report field, and the representatives _rep_factors lists must be exactly
 those orbit minima, on every spec with q^n <= 5^5 for p in {2, 3, 5} and
 k <= 2, with blocks in every order.
