@@ -421,15 +421,11 @@ def connecting_degree(n: int) -> int:
     return 2 if n % 2 else 3
 
 
-# The suites are built in suite.py, on top of this module; its public names
-# resolve here too, on first use, as that module imports this one.
-_SUITE_NAMES = {"InvariantSuite", "SuiteEntry", "build_suite", "integral_form",
-                "norm_invariant", "suite_construction_steps"}
-
-
 def __getattr__(name):
-    if name in _SUITE_NAMES:
-        from . import suite
+    # suite.py's public names resolve here too, on first use: it imports
+    # this module, so this one cannot import it at the top
+    from . import suite
+    if name in suite.__all__:
         return getattr(suite, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

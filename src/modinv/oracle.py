@@ -206,14 +206,11 @@ def fixed_point_census(spec: RepresentationSpec, ring: Ring,
     }
 
 
-# The separation scan's public names resolve here too, from separation.py on
-# first use: that module imports this one, so this one cannot import it.
-_SEPARATION_NAMES = {"SeparationReport", "render_separation", "separation_report"}
-
-
 def __getattr__(name):
-    if name in _SEPARATION_NAMES:
-        from . import separation
+    # separation.py's public names resolve here too, on first use: it
+    # imports this module, so this one cannot import it at the top
+    from . import separation
+    if name in separation.__all__:
         return getattr(separation, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
