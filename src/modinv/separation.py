@@ -18,7 +18,6 @@ from .poly import Record
 from .rings import DEFAULT_BUDGET, Ring, check_budget
 from .suite import InvariantSuite
 
-
 _MAX_WITNESS_PAIRS = 10
 # at most this many smallest representatives are retained per fiber: the
 # first fiber alone pairs its first with each of the next _MAX_WITNESS_PAIRS
