@@ -16,7 +16,7 @@ Usage: python3 scripts/separation_survey.py [--primes 5,7] [--max-n 5]
 import argparse
 import sys
 
-from modinv.action import RepresentationSpec, render_point
+from modinv.action import RepresentationSpec, join_point, point_texts
 from modinv.builder import build_suite
 from modinv.oracle import separation_report, verify_orbit_constancy
 from modinv.rings import GF, BudgetExceeded
@@ -55,7 +55,7 @@ def main():
         print(report.render())
         if constancy is not None:
             print(f"constancy   FAILED: {constancy[0]} at "
-                  f"({render_point(field, constancy[1])})")
+                  f"({join_point(point_texts(field, constancy[1]))})")
             varied += 1
         print()
         if report.separated:

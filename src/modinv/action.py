@@ -15,7 +15,7 @@ functions on them take the block sizes and the field alongside the tuple:
 act_raw, orbit_raw, in_b_raw (membership of the open set B where every
 nontrivial block has a nonzero leading coordinate), the orbit
 representative, and the one point renderer: point_texts gives each
-coordinate's text and join_point joins them, as render_point does.
+coordinate's text and join_point joins them.
 """
 
 from collections import namedtuple
@@ -158,11 +158,6 @@ def join_point(texts) -> str:
     if any("," in t for t in texts):
         texts = [f"({t})" for t in texts]
     return ",".join(texts)
-
-
-def render_point(ring: Ring, coords) -> str:
-    """The text of a point: join_point of its point_texts."""
-    return join_point(point_texts(ring, coords))
 
 
 def act_raw(blocks, ring: Ring, coords: tuple) -> tuple:

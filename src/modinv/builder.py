@@ -35,7 +35,7 @@ from functools import lru_cache
 from . import linalg
 from .action import BlockExceedsP
 from .poly import Polynomial, Record, VariableTable, _dense, key_text, product_key
-from .rings import QQ, Ring, coerce
+from .rings import QQ
 
 
 class ParityViolation(Exception):
@@ -257,7 +257,7 @@ class _Steps:
     def _made(self) -> tuple:
         if self._records is None:
             f = self._polynomial
-            ring, terms, zero = f.ring, f._terms, f.ring.zero()
+            terms = f._terms
             records = []
             for d, system in self._passes:
                 family, source, target = _pass_keys(f.table.n, self._degree, d)
@@ -268,8 +268,7 @@ class _Steps:
                     target=_names(target),
                     matrix=_matrix(system),
                     det=system.det,
-                    solution=tuple(ring.render(ring.neg(terms.get(_poly_key(e), zero)))
-                                   for e in source),
+                    solution=tuple(str(-terms.get(_poly_key(e), 0)) for e in source),
                 ))
             self._records = tuple(records)
             self._passes = self._polynomial = None
@@ -323,7 +322,7 @@ def _system(source, target) -> linalg.IntegerSystem:
     return linalg.IntegerSystem(_delta_matrix(source, target), len(source))
 
 
-def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInvariant:
+def construct_connecting(n: int, degree: int) -> ConnectingInvariant:
     """Run the elimination loop for a single block of size n.
 
     Starting from the leading monomial, each pass cancels the top weight
@@ -340,19 +339,15 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
     R <- scale*R - delta(sum y_i m_i) and D <- scale*D; only delta of the
     few-term correction is computed.  Each pass's monomials lie one weight
     above its residual, below every earlier pass's, so t's coefficients are
-    just the negated solutions.  Over F_p every integer is reduced mod p,
-    and a scale divisible by p has no unique solution.  Monomials are
-    sparse keys throughout; the Polynomial is built once, at the end.  A
-    pass keeps only what its step record is made from, and the records are
-    made when steps is first read (_Steps).
+    just the negated solutions.  Monomials are sparse keys throughout; the
+    Polynomial is built once, at the end.  A pass keeps only what its step
+    record is made from, and the records are made when steps is first read
+    (_Steps).
     """
     if degree not in (2, 3):
         raise ValueError("degree must be 2 or 3")
     if n < 2:
         raise ValueError("n must be at least 2")
-    if not ring.is_field:
-        raise ValueError("construction needs a field (use integral_form for Z output)")
-    p = ring.characteristic
     lead = (1, n) if degree == 2 else (1, 1, n)
 
     def subtract_delta(key, c, below):
@@ -361,8 +356,6 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
             if w < below:
                 part = residual.setdefault(w, {})
                 v = part.get(e, 0) - c * k
-                if p:
-                    v %= p
                 if v:
                     part[e] = v
                 else:
@@ -370,7 +363,7 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
                     if not part:
                         del residual[w]
 
-    terms = {lead: ring.one()}
+    terms = {lead: Fraction(1)}
     denominator = 1
     residual = {}                       # weight -> {key: int}
     subtract_delta(lead, -1, n + degree - 1)
@@ -389,23 +382,23 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
             raise AssertionError("residual outside the target span")
         try:
             system = _system(source, target)
-            y = system.solve(rhs, p)
+            y = system.solve(rhs)
         except (linalg.InconsistentSystem, linalg.UnderdeterminedSystem) as exc:
             raise NoSolution(
                 f"no invariant {_names((lead,))[0]} + h with h free of x{n}: "
                 f"weight-{top} residual has no unique preimage in {family}_{d}") from exc
-        scale = system.scale % p if p else system.scale
+        scale = system.scale
         if scale != 1:
             for part in residual.values():
                 for e, v in part.items():
-                    part[e] = v * scale % p if p else v * scale
-        denominator = denominator * scale % p if p else denominator * scale
+                    part[e] = v * scale
+        denominator *= scale
         for e, v in zip(source, y):
             if v:
-                terms[e] = ring.neg(coerce(Fraction(v, denominator), QQ, ring))
+                terms[e] = Fraction(-v, denominator)
                 subtract_delta(e, v, top)
         passes.append((d, system))
-    polynomial = Polynomial.from_keys(ring, VariableTable((n,)),
+    polynomial = Polynomial.from_keys(QQ, VariableTable((n,)),
                                       {_poly_key(k): c for k, c in terms.items()})
     return ConnectingInvariant(n, degree, polynomial, _Steps(degree, polynomial, tuple(passes)))
 
@@ -413,7 +406,7 @@ def construct_connecting(n: int, degree: int, ring: Ring = QQ) -> ConnectingInva
 @lru_cache(maxsize=None)
 def _connecting_rational(n: int) -> ConnectingInvariant:
     """Cached rational construction at connecting_degree(n)."""
-    return construct_connecting(n, connecting_degree(n), QQ)
+    return construct_connecting(n, connecting_degree(n))
 
 
 def connecting_degree(n: int) -> int:

@@ -3,8 +3,7 @@
 Solving happens over an arbitrary field ring from modinv.rings.  Integer
 matrices are handled fraction-free (Bareiss), so every intermediate value
 stays in Z: det_int gives a determinant, and IntegerSystem eliminates one
-matrix on its sparse rows once, for repeated exact solves over Q or
-reduced mod p.
+matrix on its sparse rows once, for repeated exact solves over Q.
 """
 
 from .rings import Ring
@@ -162,19 +161,15 @@ class IntegerSystem:
         return tuple(tuple(row.get(j, 0) for j in range(self._ncols))
                      for row in map(dict, self._sparse))
 
-    def solve(self, rhs, modulus: int = 0) -> list:
+    def solve(self, rhs) -> list:
         """y with rows * y == scale * rhs, so that y / scale solves the system.
 
         The forward pass's swaps and row updates are replayed on rhs in the
         order they were made, and y comes from U by fraction-free back
         substitution: y_k = (D*b_k - sum_j U_kj*y_j) / U_kk, every division
-        exact, times the sign of D.  With a modulus the solve runs in
-        Z/modulus: y is reduced, the check holds mod the modulus, and a scale
-        divisible by it raises UnderdeterminedSystem.  Raises
-        InconsistentSystem when rhs is outside the column span.
+        exact, times the sign of D.  Raises InconsistentSystem when rhs is
+        outside the column span.
         """
-        if modulus and self.scale % modulus == 0:
-            raise UnderdeterminedSystem(f"pivot minor {self.scale} vanishes mod {modulus}")
         pivots = self._pivots
         b = list(rhs)
         level = [0] * len(b)
@@ -199,11 +194,8 @@ class IntegerSystem:
             y[k] = s // pivots[k + 1]
         if last < 0:
             y = [-v for v in y]
-        if modulus:
-            y = [v % modulus for v in y]
         for row, b in zip(self._sparse, rhs):
-            r = sum(a * y[j] for j, a in row) - self.scale * b
-            if (r % modulus if modulus else r):
+            if sum(a * y[j] for j, a in row) != self.scale * b:
                 raise InconsistentSystem("rhs outside column span")
         return y
 

@@ -161,14 +161,24 @@ def test_c07_lifting():
 
 
 def test_c08_characteristic_independence():
+    # one rational f_n serves every F_p with p >= n: each of its elimination
+    # steps is invertible mod p, and the fp suite holds its reduction, whose
+    # only term in x_n is the lead x1*x_n (x1^2*x_n) with coefficient 1
     count = 0
     for p in (5, 7, 11, 13):
         field = GF(p)
         for n in range(3, p + 1):
             degree = connecting_degree(n)
-            native = construct_connecting(n, degree, field).polynomial
-            reduced = construct_connecting(n, degree).polynomial.change_ring(field)
-            assert native == reduced, (p, n)
+            ci = construct_connecting(n, degree)
+            for step in ci.steps:
+                assert step.det is not None and step.det % p != 0, (p, n, step.weight)
+            reduced = ci.polynomial.change_ring(field)
+            suite = build_suite(RepresentationSpec(p, (n,)), "fp")
+            (entry,) = [e for e in suite.entries if e.name == f"f{n}"]
+            assert entry.polynomial == reduced, (p, n)
+            lead = [0] * n
+            lead[0], lead[n - 1] = degree - 1, 1
+            assert [(list(e), c) for e, c in reduced.terms() if e[n - 1]] == [(lead, 1)]
             count += 1
     print(f"PASS C8 characteristic independence for {count} (p,n) pairs")
 

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modinv.action import (BlockExceedsP, RepresentationSpec, _binomials,
-                           _sigma_monomial, act_raw, delta, in_b_raw, orbit_raw,
-                           orbit_rep_raw, render_point, sigma)
+                           _sigma_monomial, act_raw, delta, in_b_raw, join_point,
+                           orbit_raw, orbit_rep_raw, point_texts, sigma)
 from modinv.builder import norm_invariant, weight_basis
 from modinv.poly import Polynomial, VariableTable, grlex_key
 from modinv.rings import GF, QQ, ZZ
@@ -192,8 +192,8 @@ def test_orbit_rep_is_shared_by_the_whole_orbit(p, k, blocks):
 
 
 def test_render_point():
-    assert render_point(F5, (1, 2, 3)) == "1,2,3"
-    assert render_point(GF(5, 2), ((1, 0), (2, 3))) == "(1,0),(2,3)"
+    assert join_point(point_texts(F5, (1, 2, 3))) == "1,2,3"
+    assert join_point(point_texts(GF(5, 2), ((1, 0), (2, 3)))) == "(1,0),(2,3)"
 
 
 @given(st.integers(0, 5 ** 4 - 1))

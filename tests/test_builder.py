@@ -290,20 +290,11 @@ def test_construction_is_deterministic():
     assert a.polynomial == b.polynomial and a.steps == b.steps
 
 
-def test_native_prime_field_construction_matches_reduction():
-    for p, n in ((5, 3), (7, 4), (7, 5)):
-        native = construct_connecting(n, connecting_degree(n), GF(p))
-        reduced = construct_connecting(n, connecting_degree(n)).polynomial.change_ring(GF(p))
-        assert native.polynomial == reduced
-
-
 def test_construct_connecting_argument_errors():
     with pytest.raises(ValueError):
         construct_connecting(3, 4)
     with pytest.raises(ValueError):
         construct_connecting(1, 2)
-    with pytest.raises(ValueError):
-        construct_connecting(3, 2, ZZ)
 
 
 # -- integral forms and norms -----------------------------------------------
