@@ -9,28 +9,18 @@ component of delta(t) against a designated space of lower monomials; each
 step solves an integer linear system that is provably invertible, so the
 result is exact over the rationals and reduces to any F_p with p >= n.
 
-The loop runs in integers over one common denominator.  Each system is
-eliminated once, fraction-free and on its sparse rows, which also gives its
-determinant, and every solve replays that elimination on its right-hand
-side (linalg.IntegerSystem).  Inside the loop a
-monomial is a sparse key, the sorted tuple of its 1-based variable indices
-such as (1, n) or (1, 1, n): its weight is sum(key), and delta of a key,
-which does not depend on n, is computed once into a table that every f_m
-shares.  A system likewise depends on its weight and family, not on n, so
-it is solved once and shared by every f_m.  The result Polynomial is built
-on its own sparse keys, one interned key per monomial across all f_m, and
-the public bases keep dense tuples.
-
-The suites themselves, with the norms, the integral forms and the direct
-sums (a block's f_m moved to its offset by shifting variable indices), are
-built in suite.py, whose public names resolve here too.  The split keeps
-each module's compile small: CPython holds a whole module's tokens and
-syntax tree while it compiles it, and every command compiles both.
+The loop runs in integers over one common denominator, and f_m stays as
+those integers; README's "What `construct` costs" has the details.  Inside
+the loop a monomial is the sorted tuple of its 1-based variable indices,
+such as (1, n) or (1, 1, n), and its weight is sum(key).  delta of a key
+and each linear system do not depend on n, so every f_m shares them.  The
+suites are built in suite.py, whose public names resolve here too.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd
 
 from . import linalg
 from .action import BlockExceedsP
@@ -109,8 +99,7 @@ def _delta_key(key) -> tuple:
     sigma fixes x1 and sends every other x_i to x_{i-1} + x_i, so the image
     does not depend on the block size.  It holds the key itself with
     coefficient 1, which delta leaves out, and otherwise only terms of
-    lower weight.  Expanding on index tuples here takes under half the time
-    of action's expansion on Polynomial keys followed by a conversion back.
+    lower weight.
     """
     out = {(): 1}
     for i in key:
@@ -244,9 +233,9 @@ class _Steps:
     """ConnectingInvariant.steps: one EliminationStep per pass, made on first
     access and then kept.  A pass keeps only its weight and system: its keys
     follow from n, the degree and the weight (_pass_keys), and its solution
-    is read back off the polynomial, whose coefficient at each source key is
-    the negated solution (zero where the key is absent).  It indexes,
-    compares and hashes as the tuple of its records, and len() makes none."""
+    is the negated numerators of f_m at its source keys, over f_m's
+    denominator.  It indexes, compares and hashes as the tuple of its
+    records, and len() makes none."""
 
     __slots__ = ("_degree", "_polynomial", "_passes", "_records")
 
@@ -257,7 +246,7 @@ class _Steps:
     def _made(self) -> tuple:
         if self._records is None:
             f = self._polynomial
-            terms = f._terms
+            numerators, denominator = f.numerators, f.denominator
             records = []
             for d, system in self._passes:
                 family, source, target = _pass_keys(f.table.n, self._degree, d)
@@ -268,7 +257,8 @@ class _Steps:
                     target=_names(target),
                     matrix=_matrix(system),
                     det=system.det,
-                    solution=tuple(str(-terms.get(_poly_key(e), 0)) for e in source),
+                    solution=tuple(str(Fraction(-numerators.get(_poly_key(e), 0), denominator))
+                                   for e in source),
                 ))
             self._records = tuple(records)
             self._passes = self._polynomial = None
@@ -315,6 +305,22 @@ def _pass_keys(n: int, degree: int, d: int) -> tuple:
     return family, source, _basis_keys("W" if degree == 2 else "S", d - 1)
 
 
+class _Rational(Polynomial):
+    """f_m over Q as integer numerators, keyed in canonical order, over one
+    denominator, and their gcd with it.  The z and fp suites read these; the
+    Fraction terms are made when first read."""
+
+    def __init__(self, n: int, numerators: dict, denominator: int):
+        self.ring, self.table = QQ, VariableTable((n,))
+        self.numerators, self.denominator = numerators, denominator
+        self.gcd = gcd(denominator, *numerators.values())
+
+    @cached_property
+    def _terms(self) -> dict:
+        d = self.denominator
+        return {k: Fraction(v, d) for k, v in self.numerators.items()}
+
+
 @lru_cache(maxsize=None)
 def _system(source, target) -> linalg.IntegerSystem:
     """The elimination loop's system for source and target keys.  Cached:
@@ -339,10 +345,9 @@ def construct_connecting(n: int, degree: int) -> ConnectingInvariant:
     R <- scale*R - delta(sum y_i m_i) and D <- scale*D; only delta of the
     few-term correction is computed.  Each pass's monomials lie one weight
     above its residual, below every earlier pass's, so t's coefficients are
-    just the negated solutions.  Monomials are sparse keys throughout; the
-    Polynomial is built once, at the end.  A pass keeps only what its step
-    record is made from, and the records are made when steps is first read
-    (_Steps).
+    just the negated solutions over the D of their pass.  f_m is made once,
+    at the end, from the numerators over the last D (_Rational), and makes
+    no Fraction until its terms are read.  Its step records are made when first read (_Steps).
     """
     if degree not in (2, 3):
         raise ValueError("degree must be 2 or 3")
@@ -363,7 +368,7 @@ def construct_connecting(n: int, degree: int) -> ConnectingInvariant:
                     if not part:
                         del residual[w]
 
-    terms = {lead: Fraction(1)}
+    terms = {lead: (1, 1)}              # key -> (numerator, denominator then)
     denominator = 1
     residual = {}                       # weight -> {key: int}
     subtract_delta(lead, -1, n + degree - 1)
@@ -395,11 +400,12 @@ def construct_connecting(n: int, degree: int) -> ConnectingInvariant:
         denominator *= scale
         for e, v in zip(source, y):
             if v:
-                terms[e] = Fraction(-v, denominator)
+                terms[e] = (-v, denominator)
                 subtract_delta(e, v, top)
         passes.append((d, system))
-    polynomial = Polynomial.from_keys(QQ, VariableTable((n,)),
-                                      {_poly_key(k): c for k, c in terms.items()})
+    numerators = dict(sorted(((_poly_key(k), v * (denominator // d))
+                              for k, (v, d) in terms.items()), reverse=True))
+    polynomial = _Rational(n, numerators, denominator)
     return ConnectingInvariant(n, degree, polynomial, _Steps(degree, polynomial, tuple(passes)))
 
 

@@ -1,39 +1,32 @@
-"""Command-line interface.
-
-Three subcommands:
-
-  construct   build the invariant suite for p and a block list
-  verify      re-check a suite by exhaustive enumeration over F_{p^k}
-  export      dump the suite plus the construction's linear algebra as JSON
-
-Exit codes: 0 success, 1 configuration error (a failed write to --out or
-to standard output among them, except a reader that leaves early) or out
-of memory (after any output already written), 2 a failed check under
---strict, 3 enumeration budget exceeded (decided before the suite is
-built).  All output is byte deterministic for a fixed command line.
-verify checks that MODINV_THREADS, when set, is an integer (exit 1
-otherwise); its value changes nothing, as the separation scan runs in this
-process.
+"""Command-line interface: construct, verify and export.  README's "CLI"
+section has their options and the exit codes; all output is byte
+deterministic for a fixed command line.
 
 Output is written as it is rendered: construct and export write each suite
 entry, and each construction record, as soon as it is made, so no command
 holds its whole document.  JSON comes from _json_chunks, which gives the
-text json.dumps(sort_keys=True, indent=2) would, in pieces.  Only verify
-imports the verifier (oracle.py and separation.py): its first run binds the
-three checks it calls into this module's names, unless they are bound
-already, so construct and export never compile it, and perfbench/tracer.py
-can still wrap the library calls below through this module's names.  Only
-verify --k 2 and up compiles the F_{p^k} code (extension.py, through GF).
+text json.dumps(sort_keys=True, indent=2) would, in pieces.  A suite term
+goes from its key and coefficient text to output in one step
+(Polynomial.term_texts, poly.json_terms), and the z and fp coefficients
+come straight from the builder's integers: only a q suite makes Fractions.
+Only verify imports the verifier (oracle.py and separation.py): its first
+run binds the three checks it calls into this module's names, unless they
+are bound already, so construct and export never compile it, and
+perfbench/tracer.py can still wrap the library calls below through this
+module's names.  Only verify --k 2 and up compiles the F_{p^k} code
+(extension.py, through GF).
 """
 
 import argparse
 import os
 import sys
+from functools import partial
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .action import BlockExceedsP, RepresentationSpec, join_point, point_texts
+from .poly import Polynomial, json_terms
 from .rings import DEFAULT_BUDGET, GF, BoundExceeded, BudgetExceeded, check_budget
-from .suite import SuiteEntry, build_suite, suite_construction_steps
+from .suite import build_suite, suite_construction_steps
 
 
 class ConfigError(Exception):
@@ -90,12 +83,13 @@ def _json_chunks(data):
     byte, in pieces.
 
     Dicts and maps are walked item by item, and a map is written as a list
-    whose items are made only when they are reached.  A list of dicts, such
-    as a polynomial's terms, is written one item at a time, each whole.
-    json.dumps has a C encoder only for indent=None; this writer takes
-    about half the pure-Python encoder's time.  It accepts exactly what the
-    commands write: dicts with string keys, maps, lists, tuples, strings,
-    ints, bools and None (exact types, not subclasses).
+    whose items are made only when they are reached.  A partial writes
+    itself: called with the newline of its indent, it yields its text, as
+    poly.json_terms does.  json.dumps has a C encoder only for indent=None;
+    this writer takes about half the pure-Python encoder's time.  It accepts
+    exactly what the commands write: dicts with string keys, maps, lists,
+    tuples, strings, ints, bools, None (exact types, not subclasses) and
+    such partials.
     """
     yield from _json_parts(data, "\n")
     yield "\n"
@@ -103,11 +97,14 @@ def _json_chunks(data):
 
 def _json_parts(v, newline: str):
     t = type(v)
+    if t is partial:
+        yield from v(newline)
+        return
     if t is dict and v:
-        opening, closing, walk = "{", "}", True
+        opening, closing = "{", "}"
         items = ((_json_str(k) + ": ", v[k]) for k in sorted(v))
-    elif t is map or ((t is list or t is tuple) and v and type(v[0]) is dict):
-        opening, closing, walk = "[", "]", t is map
+    elif t is map:
+        opening, closing = "[", "]"
         items = (("", x) for x in v)
     else:
         yield _json_value(v, newline)
@@ -115,11 +112,8 @@ def _json_parts(v, newline: str):
     inner = newline + "  "
     head = opening + inner
     for prefix, x in items:
-        if walk:
-            yield head + prefix
-            yield from _json_parts(x, inner)
-        else:
-            yield head + prefix + _json_value(x, inner)
+        yield head + prefix
+        yield from _json_parts(x, inner)
         head = "," + inner
     yield opening + closing if head[0] == opening else newline + closing
 
@@ -148,11 +142,19 @@ def _json_value(v, newline: str) -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
+def _entry_json(entry) -> dict:
+    """entry.to_json_dict(), with json_terms writing its polynomial's terms."""
+    f = entry.polynomial
+    data = entry._replace(polynomial=Polynomial.zero(f.ring, f.table)).to_json_dict()
+    data["polynomial"]["terms"] = partial(json_terms, f.table.n, f.term_texts())
+    return data
+
+
 def _suite_json(suite) -> dict:
     """suite.to_json_dict(), with each entry's data made only when the
     writer reaches it."""
     return {**suite._replace(entries=()).to_json_dict(),
-            "entries": map(SuiteEntry.to_json_dict, suite.entries)}
+            "entries": map(_entry_json, suite.entries)}
 
 
 def _cmd_construct(ns) -> int:

@@ -1,16 +1,11 @@
 """Sparse multivariate polynomials over the exact coefficient rings.
 
 A VariableTable fixes the block structure and the flat variable order
-x_1 < x_2 < ... < x_n.  A Polynomial maps sparse monomial keys to nonzero
-raw coefficients.  The key of a monomial (grlex_key) is its total degree
-followed by one (index, exponent) pair per variable that occurs, last
-variable first, so a term costs the same in a table of 3 variables or of
-149, and moving a polynomial into a larger table shifts indices instead of
-padding tuples.  The canonical term order is graded lexicographic with the
-*last* variable heaviest, iterated in descending order; it is the order of
-the keys themselves, and the order used for text and JSON serialization.
-The public interface speaks dense exponent tuples: the constructor,
-monomial, terms(), lead_term() and the JSON `exps` lists.
+x_1 < x_2 < ... < x_n.  A Polynomial maps sparse monomial keys (grlex_key)
+to nonzero raw coefficients.  Descending key order is the canonical term
+order, graded lexicographic with the *last* variable heaviest, used for
+text and JSON.  The public interface speaks dense exponent tuples: the
+constructor, monomial, terms(), lead_term() and the JSON `exps` lists.
 """
 
 from collections import Counter, namedtuple
@@ -145,8 +140,8 @@ def _dense(n, key) -> list:
 def key_text(table: VariableTable, key) -> str:
     """Name of the monomial with this key, first variable first: 'x1^2*x3'."""
     names = table.names
-    return "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
-                    for i, e in key_powers(key))
+    return "*".join([names[i] if e == 1 else f"{names[i]}^{e}"
+                     for i, e in key_powers(key)])
 
 
 def monomial_text(table: VariableTable, exps) -> str:
@@ -183,6 +178,11 @@ class Polynomial:
         zero = ring.zero()
         for key in [k for k, c in terms.items() if c == zero]:
             del terms[key]
+        return cls.from_nonzero_keys(ring, table, terms)
+
+    @classmethod
+    def from_nonzero_keys(cls, ring, table, terms: dict):
+        """from_keys for terms known to be nonzero: no coefficient is tested."""
         f = cls.__new__(cls)
         f.ring, f.table, f._terms = ring, table, terms
         return f
@@ -357,42 +357,35 @@ class Polynomial:
 
     # -- serialization -------------------------------------------------------
 
+    def term_texts(self):
+        """(key, coefficient text) of each term in canonical order, as
+        render_text, to_json_dict and the CLI's JSON read them."""
+        render, terms = self.ring.render, self._terms
+        return ((k, render(terms[k])) for k in self._sorted_keys())
+
     def render_text(self) -> str:
-        """Human-readable form, canonical term order: 'x1*x3 - 1/2*x2^2 + ...'."""
-        if not self._terms:
-            return "0"
-        ring, table, terms = self.ring, self.table, self._terms
-        one = ring.one()
+        """Human-readable form, canonical term order: 'x1*x3 - 1/2*x2^2 + ...'.
+        A coefficient is negative where its text starts with '-'."""
+        table, one = self.table, self.ring.render(self.ring.one())
         pieces = []
-        for key in self._sorted_keys():
-            c = terms[key]
-            negative = ring.is_negative(c)
-            mag = ring.neg(c) if negative else c
+        for key, text in self.term_texts():
+            negative = text[0] == "-"
+            mag = text[1:] if negative else text
             mono = key_text(table, key)
-            ctext = ring.render(mag)
-            if "," in ctext:
-                ctext = f"({ctext})"
             if mono and mag == one:
                 body = mono
-            elif mono:
-                body = f"{ctext}*{mono}"
             else:
-                body = ctext
-            if not pieces:
-                pieces.append(f"-{body}" if negative else body)
-            else:
-                pieces.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(pieces)
+                body = f"({mag})" if "," in mag else mag
+                body = f"{body}*{mono}" if mono else body
+            sign = ("- " if negative else "+ ") if pieces else "-" if negative else ""
+            pieces.append(sign + body)
+        return " ".join(pieces) if pieces else "0"
 
     def to_json_dict(self) -> dict:
-        ring, n, terms = self.ring, self.table.n, self._terms
-        out = {
-            "ring": ring_code(ring),
-            "p": getattr(ring, "p", None),
-            "blocks": list(self.table.blocks),
-            "terms": [{"coeff": ring.render(terms[k]), "exps": _dense(n, k)}
-                      for k in self._sorted_keys()],
-        }
+        ring, n = self.ring, self.table.n
+        out = {"ring": ring_code(ring), "p": getattr(ring, "p", None),
+               "blocks": list(self.table.blocks),
+               "terms": [{"coeff": t, "exps": _dense(n, k)} for k, t in self.term_texts()]}
         if hasattr(ring, "k"):      # F_{p^k}
             out["k"] = ring.k
         return out
@@ -417,10 +410,31 @@ def embed(f: Polynomial, table: VariableTable, offset: int) -> Polynomial:
     if offset < 0 or offset + f.table.n > table.n:
         raise DimensionMismatch("embedding does not fit in the target table")
     if not offset:
-        return Polynomial.from_keys(f.ring, table, f._terms)
+        return Polynomial.from_nonzero_keys(f.ring, table, f._terms)
     terms = {}
     for key, c in f._terms.items():
         shifted = list(key)
         shifted[1::2] = [i + offset for i in key[1::2]]
         terms[tuple(shifted)] = c
-    return Polynomial.from_keys(f.ring, table, terms)
+    return Polynomial.from_nonzero_keys(f.ring, table, terms)
+
+
+def json_terms(n: int, texts, newline: str):
+    """json.dumps(sort_keys=True, indent=2) of the "terms" list of texts, a
+    term_texts() over n variables, at the indent `newline` opens: one chunk
+    per term, cut from the exponent rows of the constant monomial."""
+    # imported here: importing poly, which every command does first, loads no json
+    from json.encoder import encode_basestring_ascii as quoted
+    inner = newline + "  "
+    field, row = inner + "  ", "," + inner + "    "
+    zeros, step = row.join(["0"] * n), len(row) + 1
+    head, tail = "{" + field + '"coeff": ', field + "]" + inner + "}"
+    middle, opening = "," + field + '"exps": [' + row[1:], "[" + inner
+    for key, text in texts:
+        chunk, at = opening + head + quoted(text) + middle, 0
+        for i, e in key_powers(key):
+            chunk += zeros[at:i * step] + str(e)
+            at = i * step + 1
+        yield chunk + zeros[at:] + tail
+        opening = "," + inner
+    yield "[]" if opening[0] == "[" else newline + "]"

@@ -122,10 +122,6 @@ class Ring:
             e >>= 1
         return acc
 
-    def is_negative(self, a) -> bool:
-        """Whether the rendered form carries a leading minus sign."""
-        return False
-
     def render(self, a) -> str:
         return str(a)
 
@@ -153,9 +149,6 @@ class RationalRing(Ring):
             raise DivisionByZero("1/0 over Q")
         return 1 / a
 
-    def is_negative(self, a):
-        return a < 0
-
     def __eq__(self, other):
         return isinstance(other, RationalRing)
 
@@ -171,9 +164,6 @@ class IntegerRing(Ring):
 
     def from_int(self, n):
         return int(n)
-
-    def is_negative(self, a):
-        return a < 0
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)

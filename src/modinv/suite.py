@@ -1,10 +1,5 @@
-"""The invariant suites: norms, integral forms and the blockwise suite.
-
-Per block of size s a suite holds the fixed leading variable, the norm of
-the second variable for s >= 2, and the connecting invariant f_j of
-builder.py for each 3 <= j <= s, moved to the block's offset.  builder
-re-exports every public name of this module.
-"""
+"""The invariant suites: norms, integral forms and the blockwise suite
+(build_suite).  builder re-exports every public name of this module."""
 
 from collections import namedtuple
 from math import lcm
@@ -12,7 +7,7 @@ from math import lcm
 from .action import RepresentationSpec
 from .builder import ConnectingInvariant, _connecting_rational, connecting_degree
 from .poly import Polynomial, Record, VariableTable, embed, ring_code
-from .rings import GF, QQ, ZZ, RationalRing, Ring
+from .rings import GF, QQ, ZZ, DenominatorDivisibleByP, RationalRing, Ring
 
 
 # ---------------------------------------------------------------------------
@@ -26,12 +21,22 @@ def norm_invariant(p: int, ring: Ring, table: VariableTable, offset: int = 0) ->
     Its reduction mod p is invariant; over Q or Z it is the canonical
     integer-coefficient lift of that invariant.
     """
-    lead = [0] * table.n
-    lead[offset], lead[offset + 1] = p - 1, 1
-    pure = [0] * table.n
-    pure[offset + 1] = p
-    terms = {tuple(lead): ring.one(), tuple(pure): ring.neg(ring.one())}
-    return Polynomial(ring, table, terms)
+    one, second = ring.one(), offset + 1
+    return Polynomial.from_nonzero_keys(ring, table, {
+        (p, second, 1, offset, p - 1): one, (p, second, p): ring.neg(one)})
+
+
+def _integral_terms(f, p: int) -> dict:
+    """f_m's terms from its numerators v over D, g = gcd(D, every v): v/g over
+    Z (p = 0), and v/g * (D/g)^-1 over F_p, zeros dropped.  D/g is the lcm of
+    the reduced denominators, so this fails where change_ring would."""
+    g, scale = f.gcd, f.denominator // f.gcd
+    if p and scale % p == 0:
+        raise DenominatorDivisibleByP(f"f{f.table.n} has a denominator divisible by {p}")
+    if not p:
+        return {k: v // g for k, v in f.numerators.items()}
+    inverse = pow(scale, -1, p)
+    return {k: c for k, v in f.numerators.items() if (c := v // g * inverse % p)}
 
 
 def integral_form(f) -> Polynomial:
@@ -42,8 +47,8 @@ def integral_form(f) -> Polynomial:
     if not isinstance(f.ring, RationalRing):
         raise ValueError("integral_form expects a rational polynomial")
     scale = lcm(*(c.denominator for c in f._terms.values()))
-    return Polynomial.from_keys(ZZ, f.table,
-                                {k: (c * scale).numerator for k, c in f._terms.items()})
+    return Polynomial.from_nonzero_keys(
+        ZZ, f.table, {k: (c * scale).numerator for k, c in f._terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +93,9 @@ def build_suite(spec: RepresentationSpec, ring: str = "fp") -> InvariantSuite:
     Per block of size s: the fixed leading variable; for s >= 2 the norm of
     the second variable; for each 3 <= j <= s the connecting invariant f_j.
     ring selects the coefficient domain: "q" (rationals, as constructed),
-    "z" (denominators cleared), or "fp" (reduced mod p).
+    "z" (denominators cleared), or "fp" (reduced mod p).  Over Z and F_p the
+    connecting invariants are read off the construction's integers, and
+    over Q its Fraction terms are made once, when first read.
     """
     if ring not in ("q", "z", "fp"):
         raise ValueError(f"ring must be q, z, or fp, got {ring!r}")
@@ -105,16 +112,13 @@ def build_suite(spec: RepresentationSpec, ring: str = "fp") -> InvariantSuite:
                 f"N({table.names[offset + 1]})", b, spec.p, "norm",
                 norm_invariant(spec.p, target, table, offset)))
         for j in range(3, size + 1):
-            f = embed(_connecting_rational(j).polynomial, table, offset)
-            if ring == "q":
-                poly = f
-            elif ring == "z":
-                poly = integral_form(f)
-            else:
-                poly = f.change_ring(target)
+            f = _connecting_rational(j).polynomial
+            if ring != "q":
+                f = Polynomial.from_nonzero_keys(
+                    target, f.table, _integral_terms(f, target.characteristic))
             entries.append(SuiteEntry(
                 _entry_name(spec, b, j), b, connecting_degree(j),
-                "connecting", poly))
+                "connecting", embed(f, table, offset)))
     return InvariantSuite(spec, target, tuple(entries))
 
 

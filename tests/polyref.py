@@ -117,7 +117,7 @@ def dense_render(ring, table, a):
         return "0"
     pieces = []
     for e, c in dense_terms(a):
-        negative = ring.is_negative(c)
+        negative = not ring.characteristic and c < 0     # Q and Z only
         mag = ring.neg(c) if negative else c
         mono = "*".join(table.names[i] if k == 1 else f"{table.names[i]}^{k}"
                         for i, k in enumerate(e) if k)

@@ -16,7 +16,8 @@ from modinv.builder import (IncompatibleBases, NoSolution, ParityViolation,
                             suite_construction_steps, weight_basis)
 from modinv.linalg import det_int
 from modinv.poly import Polynomial, VariableTable
-from modinv.rings import GF, QQ, ZZ, is_prime
+from modinv.rings import GF, QQ, ZZ, DenominatorDivisibleByP, is_prime
+from modinv.suite import _integral_terms
 from polyref import exps, weight_of
 
 T3 = VariableTable((3,))
@@ -465,6 +466,29 @@ def test_denominators_coprime_to_large_primes(n):
     for q in (11, 13):
         if q >= n:
             assert denominators % q != 0
+
+
+@pytest.mark.parametrize("m", range(3, 42))
+def test_integer_form_gives_the_parents_z_and_fp_coefficients(m):
+    # the z and fp suites read f_m's integer numerators over one denominator;
+    # they agree with integral_form and with change_ring, term by term, of
+    # f_m made from Fractions the old way, for every prime p <= 101
+    f = _connecting_rational(m).polynomial
+    table = f.table
+    numerators = Polynomial.from_nonzero_keys(ZZ, table, f.numerators).terms()
+    q = Polynomial(QQ, table, {e: F(v, f.denominator) for e, v in numerators})
+    assert q == f and f.gcd == gcd(f.denominator, *(v for _, v in numerators))
+    assert Polynomial.from_nonzero_keys(ZZ, table, _integral_terms(f, 0)) == integral_form(q)
+    for p in filter(is_prime, range(2, 102)):
+        # below m as well, where f_m need not reduce: both fail, or neither
+        field = GF(p)
+        try:
+            parent = q.change_ring(field)
+        except DenominatorDivisibleByP:
+            with pytest.raises(DenominatorDivisibleByP):
+                _integral_terms(f, p)
+            continue
+        assert Polynomial.from_nonzero_keys(field, table, _integral_terms(f, p)) == parent, p
 
 
 if __name__ == "__main__":

@@ -1,14 +1,18 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modinv.cli import _json_chunks
 from modinv.poly import (DimensionMismatch, MissingImage, Polynomial,
                          TableMismatch, VariableTable, embed, grlex_key,
-                         key_powers, monomial_text, product_key, ring_code)
+                         json_terms, key_powers, monomial_text, product_key,
+                         ring_code)
 from modinv.rings import GF, QQ, ZZ, Ring, RingMismatch, coerce
 from polyref import (dense_add, dense_change_ring, dense_evaluate, dense_json,
                      dense_mul, dense_neg, dense_pow, dense_render, dense_scale,
@@ -325,6 +329,65 @@ def test_sparse_polynomial_matches_dense_reference(ring, table, seed):
     assert again == f and hash(again) == hash(f)
     assert (f == g) == (a == b)
     assert f != f + Polynomial.monomial(ring, table, (3,) * n)
+
+
+HUGE = 10 ** 18 + 3
+WRITER_TABLES = [VariableTable(b) for b in ((1,), (5,), (2, 1, 3), (29,))]
+WRITER_RINGS = [QQ, ZZ, GF(2), GF(7), GF(HUGE)]
+
+
+@st.composite
+def sparse_polynomials(draw):
+    """A polynomial over Q, Z or F_p on one of the writer tables: a few
+    terms, each reading a few variables, with exponents up to 10^18 + 3."""
+    ring = draw(st.sampled_from(WRITER_RINGS))
+    table = draw(st.sampled_from(WRITER_TABLES))
+    n = table.n
+    exponent = st.one_of(st.integers(1, 3), st.just(HUGE))
+    monomial = st.dictionaries(st.integers(0, n - 1), exponent, max_size=3).map(
+        lambda powers: tuple(powers.get(i, 0) for i in range(n)))
+    if ring is QQ:
+        coeff = st.fractions(max_denominator=12).filter(bool) | st.just(F(-1))
+    elif ring is ZZ:
+        coeff = st.integers(-HUGE, HUGE).filter(bool) | st.sampled_from([1, -1])
+    else:
+        coeff = st.integers(1, ring.p - 1)
+    return Polynomial(ring, table, draw(st.dictionaries(monomial, coeff, max_size=6)))
+
+
+def written(f, depth):
+    """f's JSON as the CLI writes it, with its terms from json_terms, nested
+    `depth` levels deep, and what json.dumps gives for the same document."""
+    data = f.to_json_dict()
+    lazy = {**data, "terms": partial(json_terms, f.table.n, f.term_texts())}
+    for _ in range(depth):      # a list the writer walks is a map, as suite entries are
+        data, lazy = {"entry": [data]}, {"entry": map(dict, [lazy])}
+    return "".join(_json_chunks(lazy)), json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_polynomials(), st.integers(0, 2))
+@example(Polynomial.zero(QQ, VariableTable((5,))), 0)
+@example(Polynomial.constant(ZZ, VariableTable((1,)), -4), 1)
+@example(Polynomial(GF(7), VariableTable((29,)), {(0,) * 28 + (HUGE,): 3,
+                                                  (HUGE,) + (0,) * 28: 1}), 2)
+def test_terms_writer_matches_json_dumps_and_render_matches_dense(f, depth):
+    # one document from the template writer, byte for byte json.dumps of
+    # to_json_dict; render_text, made from the same term texts, is the
+    # dense reference's rendering
+    ours, reference = written(f, depth)
+    assert ours == reference
+    assert f.render_text() == dense_render(f.ring, f.table, dict(f.terms()))
+    if not f:
+        assert f.to_json_dict()["terms"] == []
+
+
+def test_terms_writer_chunks_one_term_at_a_time():
+    f = Polynomial(ZZ, T3, {(1, 0, 1): 2, (0, 2, 0): -1, (0, 0, 0): 5})
+    chunks = list(json_terms(3, f.term_texts(), "\n"))
+    assert len(chunks) == 4 and chunks[-1] == "\n]"
+    assert "".join(chunks) == json.dumps(f.to_json_dict()["terms"], indent=2)
+    assert list(json_terms(3, iter(()), "\n  ")) == ["[]"]
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 101])

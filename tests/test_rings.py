@@ -28,7 +28,7 @@ def test_prime_field_examples():
 def test_rational_examples():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert QQ.inv(Fraction(2)) == Fraction(1, 2)
-    assert QQ.is_negative(Fraction(-1, 2))
+    assert QQ.render(QQ.neg(Fraction(1, 2))) == "-1/2"
 
 
 def test_integers_refuse_division():
@@ -357,8 +357,10 @@ def test_render():
     assert F5.render(3) == "3"
     assert GF(5, 2).render((3, 1)) == "3,1"
     assert ZZ.render(-3) == "-3"
-    assert ZZ.is_negative(-1)
-    assert not F5.is_negative(4) and not GF(5, 2).is_negative((4, 4))
+    # a coefficient is negative where its text starts with "-"; no finite
+    # field element's does
+    assert ZZ.render(ZZ.neg(1)) == "-1"
+    assert F5.render(F5.neg(1)) == "4" and GF(5, 2).render(GF(5, 2).neg((1, 1))) == "4,4"
 
 
 def test_coerce_paths():
