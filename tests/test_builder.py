@@ -469,10 +469,10 @@ def test_denominators_coprime_to_large_primes(n):
 
 
 @pytest.mark.parametrize("m", range(3, 42))
-def test_integer_form_gives_the_parents_z_and_fp_coefficients(m):
+def test_integer_form_matches_integral_form_and_change_ring(m):
     # the z and fp suites read f_m's integer numerators over one denominator;
     # they agree with integral_form and with change_ring, term by term, of
-    # f_m made from Fractions the old way, for every prime p <= 101
+    # f_m made from one Fraction per term, for every prime p <= 101
     f = _connecting_rational(m).polynomial
     table = f.table
     numerators = Polynomial.from_nonzero_keys(ZZ, table, f.numerators).terms()
@@ -483,12 +483,12 @@ def test_integer_form_gives_the_parents_z_and_fp_coefficients(m):
         # below m as well, where f_m need not reduce: both fail, or neither
         field = GF(p)
         try:
-            parent = q.change_ring(field)
+            reduced = q.change_ring(field)
         except DenominatorDivisibleByP:
             with pytest.raises(DenominatorDivisibleByP):
                 _integral_terms(f, p)
             continue
-        assert Polynomial.from_nonzero_keys(field, table, _integral_terms(f, p)) == parent, p
+        assert Polynomial.from_nonzero_keys(field, table, _integral_terms(f, p)) == reduced, p
 
 
 if __name__ == "__main__":
