@@ -7,8 +7,9 @@ temporary directory.  For every workload and seed, `perfbench/run.py
 goes first alternates from pair to pair, so drift on the host falls on both
 sides alike.  The output file records, per workload, the seeds and each
 side's final JSON line for every pair; per metric, each side's median and
-the distance between its quartiles, and the pairs the change won; and the
-line count of src/modinv on each side.  Only the standard library is used.
+the distance between its quartiles, the median paired difference (change
+minus parent) and the pairs the change won; and the line count of
+src/modinv on each side.  Only the standard library is used.
 
 Every workload in BENCHMARK.json runs for its `run_seconds`, in 10
 pairs, comparing REV against HEAD.
@@ -72,8 +73,10 @@ def iqr(values) -> float:
 
 
 def summarize(runs, better) -> dict:
-    """Per end-to-end metric: each side's median and quartile distance, and
-    the pairs won by the change (ties count for neither side)."""
+    """Per end-to-end metric: each side's median and quartile distance, the
+    median over the pairs of change minus parent, and the pairs won by the
+    change (ties count for neither side).  The paired difference shows a
+    steady change that drift of the host across pairs hides in the medians."""
     out = {}
     for name, direction in better.items():
         parent = [r["parent"]["metrics"][name]["value"] for r in runs]
@@ -84,6 +87,8 @@ def summarize(runs, better) -> dict:
                      "change_median": statistics.median(change),
                      "parent_iqr": iqr(parent),
                      "change_iqr": iqr(change),
+                     "median_paired_difference": statistics.median(
+                         c - p for p, c in zip(parent, change)),
                      "pairs_won": won}
     return out
 

@@ -119,7 +119,6 @@ class ExtensionField(Ring):
         self.characteristic = p
         self.order = p ** k
         self._zero = (0,) * k
-        self._elements = None
         self._log = self._exp = self._zech = None
 
     def encode(self, a) -> int:
@@ -288,10 +287,8 @@ class ExtensionField(Ring):
         return ",".join(str(c) for c in a)
 
     def elements(self):
-        # tuple-lexicographic order, the order of codes, built once
-        if self._elements is None:
-            self._elements = tuple(itertools.product(range(self.p), repeat=self.k))
-        return self._elements
+        # tuple-lexicographic order, the order of codes
+        return tuple(itertools.product(range(self.p), repeat=self.k))
 
     def __eq__(self, other):
         return (isinstance(other, ExtensionField) and other.p == self.p

@@ -1,20 +1,18 @@
-"""Brute-force verification over small finite fields.
+"""Verification over small finite fields.
 
-Everything here is an independent check on the symbolic construction:
-suites are re-evaluated over an exhaustively enumerated field and compared
-along the group action, and separation is decided by comparing invariant
-fibers against the orbits inside the open set B where every nontrivial
-block has a nonzero leading coordinate.  Every entry point checks q^n, the
-size of the whole space, against an explicit budget before starting.
+Constancy and separation are independent checks on the symbolic
+construction over an exhaustively enumerated field: suites are compared
+along the group action, and separation compares invariant fibers with the
+orbits inside the open set B where every nontrivial block has a nonzero
+leading coordinate.  Lifting is certified from the terms of the builder's
+f_n over Q.  Every entry point checks q^n, the size of the whole space,
+against an explicit budget before starting.
 
-README.md, "What `verify` costs", describes how the checks compute: on int
-codes (ring.encode), over the coordinates each polynomial reads, through
-value tables built one slab of first coordinates at a time, and what
-constancy (on delta f), separation and lifting each scan.  This module
-holds the value tables, constancy, lifting and the census; the separation
-scan is in separation.py, which reads the tables from here.  They are two
-modules so that no one compile holds both: CPython keeps a whole module's
-tokens and syntax tree while it compiles it.
+README.md, "What `verify` costs", describes how each check computes.  This
+module holds the value tables, constancy, lifting and the census; the
+separation scan is in separation.py, which reads the tables from here.
+They are two modules so that no one compile holds both: CPython keeps a
+whole module's tokens and syntax tree while it compiles it.
 """
 
 import itertools
@@ -142,12 +140,11 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
     in the last coordinate once the leading coordinate is nonzero.
 
     This is the step that lets separating sets grow one variable at a time.
-    Returns None, or a pair of points agreeing except in the last coordinate
-    on which the invariant collides.  When one term of the invariant over
-    ring reads x_n, linearly and beside no coordinate but x1, the invariant
-    is c*x1^j*x_n + h(x1..x_{n-1}), a bijection of x_n wherever x1 != 0, and
-    None is returned from the terms alone, as for every f_n; otherwise the
-    invariant is tabulated.
+    It is decided on the builder's integer form of f_n over Q: when exactly
+    one term reads x_n, and that term is x1^e*x_n with coefficient 1 (its
+    numerator is the denominator), f_n is x1^e*x_n + h(x1..x_{n-1}) over
+    every field of characteristic p >= n, a bijection of x_n wherever
+    x1 != 0, and None is returned.  Any other f_n raises AssertionError.
     """
     if n < 3:
         raise ValueError("connecting invariants start at block size 3")
@@ -156,28 +153,14 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
     if n > ring.characteristic:
         raise ValueError("block size exceeds p")
     check_budget(ring.order, n, budget)
-    terms = _connecting_rational(n).polynomial.change_ring(ring).terms()
-    reading = [exps for exps, _ in terms if exps[-1]]
-    if len(reading) == 1 and reading[0][-1] == 1 and not any(reading[0][1:-1]):
-        return None
-    # the grid spans the whole block, so terms keep every exponent
-    terms = [(ring.encode(c), exps) for exps, c in terms]
-    q = ring.order
-    for slab in _slabs(range(1, q), q ** (n - 1)):
-        grid = [slab] + [range(q)] * (n - 1)
-        values = _table(ring, terms, grid)
-        for start in range(0, len(values), q):
-            row = values[start:start + q]
-            if len(set(row)) == q:
-                continue
-            seen = {}
-            for last, val in enumerate(row):
-                if val in seen:
-                    groups = [[column] for column in grid]
-                    return (_point(ring, groups, start + seen[val]),
-                            _point(ring, groups, start + last))
-                seen[val] = last
-    return None
+    f = _connecting_rational(n).polynomial
+    # a key lists its variables last first, so it reads x_n when its first
+    # index is n - 1; x1^e*x_n has the key (e + 1, n - 1, 1, 0, e)
+    reading = [key for key in f.numerators if key[1:2] == (n - 1,)]
+    if not (len(reading) == 1 and reading[0][2:] in ((1,), (1, 0, reading[0][0] - 1))
+            and f.numerators[reading[0]] == f.denominator):
+        raise AssertionError(f"f_{n} is not x1^e*x{n} + h(x1..x{n - 1}): "
+                             "its lifting is not certified")
 
 
 def fixed_point_census(spec: RepresentationSpec, ring: Ring,

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import io
 import json
@@ -725,3 +726,115 @@ def test_no_module_compile_peaks_above_its_bound(tmp_path, argv, bound_kib):
     code, peak_kib = map(int, proc.stdout.split())
     assert code == 0 and peak_kib < bound_kib
     assert list(cache.iterdir()) == []
+
+
+# Fraction objects made in a child process, counted at Fraction.__new__:
+# verify certifies lifting on the builder's integers, so only a q suite
+# makes Fractions
+FRACTIONS_MADE = """\
+import fractions, os, sys
+made = []
+new = fractions.Fraction.__new__
+def counted(cls, *args, **kwargs):
+    made.append(args)
+    return new(cls, *args, **kwargs)
+fractions.Fraction.__new__ = counted
+from modinv.cli import main
+code = main(sys.argv[1:] + ["--out", os.devnull])
+print(code, len(made))
+"""
+
+
+@pytest.mark.parametrize("argv,makes", [
+    ("verify --p 11 --blocks 5", False),
+    ("verify --p 3 --blocks 3,2 --k 2", False),
+    ("construct --p 5 --blocks 3 --ring q", True),
+])
+def test_only_a_q_suite_makes_fractions(argv, makes):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FRACTIONS_MADE, *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, made = proc.stdout.split()
+    assert code == "0" and (int(made) > 0) == makes, made
+
+
+# Values for the argv property test: each flag takes a plain value three
+# times in four, else an odd one: zero, negative, huge, empty, non-integer,
+# non-ASCII digits (int() reads ３ and ٣ as 3) or underscores.  Budgets stay
+# small, and no valid p is both huge and followed by a huge valid block, so
+# every drawn command ends in well under a second.
+ODD_VALUES = ["0", "-1", "-7", "1_0", "３", "٣", "", "x", "1.5", " 2",
+              "99999999999999999999999999"]
+PLAIN_VALUES = {
+    "--p": ["2", "3", "5", "7", "1000000000000000003"],
+    "--blocks": ["1", "2", "3", "5"],
+    "--k": ["1", "2", "3"],
+    "--budget": ["100", "10000"],
+    "--ring": ["q", "z", "fp"],
+    "--format": ["text", "json"],
+    "--out": [os.devnull],
+}
+ODD_FLAG_VALUES = {
+    "--p": ["4", *ODD_VALUES],
+    "--blocks": ODD_VALUES,
+    "--k": ["100000", *ODD_VALUES],
+    "--budget": ["0", "-5", "1_000", "２０", "", "x"],
+    "--ring": ["r", ""],
+    "--format": ["xml", ""],
+    "--out": ["", os.path.join(os.devnull, "x")],
+}
+OPTIONAL_FLAGS = {"construct": ["--ring", "--format", "--out"],
+                  "verify": ["--k", "--strict", "--format", "--out"],
+                  "export": ["--ring", "--out"]}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["construct", "verify", "export"]) if draw(st.integers(0, 7))
+                   else st.sampled_from(["bogus", ""]))
+    names = ["--p", "--blocks"] + ["--budget"] * (command == "verify")
+    names = [n for n in names if draw(st.integers(0, 7))]      # now and then missing
+    names += draw(st.lists(st.sampled_from(OPTIONAL_FLAGS.get(command, ["--k"])),
+                           max_size=3, unique=True))
+    if not draw(st.integers(0, 7)):                             # now and then foreign
+        names.append(draw(st.sampled_from([*PLAIN_VALUES, "--strict", "--bogus"])))
+    argv = [command] if command else []
+    for name in draw(st.permutations(sorted(set(names)))):
+        argv.append(name)
+        if name == "--blocks":
+            argv.append(",".join(draw(st.lists(st.sampled_from(
+                PLAIN_VALUES[name] * 5 + ODD_FLAG_VALUES[name]), min_size=1, max_size=3))))
+        elif name in PLAIN_VALUES:
+            argv.append(draw(st.sampled_from(PLAIN_VALUES[name]) if draw(st.integers(0, 3))
+                             else st.sampled_from(ODD_FLAG_VALUES[name])))
+        elif name == "--bogus":
+            argv.append("1")
+    return argv, draw(st.sampled_from(["1", "2", "1", "2", "0", "abc", ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_every_command_line_ends_in_a_documented_exit(case):
+    argv, threads = case
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.get("MODINV_THREADS")
+    os.environ["MODINV_THREADS"] = threads
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        if saved is None:
+            del os.environ["MODINV_THREADS"]
+        else:
+            os.environ["MODINV_THREADS"] = saved
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    else:
+        assert not lines, (argv, lines)

@@ -1,16 +1,19 @@
-"""The large builder outputs are the same bytes on every supported CPython.
+"""Every golden CLI output is the same bytes on every supported CPython.
 
 The five `cli_digest` cases of golden_outputs.json are the `construct` and
 `export` outputs whose coefficients and JSON text are rendered straight
 from the builder's integers, which is where interpreters could differ: in
-str() of a Fraction, repr() of an int or pow(x, -1, p).  Each other CPython
-3.10-3.13 that pyenv has installed (under $PYENV_ROOT, by default
-~/.pyenv) runs all five through cli.main in one child process, under
+str() of a Fraction, repr() of an int or pow(x, -1, p).  The 46 `cli`
+cases are the `verify` reports, with their lifting lines, and small
+`construct` and `export` runs, each under its MODINV_THREADS.  Each other
+CPython 3.10-3.13 that pyenv has installed (under $PYENV_ROOT, by default
+~/.pyenv) runs all of them through cli.main in one child process, under
 PYTHONHASHSEED 0 or 12345 in turn, and reports each output's sha256, byte
 length and exit code.  An interpreter that is not installed is skipped;
 test_golden.py checks the running one.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -21,12 +24,19 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
-CASES = json.loads((TESTS / "golden_outputs.json").read_text())["cli_digest"]
+GOLDEN = json.loads((TESTS / "golden_outputs.json").read_text())
+# (argv, MODINV_THREADS, [exit code, stdout sha256, stdout bytes])
+CASES = [(c["argv"], "1", [c["exit"], c["sha256"], c["bytes"]])
+         for c in GOLDEN["cli_digest"]]
+CASES += [(c["argv"], str(c["threads"]),
+           [c["exit"], hashlib.sha256(c["stdout"].encode()).hexdigest(),
+            len(c["stdout"].encode())])
+          for c in GOLDEN["cli"]]
 VERSIONS = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
 OTHERS = [minor for minor in range(10, 14) if minor != sys.version_info.minor]
 
 CHILD = """\
-import hashlib, json, sys
+import hashlib, json, os, sys
 from modinv import cli
 
 class Digest:
@@ -40,7 +50,8 @@ class Digest:
         pass
 
 results, stdout = [], sys.stdout
-for argv in json.loads(sys.argv[1]):
+for argv, threads in json.loads(sys.argv[1]):
+    os.environ["MODINV_THREADS"] = threads
     sys.stdout = out = Digest()
     code = cli.main(argv)
     sys.stdout = stdout
@@ -64,7 +75,8 @@ def test_golden_digests_on_other_interpreters(minor):
     seed = ("0", "12345")[OTHERS.index(minor) % 2]
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed,
                PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([str(python), "-c", CHILD, json.dumps([c["argv"] for c in CASES])],
+    argv = json.dumps([[argv, threads] for argv, threads, _ in CASES])
+    proc = subprocess.run([str(python), "-c", CHILD, argv],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[c["exit"], c["sha256"], c["bytes"]] for c in CASES]
+    assert json.loads(proc.stdout) == [expected for _, _, expected in CASES]

@@ -5,10 +5,10 @@ import pytest
 
 from modinv import oracle
 from modinv.action import RepresentationSpec, orbit_rep_raw
-from modinv.builder import build_suite
+from modinv.builder import _Rational, build_suite, connecting_degree
 from modinv.oracle import (fixed_point_census, separation_report, verify_lifting,
                            verify_orbit_constancy)
-from modinv.poly import Polynomial
+from modinv.poly import Polynomial, product_key
 from modinv.rings import DEFAULT_BUDGET, GF, QQ, BudgetExceeded
 
 
@@ -196,6 +196,37 @@ def test_lifting_holds_in_range():
     assert verify_lifting(3, GF(5)) is None
     assert verify_lifting(4, GF(5)) is None
     assert verify_lifting(3, GF(3, 2)) is None
+
+
+def doctored_connecting(n, changes):
+    """f_n plus the monomials with these keys, each times its coefficient,
+    in the builder's integer form; terms that cancel are dropped."""
+    connecting = oracle._connecting_rational(n)
+    f = connecting.polynomial
+    numerators = dict(f.numerators)
+    for key, times in changes.items():
+        numerators[key] = numerators.get(key, 0) + times * f.denominator
+    numerators = {k: v for k, v in numerators.items() if v}
+    return connecting._replace(polynomial=_Rational(n, numerators, f.denominator))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_lifting_refuses_other_terms_in_the_last_coordinate(monkeypatch, n):
+    # f_n + x_n^2 and f_n + x2*x_n collide in x_n for some prefix.  With
+    # its lead doubled f_n is still a bijection over F_7, but the
+    # certificate asks for coefficient 1, a unit in every field.  Without
+    # its lead f_n does not read x_n, and with x2^e*x_n in its place it
+    # collides where x2 = 0
+    e = connecting_degree(n) - 1
+    lead = product_key([0] * e + [n - 1])
+    for changes in ({product_key((n - 1, n - 1)): 1}, {product_key((1, n - 1)): 1},
+                    {lead: 1}, {lead: -1}, {lead: -1, product_key([1] * e + [n - 1]): 1}):
+        doctored = doctored_connecting(n, changes)
+        monkeypatch.setattr(oracle, "_connecting_rational", lambda _: doctored)
+        with pytest.raises(AssertionError, match=f"f_{n} is not"):
+            verify_lifting(n, GF(7))
+        monkeypatch.undo()
+    assert verify_lifting(n, GF(7)) is None
 
 
 def test_lifting_argument_errors():

@@ -84,8 +84,11 @@ def test_bench_pairs_summary_records_quartile_distances():
     assert abs(wall["parent_iqr"] - (1.325 - 1.075)) < 1e-12
     assert abs(wall["change_iqr"] - (1.25 - 1.0)) < 1e-12
     assert wall["pairs_won"] == 7       # two ties count for neither side
+    # change minus parent, sorted: -0.2 -0.2, five of -0.1, 0 0 0.1
+    assert abs(wall["median_paired_difference"] + 0.1) < 1e-12
     rss = summary["peak_rss_mib"]
     assert (rss["parent_iqr"], rss["change_iqr"], rss["pairs_won"]) == (0.0, 5.5, 0)
+    assert rss["median_paired_difference"] == 4.5
 
 
 def test_compare_outputs_runs_two_commands(monkeypatch, capsys):
