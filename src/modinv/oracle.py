@@ -157,7 +157,7 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
     # a key lists its variables last first, so it reads x_n when its first
     # index is n - 1; x1^e*x_n has the key (e + 1, n - 1, 1, 0, e)
     reading = [key for key in f.numerators if key[1:2] == (n - 1,)]
-    if not (len(reading) == 1 and reading[0][2:] in ((1,), (1, 0, reading[0][0] - 1))
+    if not (len(reading) == 1 and reading[0][2:] == (1, 0, reading[0][0] - 1)
             and f.numerators[reading[0]] == f.denominator):
         raise AssertionError(f"f_{n} is not x1^e*x{n} + h(x1..x{n - 1}): "
                              "its lifting is not certified")
