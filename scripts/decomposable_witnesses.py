@@ -19,7 +19,7 @@ Usage: python3 scripts/decomposable_witnesses.py [--p 5] [--k 1]
 import argparse
 import sys
 
-from modinv.action import RepresentationSpec, delta, orbit_rep_raw
+from modinv.action import RepresentationSpec, delta, orbit_raw
 from modinv.builder import SuiteEntry, build_suite
 from modinv.oracle import separation_report
 from modinv.poly import Polynomial
@@ -53,8 +53,8 @@ def main():
         values_v = tuple(e.polynomial.evaluate_raw(v, field) for e in suite.entries)
         values_w = tuple(e.polynomial.evaluate_raw(w, field) for e in suite.entries)
         print("first witness pair, checked directly:")
-        print(f"  orbit reps   {orbit_rep_raw(spec.blocks, field, v)}"
-              f" vs {orbit_rep_raw(spec.blocks, field, w)}")
+        print(f"  orbit reps   {min(orbit_raw(spec.blocks, field, v))}"
+              f" vs {min(orbit_raw(spec.blocks, field, w))}")
         print(f"  value tuples {values_v} == {values_w}: {values_v == values_w}")
         print()
 

@@ -18,18 +18,17 @@ __all__ = [
     "GF", "InvariantSuite", "NoSolution", "Polynomial", "PrimeField", "QQ",
     "RepresentationSpec", "SeparationReport", "SuiteEntry", "VariableTable",
     "WeightSpaceBasis", "ZZ", "build_suite", "construct_connecting", "delta",
-    "find_irreducible", "fixed_point_census", "integral_form", "norm_invariant",
-    "restricted_delta_matrix", "separation_report", "sigma",
-    "verify_lifting", "verify_orbit_constancy", "weight_basis", "__version__",
+    "find_irreducible", "integral_form", "norm_invariant",
+    "restricted_delta_matrix", "separation_report", "sigma", "verify_lifting",
+    "verify_orbit_constancy", "weight_basis", "__version__",
 ]
 
 # Names imported from their module on first use (PEP 562), so that construct
 # and export never compile the verifier, and only k >= 2 compiles F_{p^k}.
 _LAZY = {
-    "fixed_point_census": "oracle", "verify_lifting": "oracle",
-    "verify_orbit_constancy": "oracle", "SeparationReport": "separation",
-    "separation_report": "separation", "ExtensionField": "extension",
-    "find_irreducible": "extension",
+    "verify_lifting": "oracle", "verify_orbit_constancy": "oracle",
+    "SeparationReport": "separation", "separation_report": "separation",
+    "ExtensionField": "extension", "find_irreducible": "extension",
 }
 
 

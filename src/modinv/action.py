@@ -13,16 +13,16 @@ coefficient.
 Points are plain tuples of raw field values, one per variable, and the
 functions on them take the block sizes and the field alongside the tuple:
 act_raw, orbit_raw, in_b_raw (membership of the open set B where every
-nontrivial block has a nonzero leading coordinate), the orbit
-representative, and the one point renderer: point_texts gives each
-coordinate's text and join_point joins them.
+nontrivial block has a nonzero leading coordinate), and the one point
+renderer: point_texts gives each coordinate's text and join_point joins
+them.
 """
 
 from collections import namedtuple
 from functools import cached_property
 from math import comb
 
-from .poly import Polynomial, Record, VariableTable, key_powers
+from .poly import Polynomial, Record, VariableTable, block_sizes, key_powers
 from .rings import Ring, is_prime
 
 
@@ -36,7 +36,7 @@ class RepresentationSpec(Record, namedtuple("RepresentationSpec", "p blocks")):
     def __new__(cls, p, blocks):
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        blocks = tuple(int(s) for s in blocks)
+        blocks = block_sizes(blocks)
         if not blocks:
             raise ValueError("at least one block is required")
         for s in blocks:
@@ -190,8 +190,3 @@ def in_b_raw(blocks, ring: Ring, coords: tuple) -> bool:
             return False
         offset += size
     return True
-
-
-def orbit_rep_raw(blocks, ring: Ring, coords: tuple) -> tuple:
-    """Canonical representative: the lexicographically smallest orbit point."""
-    return min(orbit_raw(blocks, ring, coords))

@@ -4,21 +4,20 @@ Constancy and separation are independent checks on the symbolic
 construction over an exhaustively enumerated field: suites are compared
 along the group action, and separation compares invariant fibers with the
 orbits inside the open set B where every nontrivial block has a nonzero
-leading coordinate.  Lifting is certified from the terms of the builder's
-f_n over Q.  Every entry point checks q^n, the size of the whole space,
-against an explicit budget before starting.
+leading coordinate.  Both check q^n, the size of the whole space, against
+an explicit budget before starting.  Lifting visits no point: it is
+certified from the terms of the builder's f_n over Q.
 
 README.md, "What `verify` costs", describes how each check computes.  This
-module holds the value tables, constancy, lifting and the census; the
-separation scan is in separation.py, which reads the tables from here.
-They are two modules so that no one compile holds both: CPython keeps a
-whole module's tokens and syntax tree while it compiles it.
+module holds the value tables, constancy and lifting; the separation scan
+is in separation.py, which reads the tables from here.  They are two
+modules so that no one compile holds both: CPython keeps a whole module's
+tokens and syntax tree while it compiles it.
 """
 
-import itertools
 import operator
 
-from .action import RepresentationSpec, act_raw, delta, in_b_raw
+from .action import RepresentationSpec, delta
 from .builder import _connecting_rational
 from .rings import DEFAULT_BUDGET, Ring, check_budget
 from .suite import InvariantSuite
@@ -132,10 +131,10 @@ def verify_orbit_constancy(suite: InvariantSuite, ring: Ring,
 
 
 # ---------------------------------------------------------------------------
-# Lifting and orbit census.
+# Lifting.
 
 
-def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
+def verify_lifting(n: int, ring: Ring):
     """Check that the top connecting invariant of a size-n block is injective
     in the last coordinate once the leading coordinate is nonzero.
 
@@ -152,7 +151,6 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
         raise ValueError("brute-force verification needs a finite field")
     if n > ring.characteristic:
         raise ValueError("block size exceeds p")
-    check_budget(ring.order, n, budget)
     f = _connecting_rational(n).polynomial
     # a key lists its variables last first, so it reads x_n when its first
     # index is n - 1; x1^e*x_n has the key (e + 1, n - 1, 1, 0, e)
@@ -161,32 +159,6 @@ def verify_lifting(n: int, ring: Ring, budget: int = DEFAULT_BUDGET):
             and f.numerators[reading[0]] == f.denominator):
         raise AssertionError(f"f_{n} is not x1^e*x{n} + h(x1..x{n - 1}): "
                              "its lifting is not certified")
-
-
-def fixed_point_census(spec: RepresentationSpec, ring: Ring,
-                       budget: int = DEFAULT_BUDGET) -> dict:
-    """Brute-force orbit census; orbits have length 1 (fixed) or p."""
-    _check_field(spec, ring)
-    check_budget(ring.order, spec.n, budget)
-    blocks = spec.blocks
-    total = ring.order ** spec.n
-    in_b = fixed = fixed_b = 0
-    for coords in itertools.product(ring.elements(), repeat=spec.n):
-        b = in_b_raw(blocks, ring, coords)
-        in_b += b
-        if act_raw(blocks, ring, coords) == coords:
-            fixed += 1
-            fixed_b += b
-    if (total - fixed) % spec.p or (in_b - fixed_b) % spec.p:
-        raise AssertionError("non-fixed points do not split into p-orbits")
-    return {
-        "totalPoints": total,
-        "pointsInB": in_b,
-        "fixedPoints": fixed,
-        "fixedPointsInB": fixed_b,
-        "orbitCount": fixed + (total - fixed) // spec.p,
-        "orbitCountInB": fixed_b + (in_b - fixed_b) // spec.p,
-    }
 
 
 def __getattr__(name):
@@ -199,6 +171,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "SeparationReport", "fixed_point_census", "render_separation",
-    "separation_report", "verify_lifting", "verify_orbit_constancy",
+    "SeparationReport", "render_separation", "separation_report",
+    "verify_lifting", "verify_orbit_constancy",
 ]

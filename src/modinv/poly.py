@@ -8,6 +8,7 @@ text and JSON.  The public interface speaks dense exponent tuples: the
 constructor, monomial, terms(), lead_term() and the JSON `exps` lists.
 """
 
+import operator
 from collections import Counter, namedtuple
 from functools import cached_property
 
@@ -48,6 +49,18 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def block_sizes(blocks) -> tuple:
+    """blocks as a tuple of ints; a size that is not an integer, such as 2.7
+    or "2", raises TypeError naming it rather than being converted."""
+    out = []
+    for s in blocks:
+        try:
+            out.append(operator.index(s))
+        except TypeError:
+            raise TypeError(f"block sizes must be integers, got {s!r}") from None
+    return tuple(out)
+
+
 class VariableTable(Record, namedtuple("VariableTable", "blocks")):
     """Variables of a direct sum of blocks, flattened block by block.
 
@@ -57,9 +70,10 @@ class VariableTable(Record, namedtuple("VariableTable", "blocks")):
     """
 
     def __new__(cls, blocks):
+        blocks = block_sizes(blocks)
         if not blocks or any(s < 1 for s in blocks):
             raise ValueError("blocks must be a nonempty tuple of positive sizes")
-        return super().__new__(cls, tuple(int(s) for s in blocks))
+        return super().__new__(cls, blocks)
 
     @cached_property
     def n(self) -> int:

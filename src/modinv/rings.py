@@ -58,7 +58,12 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; refuses n it cannot decide exactly."""
+    """Deterministic Miller-Rabin; refuses n that is not an integer, or that
+    it cannot decide exactly."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"{n!r} is not an integer") from None
     if n >= _PRIME_TEST_BOUND:
         raise ValueError(f"{n} is too large for the primality test (limit 3.3e24)")
     if n < 2 or n in _PRIME_BASES:

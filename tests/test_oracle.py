@@ -4,12 +4,12 @@ import tracemalloc
 import pytest
 
 from modinv import oracle
-from modinv.action import RepresentationSpec, orbit_rep_raw
+from modinv.action import RepresentationSpec, orbit_raw
 from modinv.builder import _Rational, build_suite, connecting_degree
-from modinv.oracle import (fixed_point_census, separation_report, verify_lifting,
-                           verify_orbit_constancy)
+from modinv.oracle import separation_report, verify_lifting, verify_orbit_constancy
 from modinv.poly import Polynomial, product_key
 from modinv.rings import DEFAULT_BUDGET, GF, QQ, BudgetExceeded
+from reference import fixed_point_census
 
 
 def fp_suite(p, blocks):
@@ -124,8 +124,8 @@ def test_witness_pair_is_adjudicated_pointwise():
         suite = build_suite(spec, "fp")
         v = tuple(field.from_int(c) for c in (1, 0, 1, 0))
         w = tuple(field.from_int(c) for c in (1, 0, 1, 1))
-        assert orbit_rep_raw(spec.blocks, field, v) != orbit_rep_raw(
-            spec.blocks, field, w)
+        assert min(orbit_raw(spec.blocks, field, v)) != min(
+            orbit_raw(spec.blocks, field, w))
         values_v = tuple(e.polynomial.evaluate_raw(v, field) for e in suite.entries)
         values_w = tuple(e.polynomial.evaluate_raw(w, field) for e in suite.entries)
         assert values_v == values_w
@@ -234,8 +234,6 @@ def test_lifting_argument_errors():
         verify_lifting(2, GF(5))
     with pytest.raises(ValueError, match="finite field"):
         verify_lifting(3, QQ)
-    with pytest.raises(BudgetExceeded):
-        verify_lifting(3, GF(5), budget=10)
     for n, field in ((4, GF(3)), (5, GF(3)), (4, GF(3, 2))):
         with pytest.raises(ValueError, match="block size exceeds p"):
             verify_lifting(n, field)
@@ -292,6 +290,4 @@ def test_budget_guard():
     suite = fp_suite(5, (3,))
     with pytest.raises(BudgetExceeded, match=r"5\^3 points exceed budget 100"):
         separation_report(suite, GF(5), budget=100)
-    with pytest.raises(BudgetExceeded):
-        fixed_point_census(RepresentationSpec(5, (3,)), GF(5), budget=100)
     assert DEFAULT_BUDGET == 10_000_000

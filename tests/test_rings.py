@@ -61,6 +61,16 @@ def test_prime_validation():
         PrimeField(6)
 
 
+def test_non_integer_p_is_refused():
+    # 5.0 once built a field whose values rendered as "2.0"
+    for p in (5.0, "5"):
+        for make in (is_prime, PrimeField, GF, lambda p: GF(p, 2),
+                     lambda p: find_irreducible(p, 2)):
+            with pytest.raises(TypeError, match=f"^{p!r} is not an integer$"):
+                make(p)
+    assert is_prime(True) is False      # bool is an int
+
+
 @given(st.integers(0, 10 ** 5 - 1))
 def test_is_prime_matches_trial_division(n):
     assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1)))
