@@ -90,8 +90,8 @@ def test_validation_errors_are_unchanged():
         RepresentationSpec(5, (2, 0))
     with pytest.raises(BlockExceedsP, match="^block size exceeds p$"):
         RepresentationSpec(5, (6,))
-    # not integers: 2.7 and "2" were once converted to 2, and p = 5.0 failed
-    # only inside the verifier, in pow()
+    # not integers: int() would turn 2.7 and "2" into 2, and p = 5.0 would
+    # fail only inside the verifier, in pow()
     with pytest.raises(TypeError, match="^5.0 is not an integer$"):
         RepresentationSpec(5.0, (2,))
     for size in (2.7, "2"):
