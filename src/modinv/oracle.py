@@ -148,7 +148,7 @@ def verify_lifting(n: int, ring: Ring):
     if n < 3:
         raise ValueError("connecting invariants start at block size 3")
     if ring.order is None:
-        raise ValueError("brute-force verification needs a finite field")
+        raise ValueError(f"lifting needs a field of characteristic p >= {n}")
     if n > ring.characteristic:
         raise ValueError("block size exceeds p")
     f = _connecting_rational(n).polynomial

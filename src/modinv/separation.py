@@ -88,9 +88,10 @@ def _distinct(column):
     return column if isinstance(column, range) else list(dict.fromkeys(column))
 
 
-def _lookup(groups, support, lists) -> list:
+def _lookup(groups, support, lists):
     """Row-major index into a table over the support's value lists for each
-    point of the product of the coordinate groups, in enumeration order."""
+    point of the product of the coordinate groups, in enumeration order; the
+    last group's level, the longest, is yielded, not listed."""
     read = {}
     size = 1
     for i, values in zip(reversed(support), reversed(lists)):
@@ -98,9 +99,10 @@ def _lookup(groups, support, lists) -> list:
                     {v: r for r, v in enumerate(values)}.__getitem__)
         read[i] = (size, position)
         size *= len(values)
-    index = [0]
+    index = offsets = [0]
     coord = 0
     for group in groups:
+        index = [b + o for b in index for o in offsets]
         offsets = [0] * len(group[0])
         for c, column in enumerate(group, coord):
             if c in read:
@@ -108,8 +110,7 @@ def _lookup(groups, support, lists) -> list:
                 offsets = list(map(operator.add, offsets,
                                    map(stride.__mul__, map(position, column))))
         coord += len(group)
-        index = [b + o for b in index for o in offsets]
-    return index
+    return (b + o for b in index for o in offsets)
 
 
 def _injective_on_first(entries) -> bool:
@@ -128,9 +129,10 @@ def _scan_fibers(suite: InvariantSuite, ring: Ring, factors):
     gives a witness pair, so no other fiber can give one).
 
     When _injective_on_first holds, as for every built suite's x1, no fiber
-    spans two slabs, so the map from key to first representative holds one
-    slab's fibers, counted and dropped before the next; otherwise it holds
-    every fiber of the scan.
+    spans two slabs, so each slab's fibers are counted and dropped before
+    the next: a slab whose keys are distinct is counted by one set, and only
+    a slab with a repeated key fills the map from key to first
+    representative.  Otherwise that map holds every fiber of the scan.
 
     Entries reading the first group's coordinates (x1, and x2_a when the
     first block is nontrivial: its values follow x1's) are tabulated per
@@ -138,7 +140,7 @@ def _scan_fibers(suite: InvariantSuite, ring: Ring, factors):
     entries' codes as digits in base q, and a representative is kept as its
     rank, the first coordinate's code times the representatives per first
     coordinate plus its position among them; ranks order like the points.
-    A slab's keys go into the fibers at once when none repeats or was met
+    A slab's keys go into the map at once when none repeats or was met
     before; otherwise one at a time.  Representatives are met in ascending
     order, so each fiber keeps its first _KEEP_REPS, sorted."""
     lead, later = factors
@@ -170,13 +172,17 @@ def _scan_fibers(suite: InvariantSuite, ring: Ring, factors):
                     table = [v * q ** j for v in table]
                 if not support or support[0] >= len(groups[0]):
                     fixed[j] = table
-            column = list(map(table.__getitem__, _lookup(groups, support, grid)))
-            keys = column if keys is None else list(map(operator.add, keys, column))
+            column = map(table.__getitem__, _lookup(groups, support, grid))
+            keys = list(column if keys is None else map(operator.add, keys, column))
+        table = column = None   # only keys outlives the slab's tables
         start = groups[0][0][0] * per_first
-        fresh = dict(zip(keys, range(start, start + len(keys))))
-        if len(fresh) == len(keys) and fresh.keys().isdisjoint(seen.keys()):
-            seen.update(fresh)
-            continue
+        if len(set(keys)) == len(keys):
+            if per_slab:
+                count += len(keys)
+                continue
+            if seen.keys().isdisjoint(keys):
+                seen.update(zip(keys, range(start, start + len(keys))))
+                continue
         for rep, key in enumerate(keys, start):
             first = seen.setdefault(key, rep)
             if first == rep or first > bound:

@@ -232,7 +232,7 @@ def test_lifting_refuses_other_terms_in_the_last_coordinate(monkeypatch, n):
 def test_lifting_argument_errors():
     with pytest.raises(ValueError, match="block size 3"):
         verify_lifting(2, GF(5))
-    with pytest.raises(ValueError, match="finite field"):
+    with pytest.raises(ValueError, match="characteristic p >= 3"):
         verify_lifting(3, QQ)
     for n, field in ((4, GF(3)), (5, GF(3)), (4, GF(3, 2))):
         with pytest.raises(ValueError, match="block size exceeds p"):

@@ -26,12 +26,15 @@ The scan puts a slab's fiber keys in at once when none repeats or was met
 before, and one at a time otherwise; suites whose fibers are met again only
 in later slabs run both ways and must match reference_scan.  It drops each
 slab's fibers once counted when an entry is affine in the first coordinate
-alone: every library suite, with one first coordinate per slab, must give
-the report it gives in one slab, and suites whose first entry is x1^2 or
-x1^p must keep one map and match reference_scan, as must c*x1 + d.  An
-entry that reads x2 but not x1 must match it too, with one first
-coordinate per slab, although the values x2 takes among representatives
-over F_{p^k} change with x1.
+alone, and counts a slab whose keys are distinct with a set: every library
+suite, with one first coordinate per slab, must give the report it gives
+in one slab, and suites whose first entry is x1^2 or x1^p must keep one map
+and match reference_scan, as must c*x1 + d and the blockwise suite whose
+slabs repeat keys, with one first coordinate per slab and with the default
+slab size.  An entry that reads x2 but not x1 must match it too, with one
+first coordinate per slab, although the values x2 takes among
+representatives over F_{p^k} change with x1.  The scan's tracemalloc peak
+stays below a bound that a dictionary of each slab's keys exceeds.
 
 reference_lifting is the lifting check as it was before value tables: it
 evaluates the top connecting invariant along the last coordinate, prefix by
@@ -43,6 +46,7 @@ oracle's value tables of f_n, row by row along the last coordinate.
 
 import itertools
 import random
+import tracemalloc
 from bisect import insort
 
 import pytest
@@ -161,22 +165,33 @@ def test_non_affine_first_entry_keeps_one_fiber_map(monkeypatch, p, k, blocks):
         assert a[0] != b[0]
 
 
+# one first coordinate per slab, and the default
+SLAB_POINTS = (1, oracle._SLAB_POINTS)
+
+
 @pytest.mark.parametrize("p,k,blocks", [(5, 1, (2,)), (5, 1, (2, 2)), (7, 1, (1, 2)),
                                         (3, 2, (2,)), (3, 2, (1, 2))])
 def test_affine_first_entry_drops_each_slab(monkeypatch, p, k, blocks):
-    # c*x1 + d with c not in {0, 1}: over F_9, c and d lie outside F_3
-    monkeypatch.setattr(oracle, "_SLAB_POINTS", 1)
+    # c*x1 + d with c not in {0, 1}: over F_9, c and d lie outside F_3.  A
+    # slab whose keys are distinct is only counted; with two nontrivial
+    # blocks the suite does not separate, and some slab repeats a key and
+    # fills the fiber map
     field = GF(p, k)
     c, d = field.elements()[4], field.elements()[-1]
-    suite = first_entry_replaced(
-        build_suite(RepresentationSpec(p, blocks), "fp"), field,
-        lambda x: x * Polynomial.constant(field, x.table, c)
+    suite = build_suite(RepresentationSpec(p, blocks), "fp")
+    doctored = first_entry_replaced(
+        suite, field, lambda x: x * Polynomial.constant(field, x.table, c)
         + Polynomial.constant(field, x.table, d))
-    assert injective_on_first(suite, field)
-    report = separation_report(suite, field)
-    *expected, _ = reference_scan(suite, field)
-    assert (report.points_in_b, report.orbit_count_in_b,
-            report.fiber_count, report.witness_pairs) == tuple(expected)
+    repeats = sum(size > 1 for size in blocks) > 1
+    for checked in (doctored, suite):
+        assert injective_on_first(checked, field)
+        *expected, _ = reference_scan(checked, field)
+        for points in SLAB_POINTS:
+            monkeypatch.setattr(oracle, "_SLAB_POINTS", points)
+            assert ("fallback" in slab_kinds(checked, field)) == repeats
+            report = separation_report(checked, field)
+            assert (report.points_in_b, report.orbit_count_in_b,
+                    report.fiber_count, report.witness_pairs) == tuple(expected)
 
 
 # F_2 at n = 8, 9 alone would add 6631 bumped suites and about a minute
@@ -412,6 +427,27 @@ def test_fibers_shared_across_first_coordinates(p, k, blocks):
             report.fiber_count, report.witness_pairs) == tuple(expected)
 
 
+@pytest.mark.parametrize("p,k,blocks,bound_kib", [(11, 1, (5,), 768), (3, 2, (2, 3), 400)])
+def test_scan_memory_stays_near_one_slab(p, k, blocks, bound_kib):
+    # tracemalloc's peak during separation_report above what was allocated
+    # before it (the suite, and the field's tables built by a first call).
+    # F_11 [5] separates, so each slab is counted by a set; the blockwise
+    # F_9 [2,3] does not, so its slabs repeat keys and fill the fiber map.
+    # With a dictionary of each slab's keys and a listed index the peaks
+    # were 1011 and 465 KiB; they are 466 and 337 KiB (CPython 3.11)
+    field = GF(p, k)
+    suite = build_suite(RepresentationSpec(p, blocks), "fp")
+    expected = separation_report(suite, field)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert separation_report(suite, field) == expected
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_kib << 10, peak
+
+
 def slab_kinds(suite, ring):
     """For each slab of the scan, in order, whether its keys go in at once
     ("bulk": none repeats or was met before) or one at a time, decided
@@ -435,21 +471,24 @@ def slab_kinds(suite, ring):
                                         (2, 2, (2,)), (2, 2, (1, 2)), (3, 2, (2,)),
                                         (5, 2, (2,))])
 def test_bulk_and_fallback_slabs_match_reference(monkeypatch, p, k, blocks):
-    # one first coordinate per slab; without its first entry the suite is
-    # injective on the representatives with one first coordinate but not
-    # across them, so the first slab goes in at once and every later one
-    # meets fibers of earlier slabs
-    monkeypatch.setattr(oracle, "_SLAB_POINTS", 1)
+    # without its first entry the suite is injective on the representatives
+    # with one first coordinate but not across them, so with one first
+    # coordinate per slab the first slab goes in at once and every later
+    # one meets fibers of earlier slabs
     field = GF(p, k)
     suite = build_suite(RepresentationSpec(p, blocks), "fp")
     doctored = suite._replace(entries=suite.entries[1:])
+    assert not injective_on_first(doctored, field)
+    for checked in (doctored, suite):
+        *expected, _ = reference_scan(checked, field)
+        for points in SLAB_POINTS:
+            monkeypatch.setattr(oracle, "_SLAB_POINTS", points)
+            report = separation_report(checked, field)
+            assert (report.points_in_b, report.orbit_count_in_b,
+                    report.fiber_count, report.witness_pairs) == tuple(expected)
+    monkeypatch.setattr(oracle, "_SLAB_POINTS", 1)
     kinds = slab_kinds(doctored, field)
     assert kinds[0] == "bulk" and kinds[1:] and set(kinds[1:]) == {"fallback"}
-    for checked in (doctored, suite):
-        report = separation_report(checked, field)
-        *expected, _ = reference_scan(checked, field)
-        assert (report.points_in_b, report.orbit_count_in_b,
-                report.fiber_count, report.witness_pairs) == tuple(expected)
     # the first witness pair spans two slabs
     a, b = separation_report(doctored, field).witness_pairs[0]
     assert a[0] != b[0]
