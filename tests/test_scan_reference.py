@@ -433,8 +433,9 @@ def test_scan_memory_stays_near_one_slab(p, k, blocks, bound_kib):
     # before it (the suite, and the field's tables built by a first call).
     # F_11 [5] separates, so each slab is counted by a set; the blockwise
     # F_9 [2,3] does not, so its slabs repeat keys and fill the fiber map.
-    # With a dictionary of each slab's keys and a listed index the peaks
-    # were 1011 and 465 KiB; they are 466 and 337 KiB (CPython 3.11)
+    # Each bound lies between the peak of a scan that makes a dictionary of
+    # every slab's keys and lists its index (1011 and 465 KiB) and this
+    # scan's (466 and 337 KiB; CPython 3.11)
     field = GF(p, k)
     suite = build_suite(RepresentationSpec(p, blocks), "fp")
     expected = separation_report(suite, field)
